@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -21,6 +22,7 @@
 #include "exec/host_cost.h"
 #include "exec/microbench.h"
 #include "exec/plan_cache.h"
+#include "exec/quantize.h"
 #include "nn/models.h"
 
 namespace tdc {
@@ -174,46 +176,102 @@ TEST(HostProvider, CacheKeyReflectsCalibration) {
       << "re-calibration must change the resolution provenance";
 }
 
-// Satellite fix: a kAuto plan resolved by one provider must never be served
-// to a compile of the same shape under another provider — the key carries
-// the resolution provenance. Pinned algorithms share one entry.
-TEST(PlanCacheProvenance, CrossProviderCompilesMiss) {
+// The PlanCache key must separate exactly the requests that compile
+// different artifacts and merge the ones that compile the same artifact,
+// across all four plan kinds (dense/Tucker × fp32/int8). A kAuto plan
+// resolved by one provider is never served to another; pinned algorithms
+// share one entry; int8 keys carry neither the algorithm request nor the
+// Tucker executor, since the quantized engine is always im2col.
+struct KeyProbe {
+  ConvAlgo algo = ConvAlgo::kIm2col;
+  const CostProvider* cost = nullptr;
+  std::optional<TuckerRanks> ranks;
+  TuckerExec exec = TuckerExec::kFused;
+  const LayerQuant* quant = nullptr;
+};
+
+std::shared_ptr<const ConvPlan> compile_probe(PlanCache& cache,
+                                              const ConvShape& shape,
+                                              const Tensor& kernel,
+                                              const KeyProbe& p) {
+  if (p.ranks) {
+    TuckerDescriptor desc;
+    desc.shape = shape;
+    desc.exec = p.exec;
+    desc.cost = p.cost;
+    return p.quant != nullptr
+               ? cache.get_or_compile_tucker_s8(desc, kernel, *p.ranks,
+                                                *p.quant)
+               : cache.get_or_compile_tucker(desc, kernel, *p.ranks);
+  }
+  ConvDescriptor desc;
+  desc.shape = shape;
+  desc.algo = p.algo;
+  desc.cost = p.cost;
+  return p.quant != nullptr ? cache.get_or_compile_s8(desc, kernel, *p.quant)
+                            : cache.get_or_compile(desc, kernel);
+}
+
+TEST(PlanCacheProvenance, KeyTableCoversEveryPlanKind) {
   PinnedCalibration pin("50", "10");
   Rng rng(601);
   const ConvShape shape = ConvShape::same(16, 16, 12, 3);
   const Tensor kernel =
       Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
+  const CostProvider* host = &host_cost_provider();
+  const CostProvider* simgpu = &simulated_gpu_cost_provider();
+  LayerQuant q1;
+  q1.quantize = true;
+  LayerQuant q2 = q1;
+  q2.input.scale = 0.5f;
+  ASSERT_NE(quant_fingerprint(q1), quant_fingerprint(q2));
+  const TuckerRanks r88{8, 8};
+  const TuckerRanks r48{4, 8};
+
+  struct Case {
+    const char* name;
+    KeyProbe a;
+    KeyProbe b;
+    bool shared;
+  };
+  const Case cases[] = {
+      {"repeated request", {}, {}, true},
+      {"kAuto across providers",
+       {.algo = ConvAlgo::kAuto, .cost = host},
+       {.algo = ConvAlgo::kAuto, .cost = simgpu}, false},
+      {"null provider aliases simgpu",
+       {.algo = ConvAlgo::kAuto, .cost = simgpu},
+       {.algo = ConvAlgo::kAuto, .cost = nullptr}, true},
+      {"pinned across providers", {.cost = host}, {.cost = simgpu}, true},
+      {"fp32 vs int8", {}, {.quant = &q1}, false},
+      {"two calibrations", {.quant = &q1}, {.quant = &q2}, false},
+      {"int8 under kAuto vs kIm2col",
+       {.algo = ConvAlgo::kAuto, .cost = host, .quant = &q1},
+       {.algo = ConvAlgo::kIm2col, .cost = host, .quant = &q1}, true},
+      {"Tucker vs dense", {}, {.ranks = r88}, false},
+      {"two rank pairs", {.ranks = r88}, {.ranks = r48}, false},
+      {"fp32 Tucker fused vs staged",
+       {.ranks = r88, .exec = TuckerExec::kFused},
+       {.ranks = r88, .exec = TuckerExec::kStaged}, false},
+      {"fp32 vs int8 Tucker", {.ranks = r88}, {.ranks = r88, .quant = &q1},
+       false},
+      {"int8 Tucker fused vs staged",
+       {.ranks = r88, .exec = TuckerExec::kFused, .quant = &q1},
+       {.ranks = r88, .exec = TuckerExec::kStaged, .quant = &q1}, true},
+  };
 
   PlanCache& cache = PlanCache::instance();
-  cache.clear();
-
-  ConvDescriptor desc;
-  desc.shape = shape;
-  desc.algo = ConvAlgo::kAuto;
-  desc.cost = &host_cost_provider();
-  cache.get_or_compile(desc, kernel);
-  EXPECT_EQ(cache.stats().misses, 1);
-  cache.get_or_compile(desc, kernel);  // same provider: hit
-  EXPECT_EQ(cache.stats().hits, 1);
-
-  desc.cost = &simulated_gpu_cost_provider();
-  cache.get_or_compile(desc, kernel);  // cross-provider: miss, new entry
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().entries, 2);
-
-  desc.cost = nullptr;  // null = simulated: aliases the simulated entry
-  cache.get_or_compile(desc, kernel);
-  EXPECT_EQ(cache.stats().hits, 2);
-
-  // Pinned requests compile identically under every provider → one entry.
-  desc.algo = ConvAlgo::kIm2col;
-  desc.cost = &host_cost_provider();
-  cache.get_or_compile(desc, kernel);
-  EXPECT_EQ(cache.stats().misses, 3);
-  desc.cost = &simulated_gpu_cost_provider();
-  cache.get_or_compile(desc, kernel);
-  EXPECT_EQ(cache.stats().hits, 3);
-  EXPECT_EQ(cache.stats().entries, 3);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    cache.clear();
+    const auto pa = compile_probe(cache, shape, kernel, c.a);
+    const auto pb = compile_probe(cache, shape, kernel, c.b);
+    const PlanCache::Stats st = cache.stats();
+    EXPECT_EQ(st.misses, c.shared ? 1 : 2);
+    EXPECT_EQ(st.hits, c.shared ? 1 : 0);
+    EXPECT_EQ(st.entries, c.shared ? 1 : 2);
+    EXPECT_EQ(pa == pb, c.shared);
+  }
   cache.clear();
 }
 
