@@ -13,9 +13,9 @@
 #include "common/check.h"
 #include "common/fault.h"
 #include "common/parallel.h"
-#include "exec/conv_plan.h"
 #include "exec/host_cost.h"
 #include "exec/microbench.h"
+#include "exec/plan_cache.h"
 #include "exec/quantize.h"
 
 namespace tdc {
@@ -307,41 +307,15 @@ void ensure_cache_loaded_locked() {
   }
 }
 
-double time_candidate(ConvAlgo algo, const DeviceSpec& device,
-                      const ConvShape& shape) {
+double time_plan(PlanRequest req) {
   // Throwaway plan over zero-filled buffers: weights do not change the
   // instruction stream of any executor, and 0·0 products raise no denormal
   // stalls, so zeros time like production traffic without touching the
   // PlanCache or any caller state.
-  ConvDescriptor desc;
-  desc.shape = shape;
-  desc.algo = algo;
-  desc.device = device;
+  const ConvShape& shape = req.shape;
   const Tensor kernel({shape.c, shape.n, shape.r, shape.s});
-  const auto plan = compile_conv_plan(desc, kernel);
-  const Tensor x({shape.c, shape.h, shape.w});
-  Tensor y({shape.n, shape.out_h(), shape.out_w()});
-  std::vector<float> ws(
-      static_cast<std::size_t>(plan->workspace_bytes() / sizeof(float)));
-  plan->run(x, &y, ws);  // warm-up
-  double best_s = 1e300;
-  for (int rep = 0; rep < 2; ++rep) {
-    const auto t0 = Clock::now();
-    plan->run(x, &y, ws);
-    best_s = std::min(
-        best_s, std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  return best_s;
-}
-
-double time_quantized(const ConvShape& shape) {
-  // Synthetic unit-scale calibration: quantization parameters change only
-  // the epilogue multipliers, never the instruction stream, so unit scales
-  // time like calibrated ones.
-  LayerQuant quant;
-  quant.quantize = true;
-  const Tensor kernel({shape.c, shape.n, shape.r, shape.s});
-  const auto plan = compile_quantized_conv_plan(shape, kernel, quant);
+  req.kernel = &kernel;
+  const auto plan = compile_plan(req);
   const Tensor x({shape.c, shape.h, shape.w});
   Tensor y({shape.n, shape.out_h(), shape.out_w()});
   std::vector<float> ws(
@@ -418,8 +392,12 @@ ConvAlgo AutotuneCostProvider::resolve(const DeviceSpec& device,
   std::int64_t timed = 0;
   if (shortlist.size() > 1) {
     double best_s = 1e300;
+    PlanRequest req;
+    req.shape = shape;
+    req.device = device;
     for (const ConvAlgo algo : shortlist) {
-      const double t = time_candidate(algo, device, shape);
+      req.algo = algo;
+      const double t = time_plan(req);
       ++timed;
       if (t < best_s) {  // earlier (better-estimated) candidate wins ties
         best_s = t;
@@ -462,9 +440,18 @@ Precision AutotuneCostProvider::resolve_precision(
       return it->second;
     }
   }
-  const ConvAlgo fp32_algo = resolve(device, shape);
-  const double fp32_s = time_candidate(fp32_algo, device, shape);
-  const double s8_s = time_quantized(shape);
+  PlanRequest req;
+  req.shape = shape;
+  req.device = device;
+  req.algo = resolve(device, shape);
+  const double fp32_s = time_plan(req);
+  // Synthetic unit-scale calibration: quantization parameters change only
+  // the epilogue multipliers, never the instruction stream, so unit scales
+  // time like calibrated ones.
+  LayerQuant unit;
+  unit.quantize = true;
+  req.quant = &unit;
+  const double s8_s = time_plan(req);
   const Precision winner =
       s8_s < fp32_s ? Precision::kInt8 : Precision::kFp32;
   std::lock_guard<std::mutex> lock(s.mu);

@@ -10,8 +10,8 @@
 //     codesign pass and every figure reproduction assume.
 //   * HostCostProvider (exec/host_cost.h) — the CPU-engine deployment
 //     policy: an analytical model of the engine's own kernels, calibrated by
-//     microbenchmarks on this machine. The default for InferenceSession /
-//     CompiledModel compiles.
+//     microbenchmarks on this machine. The default for InferenceSession
+//     compiles.
 //   * AutotuneCostProvider (exec/autotune.h) — times the cheapest candidate
 //     plans on real buffers at compile time and memoizes the winners.
 //

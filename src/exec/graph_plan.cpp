@@ -20,7 +20,6 @@
 #include "exec/plan_impl.h"
 #include "exec/quantize.h"
 #include "exec/workspace_guard.h"
-#include "tucker/tucker.h"
 
 namespace tdc {
 
@@ -152,6 +151,29 @@ std::vector<OpShape> infer_output_shapes(const ModelSpec& model) {
     }
   }
   return out;
+}
+
+/// Precision selection: layer i's calibration when it compiles int8, else
+/// null. A calibrated layer goes int8 when TDC_INT8 forces it, or when the
+/// request's cost provider prices the quantized engine cheaper — but never
+/// over a pinned transform-domain algorithm (the quantized engine is
+/// im2col-only).
+const LayerQuant* int8_layer_quant(const SessionOptions& options,
+                                   std::size_t i, const PlanRequest& req) {
+  if (options.quant == nullptr || i >= options.quant->layers.size() ||
+      !options.quant->layers[i].quantize) {
+    return nullptr;
+  }
+  const ConvAlgo requested = req.ranks ? req.core_algo : req.algo;
+  if (requested != ConvAlgo::kAuto && requested != ConvAlgo::kIm2col) {
+    return nullptr;
+  }
+  const int mode = int8_mode();
+  const bool int8 =
+      mode == 2 ||
+      (mode == 1 && req.cost->resolve_precision(req.device, req.shape) ==
+                        Precision::kInt8);
+  return int8 ? &options.quant->layers[i] : nullptr;
 }
 
 }  // namespace
@@ -305,66 +327,21 @@ InferenceSession InferenceSession::compile_impl(
                           "' needs a CNRS kernel matching " +
                           layer.conv.to_string());
         const LayerDecision* dec = dec_for[i];
-        const bool decomposed = dec != nullptr && dec->decomposed;
-        // Precision selection: a calibrated layer compiles int8 when
-        // TDC_INT8 forces it, or when the cost provider prices the
-        // quantized engine cheaper — but never over a pinned
-        // transform-domain algorithm (the quantized engine is im2col-only).
-        const LayerQuant* lq = nullptr;
-        if (options.quant != nullptr &&
-            i < options.quant->layers.size() &&
-            options.quant->layers[i].quantize) {
-          lq = &options.quant->layers[i];
+        PlanRequest req;
+        req.shape = layer.conv;
+        req.kernel = &kernel;
+        req.device = device;
+        req.cost = cost;
+        req.algo = options.dense_algo;
+        req.exec = options.tucker_exec;
+        req.core_algo = options.tucker_core_algo;
+        if (dec != nullptr && dec->decomposed) {
+          req.ranks = dec->ranks;
         }
-        const ConvAlgo requested =
-            decomposed ? options.tucker_core_algo : options.dense_algo;
-        bool use_int8 = false;
-        if (lq != nullptr &&
-            (requested == ConvAlgo::kAuto || requested == ConvAlgo::kIm2col)) {
-          const int mode = int8_mode();
-          use_int8 = mode == 2 ||
-                     (mode == 1 && cost->resolve_precision(
-                                       device, layer.conv) == Precision::kInt8);
-        }
-        if (decomposed) {
-          TuckerDescriptor desc;
-          desc.shape = layer.conv;
-          desc.exec = options.tucker_exec;
-          desc.core_algo = options.tucker_core_algo;
-          desc.device = device;
-          desc.cost = cost;
-          if (use_int8) {
-            node.plan = options.use_plan_cache
-                            ? PlanCache::instance().get_or_compile_tucker_s8(
-                                  desc, kernel, dec->ranks, *lq)
-                            : compile_quantized_tucker_plan(
-                                  layer.conv,
-                                  tucker_decompose(kernel, dec->ranks), *lq);
-          } else if (options.use_plan_cache) {
-            node.plan = PlanCache::instance().get_or_compile_tucker(
-                desc, kernel, dec->ranks);
-          } else {
-            node.plan = compile_tucker_plan(
-                desc, tucker_decompose(kernel, dec->ranks));
-          }
-        } else {
-          ConvDescriptor desc;
-          desc.shape = layer.conv;
-          desc.algo = options.dense_algo;
-          desc.device = device;
-          desc.cost = cost;
-          if (use_int8) {
-            node.plan = options.use_plan_cache
-                            ? PlanCache::instance().get_or_compile_s8(
-                                  desc, kernel, *lq)
-                            : compile_quantized_conv_plan(layer.conv, kernel,
-                                                          *lq);
-          } else if (options.use_plan_cache) {
-            node.plan = PlanCache::instance().get_or_compile(desc, kernel);
-          } else {
-            node.plan = compile_conv_plan(desc, kernel);
-          }
-        }
+        req.quant = int8_layer_quant(options, i, req);
+        node.plan = options.use_plan_cache
+                        ? PlanCache::instance().get_or_compile(req)
+                        : compile_plan(req);
         break;
       }
       case LayerKind::kPool:

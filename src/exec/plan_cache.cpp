@@ -84,6 +84,53 @@ void append_provenance(std::string* key, const CostProvider* cost,
   }
 }
 
+// The one key builder. Each plan kind keys on exactly the fields its
+// compile reads: dense fp32 on the algorithm; Tucker fp32 on executor, core
+// algorithm and band height; int8 on neither (the quantized engine is
+// always im2col), but on the quant fingerprint instead of the resolution
+// provenance.
+std::string plan_key(const PlanRequest& req) {
+  const bool int8 = req.quant != nullptr;
+  std::string key = req.ranks ? "tucker" : "conv";
+  key += int8 ? "8|" : "|";
+  append_shape(&key, req.shape);
+  key += '|';
+  if (!int8) {
+    if (req.ranks) {
+      key += std::to_string(static_cast<int>(req.exec));
+      key += ',';
+      key += std::to_string(static_cast<int>(req.core_algo));
+      key += ',';
+      key += std::to_string(req.row_tile);
+    } else {
+      key += std::to_string(static_cast<int>(req.algo));
+    }
+    key += '|';
+  }
+  if (req.ranks) {
+    key += std::to_string(req.ranks->d1);
+    key += ',';
+    key += std::to_string(req.ranks->d2);
+    key += '|';
+  }
+  append_device(&key, req.device);
+  key += '|';
+  if (int8) {
+    append_u64(&key, quant_fingerprint(*req.quant));
+  } else if (req.ranks) {
+    // Only the staged executor resolves its core algorithm; the fused
+    // pipeline's core is fixed, so its provenance is always "pinned".
+    append_provenance(&key, req.cost,
+                      req.exec == TuckerExec::kStaged ? req.core_algo
+                                                      : ConvAlgo::kIm2col);
+  } else {
+    append_provenance(&key, req.cost, req.algo);
+  }
+  key += '|';
+  append_u64(&key, tensor_fingerprint(*req.kernel));
+  return key;
+}
+
 }  // namespace
 
 std::uint64_t tensor_fingerprint(const Tensor& t) {
@@ -112,9 +159,38 @@ PlanCache& PlanCache::instance() {
   return cache;
 }
 
-std::shared_ptr<const ConvPlan> PlanCache::lookup_or_insert(
-    const std::string& key,
-    const std::function<std::unique_ptr<ConvPlan>()>& compile) {
+std::unique_ptr<ConvPlan> compile_plan(const PlanRequest& req) {
+  TDC_CHECK_MSG(req.kernel != nullptr, "plan request without a kernel");
+  const Tensor& kernel = *req.kernel;
+  if (!req.ranks) {
+    if (req.quant != nullptr) {
+      return compile_quantized_conv_plan(req.shape, kernel, *req.quant);
+    }
+    ConvDescriptor desc;
+    desc.shape = req.shape;
+    desc.algo = req.algo;
+    desc.device = req.device;
+    desc.cost = req.cost;
+    return compile_conv_plan(desc, kernel);
+  }
+  const TuckerFactors factors = tucker_decompose(kernel, *req.ranks);
+  if (req.quant != nullptr) {
+    return compile_quantized_tucker_plan(req.shape, factors, *req.quant);
+  }
+  TuckerDescriptor desc;
+  desc.shape = req.shape;
+  desc.exec = req.exec;
+  desc.core_algo = req.core_algo;
+  desc.row_tile = req.row_tile;
+  desc.device = req.device;
+  desc.cost = req.cost;
+  return compile_tucker_plan(desc, factors);
+}
+
+std::shared_ptr<const ConvPlan> PlanCache::get_or_compile(
+    const PlanRequest& req) {
+  TDC_CHECK_MSG(req.kernel != nullptr, "plan request without a kernel");
+  const std::string key = plan_key(req);
   // Single-flight compilation: the first caller of a key becomes its
   // compiler; every concurrent same-key caller waits on the in-flight entry
   // and shares the one artifact. Without this, N replicas cold-starting the
@@ -157,7 +233,8 @@ std::shared_ptr<const ConvPlan> PlanCache::lookup_or_insert(
   // holds fully-compiled plans, so a faulted compile can simply be retried.
   std::shared_ptr<const ConvPlan> plan;
   try {
-    plan = map_resource_failure("plan compilation", [&] { return compile(); });
+    plan = map_resource_failure("plan compilation",
+                                [&] { return compile_plan(req); });
   } catch (...) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -179,101 +256,6 @@ std::shared_ptr<const ConvPlan> PlanCache::lookup_or_insert(
   flight->done = true;
   flight->cv.notify_all();
   return plan;
-}
-
-std::shared_ptr<const ConvPlan> PlanCache::get_or_compile(
-    const ConvDescriptor& desc, const Tensor& kernel) {
-  std::string key = "conv|";
-  append_shape(&key, desc.shape);
-  key += '|';
-  key += std::to_string(static_cast<int>(desc.algo));
-  key += '|';
-  key += std::to_string(static_cast<int>(desc.weight_layout));
-  key += '|';
-  for (const std::int64_t v : {desc.tiling.th, desc.tiling.tw,
-                               desc.tiling.tc}) {
-    key += std::to_string(v);
-    key += ',';
-  }
-  key += '|';
-  append_device(&key, desc.device);
-  key += '|';
-  append_provenance(&key, desc.cost, desc.algo);
-  key += '|';
-  append_u64(&key, tensor_fingerprint(kernel));
-  return lookup_or_insert(key,
-                          [&] { return compile_conv_plan(desc, kernel); });
-}
-
-std::shared_ptr<const ConvPlan> PlanCache::get_or_compile_tucker(
-    const TuckerDescriptor& desc, const Tensor& kernel_cnrs,
-    const TuckerRanks& ranks) {
-  std::string key = "tucker|";
-  append_shape(&key, desc.shape);
-  key += '|';
-  key += std::to_string(static_cast<int>(desc.exec));
-  key += ',';
-  key += std::to_string(static_cast<int>(desc.core_algo));
-  key += ',';
-  key += std::to_string(desc.row_tile);
-  key += '|';
-  key += std::to_string(ranks.d1);
-  key += ',';
-  key += std::to_string(ranks.d2);
-  key += '|';
-  append_device(&key, desc.device);
-  key += '|';
-  // Only the staged executor resolves its core algorithm; the fused
-  // pipeline's core is fixed, so its provenance is always "pinned".
-  append_provenance(&key, desc.cost,
-                    desc.exec == TuckerExec::kStaged ? desc.core_algo
-                                                     : ConvAlgo::kIm2col);
-  key += '|';
-  append_u64(&key, tensor_fingerprint(kernel_cnrs));
-  return lookup_or_insert(key, [&] {
-    const TuckerFactors factors = tucker_decompose(kernel_cnrs, ranks);
-    return compile_tucker_plan(desc, factors);
-  });
-}
-
-std::shared_ptr<const ConvPlan> PlanCache::get_or_compile_s8(
-    const ConvDescriptor& desc, const Tensor& kernel,
-    const LayerQuant& quant) {
-  // Quantized plans are always the int8 im2col pipeline — no algorithm or
-  // tiling component — but the quant-parameter fingerprint joins the key so
-  // two calibrations of one model compile distinct artifacts.
-  std::string key = "conv8|";
-  append_shape(&key, desc.shape);
-  key += '|';
-  append_device(&key, desc.device);
-  key += '|';
-  append_u64(&key, quant_fingerprint(quant));
-  key += '|';
-  append_u64(&key, tensor_fingerprint(kernel));
-  return lookup_or_insert(key, [&] {
-    return compile_quantized_conv_plan(desc.shape, kernel, quant);
-  });
-}
-
-std::shared_ptr<const ConvPlan> PlanCache::get_or_compile_tucker_s8(
-    const TuckerDescriptor& desc, const Tensor& kernel_cnrs,
-    const TuckerRanks& ranks, const LayerQuant& quant) {
-  std::string key = "tucker8|";
-  append_shape(&key, desc.shape);
-  key += '|';
-  key += std::to_string(ranks.d1);
-  key += ',';
-  key += std::to_string(ranks.d2);
-  key += '|';
-  append_device(&key, desc.device);
-  key += '|';
-  append_u64(&key, quant_fingerprint(quant));
-  key += '|';
-  append_u64(&key, tensor_fingerprint(kernel_cnrs));
-  return lookup_or_insert(key, [&] {
-    const TuckerFactors factors = tucker_decompose(kernel_cnrs, ranks);
-    return compile_quantized_tucker_plan(desc.shape, factors, quant);
-  });
 }
 
 PlanCache::Stats PlanCache::stats() const {

@@ -1,4 +1,4 @@
-// Process-wide compiled-plan cache, keyed by canonicalized descriptors.
+// Process-wide compiled-plan cache, keyed by canonicalized requests.
 //
 // CNN inventories repeat layer shapes heavily (every ResNet stage reuses one
 // geometry, serving fleets recompile the same model on every replica
@@ -7,17 +7,22 @@
 // The cache makes recompilation of an identical layer free — cuDNN-style —
 // by keying plans on everything that determines the compiled artifact:
 //
-//   shape ⊕ algorithm request ⊕ tiling ⊕ device ⊕ resolution provenance
+//   kind ⊕ shape ⊕ algorithm request ⊕ ranks ⊕ device
+//        ⊕ resolution provenance (fp32) / quant fingerprint (int8)
 //        ⊕ weight fingerprint
 //
-// The weight fingerprint (FNV-1a over the kernel bytes and dims) keeps two
-// same-shape layers with different weights from aliasing. kAuto requests are
-// cacheable before resolution because the key carries the resolution
-// provenance — the cost provider's cache_key(), i.e. its id plus calibration
-// constants — alongside the (device, shape) the provider resolves against;
-// a host-tuned plan is therefore never served to a simulated-GPU compile of
-// the same shape. Pinned-algorithm requests compile identically under every
-// provider and share one entry.
+// One PlanRequest describes every kind of convolution plan: ranks make it a
+// Tucker pipeline, a LayerQuant makes it int8. The weight fingerprint
+// (FNV-1a over the kernel bytes and dims) keeps two same-shape layers with
+// different weights from aliasing. kAuto requests are cacheable before
+// resolution because the key carries the resolution provenance — the cost
+// provider's cache_key(), i.e. its id plus calibration constants — alongside
+// the (device, shape) the provider resolves against; a host-tuned plan is
+// therefore never served to a simulated-GPU compile of the same shape.
+// Pinned-algorithm requests compile identically under every provider and
+// share one entry. Int8 plans are always the quantized im2col pipeline, so
+// their keys carry no algorithm request or provenance; the quant
+// fingerprint keeps two calibrations of one model apart instead.
 //
 // Cached plans are shared as shared_ptr<const ConvPlan>: running a plan is
 // const and touches only caller-owned output/workspace, so one compiled
@@ -33,9 +38,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -49,38 +54,47 @@ struct LayerQuant;  // exec/quantize.h
 /// identity used in cache keys.
 std::uint64_t tensor_fingerprint(const Tensor& t);
 
+/// One convolution compile request. `shape`, `kernel`, `device` and `cost`
+/// apply to every plan kind; the rest picks the kind and its parameters:
+///
+///   * `ranks` set — a Tucker pipeline: the kernel is decomposed at these
+///     ranks, and `exec`, `core_algo` and `row_tile` configure it
+///     (TuckerDescriptor). Unset — a dense plan running `algo`
+///     (ConvDescriptor, default layout and tiling).
+///   * `quant` set — an int8 plan (exec/quantize.h): the quantized im2col
+///     engine, which ignores the algorithm fields. Null — fp32.
+///
+/// `kernel` points at the full CNRS [C, N, R, S] weight tensor; it and
+/// `quant` must outlive the compile call only.
+struct PlanRequest {
+  ConvShape shape;
+  const Tensor* kernel = nullptr;
+  DeviceSpec device = make_a100();
+  const CostProvider* cost = nullptr;
+
+  ConvAlgo algo = ConvAlgo::kAuto;
+
+  std::optional<TuckerRanks> ranks;
+  TuckerExec exec = TuckerExec::kFused;
+  ConvAlgo core_algo = ConvAlgo::kIm2col;
+  std::int64_t row_tile = 0;
+
+  const LayerQuant* quant = nullptr;
+};
+
+/// Compiles `req` without the cache: the plan kind's compile_*_plan building
+/// block, after decomposing the kernel for Tucker requests.
+std::unique_ptr<ConvPlan> compile_plan(const PlanRequest& req);
+
 class PlanCache {
  public:
   /// The process-wide instance every compile funnels through.
   static PlanCache& instance();
 
-  /// Dense-plan lookup: returns the cached plan for an identical descriptor
-  /// and kernel, or compiles (compile_conv_plan) and inserts on miss.
-  std::shared_ptr<const ConvPlan> get_or_compile(const ConvDescriptor& desc,
-                                                 const Tensor& kernel);
-
-  /// Decomposed-layer lookup, keyed on the *original* kernel and the decided
-  /// ranks: a hit skips both the Tucker decomposition and plan compilation.
-  /// On miss, decomposes kernel_cnrs at `ranks` and compiles a Tucker
-  /// pipeline plan.
-  std::shared_ptr<const ConvPlan> get_or_compile_tucker(
-      const TuckerDescriptor& desc, const Tensor& kernel_cnrs,
-      const TuckerRanks& ranks);
-
-  /// Quantized dense-plan lookup (compile_quantized_conv_plan). The key
-  /// embeds the precision tag plus quant_fingerprint(quant) alongside the
-  /// usual shape ⊕ device ⊕ weight identity, so an int8 plan never aliases
-  /// its fp32 twin and two calibrations of one model never alias each other.
-  std::shared_ptr<const ConvPlan> get_or_compile_s8(const ConvDescriptor& desc,
-                                                    const Tensor& kernel,
-                                                    const LayerQuant& quant);
-
-  /// Quantized decomposed-layer lookup (compile_quantized_tucker_plan),
-  /// keyed on the original kernel, the decided ranks and the quant
-  /// fingerprint; a hit skips the Tucker decomposition too.
-  std::shared_ptr<const ConvPlan> get_or_compile_tucker_s8(
-      const TuckerDescriptor& desc, const Tensor& kernel_cnrs,
-      const TuckerRanks& ranks, const LayerQuant& quant);
+  /// Returns the cached plan for an equivalent request, or compiles it
+  /// (compile_plan) and inserts on miss. A Tucker hit skips the
+  /// decomposition too, since the key holds the original kernel and ranks.
+  std::shared_ptr<const ConvPlan> get_or_compile(const PlanRequest& req);
 
   struct Stats {
     std::int64_t hits = 0;
@@ -95,10 +109,6 @@ class PlanCache {
 
  private:
   PlanCache() = default;
-
-  std::shared_ptr<const ConvPlan> lookup_or_insert(
-      const std::string& key,
-      const std::function<std::unique_ptr<ConvPlan>()>& compile);
 
   /// A compile in progress; same-key callers wait on it instead of
   /// duplicating the work (single-flight).

@@ -20,7 +20,7 @@ std::unique_ptr<ConvPlan> make_fft_plan(const ConvShape& shape,
                                         const Tensor& kernel_cnrs);
 
 // Shared batching machinery of ConvPlan::run_batched and
-// CompiledModel::run_batched, so the slot policy lives in one place.
+// InferenceSession::run_batched, so the slot policy lives in one place.
 
 /// Concurrency slots for fanning `batch` items over at most `max_slots`
 /// workers (>= 1 always).

@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -182,36 +181,6 @@ TEST(HostProvider, CacheKeyReflectsCalibration) {
 // resolved by one provider is never served to another; pinned algorithms
 // share one entry; int8 keys carry neither the algorithm request nor the
 // Tucker executor, since the quantized engine is always im2col.
-struct KeyProbe {
-  ConvAlgo algo = ConvAlgo::kIm2col;
-  const CostProvider* cost = nullptr;
-  std::optional<TuckerRanks> ranks;
-  TuckerExec exec = TuckerExec::kFused;
-  const LayerQuant* quant = nullptr;
-};
-
-std::shared_ptr<const ConvPlan> compile_probe(PlanCache& cache,
-                                              const ConvShape& shape,
-                                              const Tensor& kernel,
-                                              const KeyProbe& p) {
-  if (p.ranks) {
-    TuckerDescriptor desc;
-    desc.shape = shape;
-    desc.exec = p.exec;
-    desc.cost = p.cost;
-    return p.quant != nullptr
-               ? cache.get_or_compile_tucker_s8(desc, kernel, *p.ranks,
-                                                *p.quant)
-               : cache.get_or_compile_tucker(desc, kernel, *p.ranks);
-  }
-  ConvDescriptor desc;
-  desc.shape = shape;
-  desc.algo = p.algo;
-  desc.cost = p.cost;
-  return p.quant != nullptr ? cache.get_or_compile_s8(desc, kernel, *p.quant)
-                            : cache.get_or_compile(desc, kernel);
-}
-
 TEST(PlanCacheProvenance, KeyTableCoversEveryPlanKind) {
   PinnedCalibration pin("50", "10");
   Rng rng(601);
@@ -230,31 +199,40 @@ TEST(PlanCacheProvenance, KeyTableCoversEveryPlanKind) {
 
   struct Case {
     const char* name;
-    KeyProbe a;
-    KeyProbe b;
+    PlanRequest a;
+    PlanRequest b;
     bool shared;
   };
+  const ConvAlgo kAuto = ConvAlgo::kAuto;
+  const ConvAlgo kIm2col = ConvAlgo::kIm2col;
   const Case cases[] = {
-      {"repeated request", {}, {}, true},
+      {"repeated request", {.algo = kIm2col}, {.algo = kIm2col}, true},
       {"kAuto across providers",
-       {.algo = ConvAlgo::kAuto, .cost = host},
-       {.algo = ConvAlgo::kAuto, .cost = simgpu}, false},
+       {.cost = host, .algo = kAuto},
+       {.cost = simgpu, .algo = kAuto}, false},
       {"null provider aliases simgpu",
-       {.algo = ConvAlgo::kAuto, .cost = simgpu},
-       {.algo = ConvAlgo::kAuto, .cost = nullptr}, true},
-      {"pinned across providers", {.cost = host}, {.cost = simgpu}, true},
-      {"fp32 vs int8", {}, {.quant = &q1}, false},
-      {"two calibrations", {.quant = &q1}, {.quant = &q2}, false},
+       {.cost = simgpu, .algo = kAuto},
+       {.cost = nullptr, .algo = kAuto}, true},
+      {"pinned across providers",
+       {.cost = host, .algo = kIm2col},
+       {.cost = simgpu, .algo = kIm2col}, true},
+      {"fp32 vs int8",
+       {.algo = kIm2col},
+       {.algo = kIm2col, .quant = &q1}, false},
+      {"two calibrations",
+       {.algo = kIm2col, .quant = &q1},
+       {.algo = kIm2col, .quant = &q2}, false},
       {"int8 under kAuto vs kIm2col",
-       {.algo = ConvAlgo::kAuto, .cost = host, .quant = &q1},
-       {.algo = ConvAlgo::kIm2col, .cost = host, .quant = &q1}, true},
-      {"Tucker vs dense", {}, {.ranks = r88}, false},
+       {.cost = host, .algo = kAuto, .quant = &q1},
+       {.cost = host, .algo = kIm2col, .quant = &q1}, true},
+      {"Tucker vs dense", {.algo = kIm2col}, {.ranks = r88}, false},
       {"two rank pairs", {.ranks = r88}, {.ranks = r48}, false},
       {"fp32 Tucker fused vs staged",
        {.ranks = r88, .exec = TuckerExec::kFused},
        {.ranks = r88, .exec = TuckerExec::kStaged}, false},
-      {"fp32 vs int8 Tucker", {.ranks = r88}, {.ranks = r88, .quant = &q1},
-       false},
+      {"fp32 vs int8 Tucker",
+       {.ranks = r88},
+       {.ranks = r88, .quant = &q1}, false},
       {"int8 Tucker fused vs staged",
        {.ranks = r88, .exec = TuckerExec::kFused, .quant = &q1},
        {.ranks = r88, .exec = TuckerExec::kStaged, .quant = &q1}, true},
@@ -264,8 +242,14 @@ TEST(PlanCacheProvenance, KeyTableCoversEveryPlanKind) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     cache.clear();
-    const auto pa = compile_probe(cache, shape, kernel, c.a);
-    const auto pb = compile_probe(cache, shape, kernel, c.b);
+    PlanRequest a = c.a;
+    PlanRequest b = c.b;
+    for (PlanRequest* r : {&a, &b}) {
+      r->shape = shape;
+      r->kernel = &kernel;
+    }
+    const auto pa = cache.get_or_compile(a);
+    const auto pb = cache.get_or_compile(b);
     const PlanCache::Stats st = cache.stats();
     EXPECT_EQ(st.misses, c.shared ? 1 : 2);
     EXPECT_EQ(st.hits, c.shared ? 1 : 0);

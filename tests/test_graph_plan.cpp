@@ -1,7 +1,8 @@
 // Tests for the graph-level plan API (exec/graph_plan.h): whole ModelSpecs
 // compiled into one InferenceSession — per-op oracle parity (the liveness
 // arena must behave exactly like private per-op buffers), residual and
-// concat DAGs, the full ResNet-18 inventory end to end, thread-count
+// concat DAGs, a convolution-only trunk against a hand-staged
+// im2col/Tucker chain, the full ResNet-18 inventory end to end, thread-count
 // determinism, batched serving, the descriptor-keyed plan cache, and
 // decision-list validation.
 #include <gtest/gtest.h>
@@ -14,9 +15,11 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "conv/tucker_conv.h"
 #include "exec/graph_plan.h"
 #include "exec/plan_cache.h"
 #include "nn/models.h"
+#include "tucker/tucker.h"
 
 namespace tdc {
 namespace {
@@ -150,6 +153,117 @@ TEST(InferenceSession, LinearChainPlansPingPongAutomatically) {
       make_a100(), chain, weights, {}, options);
   const std::int64_t act = OpShape{s.n, s.out_h(), s.out_w()}.floats();
   EXPECT_EQ(session.arena_floats(), 2 * act);
+}
+
+// A chainable convolution-only trunk with a decomposed middle layer: the
+// decision list is hand-built (the structs are plain data), exactly what a
+// codesign pass emits for a pure convolution inventory.
+struct ConvTrunk {
+  ModelSpec model;
+  std::vector<LayerWeights> weights;
+  std::vector<LayerDecision> decisions;
+};
+
+ConvTrunk make_conv_trunk(Rng& rng) {
+  ConvTrunk net;
+  net.model.name = "conv-trunk";
+  const ConvShape shapes[] = {
+      ConvShape::same(4, 8, 12, 3),     // kept dense
+      ConvShape::same(8, 8, 12, 3, 2),  // decomposed
+      ConvShape::same(8, 6, 6, 3),      // kept dense
+  };
+  for (const ConvShape& s : shapes) {
+    net.model.layers.push_back(LayerSpec::make_conv(
+        "conv" + std::to_string(net.model.layers.size()), s));
+    LayerWeights w;
+    w.conv_kernel = Tensor::random_uniform({s.c, s.n, s.r, s.s}, rng);
+    net.weights.push_back(w);
+    LayerDecision d;
+    d.shape = s;
+    net.decisions.push_back(d);
+  }
+  net.decisions[1].decomposed = true;
+  net.decisions[1].ranks = {4, 4};
+  return net;
+}
+
+TEST(InferenceSession, ConvTrunkMatchesHandStagedChainBitwise) {
+  Rng rng(601);
+  const ConvTrunk net = make_conv_trunk(rng);
+  SessionOptions options;
+  options.dense_algo = ConvAlgo::kIm2col;  // pin so the oracle can match it
+  const InferenceSession session = InferenceSession::compile(
+      make_a100(), net.model, net.weights, net.decisions, options);
+  ASSERT_EQ(session.num_ops(), 3);
+  EXPECT_FALSE(dynamic_cast<const ConvPlan&>(session.op(0)).decomposed());
+  EXPECT_TRUE(dynamic_cast<const ConvPlan&>(session.op(1)).decomposed());
+
+  const OpShape& in = session.input_shape();
+  const Tensor x = Tensor::random_uniform({in.c, in.h, in.w}, rng);
+
+  // Oracle: the same chain through the free functions. The fused Tucker
+  // plan is bit-identical to the staged im2col pipeline, and the dense
+  // layers are im2col, so the whole chain must match bitwise.
+  const Tensor a0 = conv2d_im2col(x, net.weights[0].conv_kernel,
+                                  net.decisions[0].shape);
+  const TuckerFactors f = tucker_decompose(net.weights[1].conv_kernel,
+                                           net.decisions[1].ranks);
+  const Tensor a1 =
+      tucker_conv(a0, f, net.decisions[1].shape, ConvAlgo::kIm2col);
+  const Tensor expected = conv2d_im2col(a1, net.weights[2].conv_kernel,
+                                        net.decisions[2].shape);
+
+  const Tensor y = session.run(x);
+  ASSERT_EQ(y.dims(), expected.dims());
+  EXPECT_EQ(Tensor::max_abs_diff(y, expected), 0.0);
+}
+
+TEST(InferenceSession, ConvTrunkWorkspaceIsExactUnderPoisonAndGuards) {
+  Rng rng(602);
+  const ConvTrunk net = make_conv_trunk(rng);
+  const InferenceSession session = InferenceSession::compile(
+      make_a100(), net.model, net.weights, net.decisions);
+
+  const OpShape& in = session.input_shape();
+  const OpShape& out = session.output_shape();
+  const Tensor x = Tensor::random_uniform({in.c, in.h, in.w}, rng);
+
+  PoisonedWorkspace ws(session.workspace_bytes());
+  Tensor y({out.c, out.h, out.w});
+  session.run(x, &y, ws.span());
+  EXPECT_TRUE(ws.guards_intact());
+  EXPECT_TRUE(all_finite(y));
+
+  std::vector<float> small(static_cast<std::size_t>(ws.floats - 1));
+  EXPECT_THROW(session.run(x, &y, small), Error);
+}
+
+TEST(InferenceSession, ConvTrunkValidation) {
+  Rng rng(604);
+  // Non-chaining layers: layer 1's C differs from layer 0's N.
+  ModelSpec broken;
+  broken.name = "broken-trunk";
+  broken.layers.push_back(
+      LayerSpec::make_conv("conv0", ConvShape::same(4, 8, 12, 3)));
+  broken.layers.push_back(
+      LayerSpec::make_conv("conv1", ConvShape::same(16, 8, 12, 3)));
+  std::vector<LayerWeights> weights(2);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const ConvShape& s = broken.layers[i].conv;
+    weights[i].conv_kernel =
+        Tensor::random_uniform({s.c, s.n, s.r, s.s}, rng);
+  }
+  EXPECT_THROW(InferenceSession::compile(make_a100(), broken, weights),
+               Error);
+
+  // One LayerWeights entry per layer is required.
+  const ConvTrunk net = make_conv_trunk(rng);
+  EXPECT_THROW(InferenceSession::compile(make_a100(), net.model, {}), Error);
+  const std::vector<LayerWeights> short_weights(net.weights.begin(),
+                                                net.weights.end() - 1);
+  EXPECT_THROW(
+      InferenceSession::compile(make_a100(), net.model, short_weights),
+      Error);
 }
 
 TEST(InferenceSession, ConcatDagWithFanOutMatchesOracle) {

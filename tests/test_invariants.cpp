@@ -10,6 +10,7 @@
 // plan cache, guard enablement flags).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -315,24 +316,28 @@ TEST_F(InvariantTest, ConcurrentSingletonStress) {
         // Concurrent top-level parallel regions: one wins the pool, the
         // rest take the counted inline fallback — all of it must be clean
         // under TSan.
-        std::int64_t acc = 0;
+        // Each chunk sums locally and folds its partial into the atomic
+        // total, so overlapping chunks lose no writes.
+        std::atomic<std::int64_t> acc{0};
         parallel_for(0, 64, 1, [&](std::int64_t b, std::int64_t e) {
+          std::int64_t partial = 0;
           for (std::int64_t j = b; j < e; ++j) {
-            acc += j;
+            partial += j;
           }
+          acc.fetch_add(partial);
         });
         EXPECT_EQ(acc, 64 * 63 / 2);
         if (i % 20 == t % 20) {
           // Shared-cache compiles of one shape: every thread hits the same
-          // PlanCache entry.
-          ConvDescriptor d;
-          d.device = make_a100();
-          d.shape = shape;
-          d.algo = ConvAlgo::kIm2col;
+          // PlanCache entry, so the single-flight path runs under contention.
           Rng rng(13);
           const Tensor kernel = Tensor::random_uniform(
               {shape.c, shape.n, shape.r, shape.s}, rng, -1.0f, 1.0f);
-          (void)compile_conv_plan(d, kernel);
+          PlanRequest req;
+          req.shape = shape;
+          req.kernel = &kernel;
+          req.algo = ConvAlgo::kIm2col;
+          (void)PlanCache::instance().get_or_compile(req);
         }
       }
     });

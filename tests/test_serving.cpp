@@ -388,9 +388,10 @@ TEST_F(ServingTest, PlanCacheSingleFlightCompilesOnceUnderContention) {
   const ConvShape shape = ConvShape::same(8, 8, 24, 3);
   const Tensor kernel =
       Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
-  ConvDescriptor desc;
-  desc.shape = shape;
-  desc.algo = ConvAlgo::kIm2col;
+  PlanRequest req;
+  req.shape = shape;
+  req.kernel = &kernel;
+  req.algo = ConvAlgo::kIm2col;
 
   constexpr int kCallers = 8;
   std::atomic<int> ready{0};
@@ -404,7 +405,7 @@ TEST_F(ServingTest, PlanCacheSingleFlightCompilesOnceUnderContention) {
         while (!go.load(std::memory_order_acquire)) {
         }
         plans[static_cast<std::size_t>(t)] =
-            cache.get_or_compile(desc, kernel);
+            cache.get_or_compile(req);
       });
     }
     while (ready.load() < kCallers) {
