@@ -61,9 +61,9 @@ void env_warn_invalid(const char* name, std::string_view text) {
   std::lock_guard<std::mutex> lock(mu);
   if (warned == nullptr) {
     // Intentionally leaked (exit-safe); cold by the warn-once gate.
-    warned = new std::set<std::string>();  // tdc-lint: allow(run-path-alloc)
+    warned = new std::set<std::string>();
   }
-  // tdc-lint: allow(run-path-alloc) — once per misconfigured variable.
+  // Once per misconfigured variable.
   if (!warned->insert(std::string(name)).second) {
     return;
   }

@@ -486,7 +486,7 @@ TDC_RUN_PATH void InferenceSession::run_graph(const float* x, float* y,
     // immediately. The atomic escape keeps the compiler from eliding the
     // paired new/delete.
     static std::atomic<float*> sink{nullptr};
-    sink.store(new float[16],  // tdc-lint: allow(raw-new-array, run-path-alloc)
+    sink.store(new float[16],  // tdc-analyze: allow(raw-new-array)
                std::memory_order_relaxed);
     delete[] sink.exchange(nullptr, std::memory_order_relaxed);
   }

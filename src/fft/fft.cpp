@@ -78,7 +78,7 @@ void fft2d_core(std::complex<T>* x, std::int64_t rows, std::int64_t cols,
   {
     AllowAllocScope warmup;
     // Grow-only warm-up of the thread-local column buffer.
-    buf.resize(static_cast<std::size_t>(rows));  // tdc-lint: allow(run-path-alloc)
+    buf.resize(static_cast<std::size_t>(rows));
   }
   for (std::int64_t c = 0; c < cols; ++c) {
     for (std::int64_t r = 0; r < rows; ++r) {

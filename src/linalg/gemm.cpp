@@ -171,7 +171,6 @@ TDC_RUN_PATH void gemm_packed(std::int64_t m, std::int64_t n,
   {
     AllowAllocScope warmup;
     // Grow-only warm-up of the thread-local B pack buffer.
-    // tdc-lint: allow(run-path-alloc)
     bbuf.resize(static_cast<std::size_t>(
         kKc * std::min<std::int64_t>(detail::divup(n, kNr) * kNr, kNc)));
   }
@@ -205,7 +204,7 @@ TDC_RUN_PATH void gemm_packed(std::int64_t m, std::int64_t n,
               // First-touch growth of the worker's pack buffer is the one
               // allowed allocation inside the guarded band.
               AllowAllocScope warmup;
-              abuf.resize(  // tdc-lint: allow(run-path-alloc)
+              abuf.resize(
                   static_cast<std::size_t>(kMc * kKc));
             }
             pack_a(mc, kc, a + ic * a_rs + pc * a_cs, a_rs, a_cs, abuf.data());
@@ -288,7 +287,7 @@ PackedGemmA pack_gemm_a(std::int64_t m, std::int64_t k, const float* a,
   packed.k_ = k;
   const std::int64_t pm = packed_a_rows(m);
   // Weight pre-packing happens at plan-compile time, not while serving.
-  packed.panels_.resize(  // tdc-lint: allow(run-path-alloc)
+  packed.panels_.resize(
       static_cast<std::size_t>(pm * k));
   // Same (pc, ic) block walk as the driver, so offsets line up exactly:
   // the panel for K-block pc and row panel ic starts at pm·pc + ic·kc.

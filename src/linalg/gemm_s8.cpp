@@ -220,9 +220,9 @@ PackedGemmAS8 pack_gemm_a_s8(std::int64_t m, std::int64_t k,
   const std::int64_t pm = packed_a_rows_s8(m);
   const std::int64_t pk = quadup(k);
   // Weight pre-packing happens at plan-compile time, not while serving.
-  packed.panels_.resize(  // tdc-lint: allow(run-path-alloc)
+  packed.panels_.resize(
       static_cast<std::size_t>(pm * pk));
-  packed.row_sums_.resize(  // tdc-lint: allow(run-path-alloc)
+  packed.row_sums_.resize(
       static_cast<std::size_t>(m));
   // Same (pc, ic) block walk as the driver: full K blocks are kKq-aligned,
   // so the panel for K-block pc and row panel ic starts at pm·pc + ic·pkc.
@@ -264,7 +264,6 @@ TDC_RUN_PATH void gemm_prepacked_s8u8(const PackedGemmAS8& a, std::int64_t n,
   {
     AllowAllocScope warmup;
     // Grow-only warm-up of the thread-local B pack buffer.
-    // tdc-lint: allow(run-path-alloc)
     bbuf.resize(static_cast<std::size_t>(
         kKc * std::min<std::int64_t>(detail::divup(n, kNr) * kNr, kNc)));
   }

@@ -7,16 +7,16 @@ namespace {
 
 void planted_fault() {
   // A deliberate raw allocation (fault-injection plant):
-  float* p = new float[16];  // tdc-lint: allow(raw-new-array)
+  float* p = new float[16];  // tdc-analyze: allow(raw-new-array)
   delete[] p;
-  // tdc-lint: allow(raw-malloc)
+  // tdc-analyze: allow(raw-malloc)
   void* q = malloc(8);
-  // tdc-lint: allow(raw-malloc)
+  // tdc-analyze: allow(raw-malloc)
   free(q);
 }
 
 // Multiple rules in one allow():
-// tdc-lint: allow(raw-new-array, check-macros)
+// tdc-analyze: allow(raw-new-array, check-macros)
 int* both() { return new int[4]; }
 
 }  // namespace

@@ -7,8 +7,8 @@
 namespace tdc {
 namespace {
 
-std::atomic<int> g_rogue_counter{0};                       // expect-lint: file-scope-globals
-thread_local bool t_rogue_flag = false;                    // expect-lint: file-scope-globals
+std::atomic<int> g_rogue_counter{0};                       // expect-analyze: unregistered-singleton
+thread_local bool t_rogue_flag = false;                    // expect-analyze: unregistered-singleton
 
 constexpr int g_not_mutable = 7;       // const: exempt
 const char* const g_name = "tdc";      // const: exempt
@@ -20,7 +20,7 @@ int helper() {
          static_cast<int>(g_name[0]);
 }
 
-int g_unused = helper();                                   // expect-lint: file-scope-globals
+int g_unused = helper();                                   // expect-analyze: unregistered-singleton
 
 }  // namespace
 }  // namespace tdc

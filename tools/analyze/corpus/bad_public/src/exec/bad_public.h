@@ -1,7 +1,7 @@
 // Corpus: public headers must not include internal *_impl.h seams.
 #pragma once
 
-#include "exec/plan_impl.h"                                // expect-lint: impl-header-in-public
+#include "exec/plan_impl.h"                                // expect-analyze: impl-header-in-public
 #include "exec/op_plan.h"
 
 namespace tdc {

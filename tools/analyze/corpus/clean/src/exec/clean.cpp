@@ -12,7 +12,7 @@ std::int64_t round_up(std::int64_t n) {
 }
 
 std::vector<float> scratch(std::int64_t n) {
-  // Growth calls are fine outside RUN_PATH_FILES.
+  // Growth calls are fine off the run path (no TDC_RUN_PATH root here).
   std::vector<float> v;
   v.resize(static_cast<std::size_t>(round_up(n)));
   return v;

@@ -18,13 +18,21 @@ struct Accumulator {
 };
 
 // Negative: default construction of a vector does not allocate, and growth
-// under an AllowAllocScope is the sanctioned warm-up pattern.
-void warm_up(Accumulator& acc) {
-  AllowAllocScope warmup;
-  acc.slots_.reserve(64);
+// under an AllowAllocScope is the sanctioned warm-up pattern, on the run path
+// too. The scope ends with its block: growth after it is a finding.
+void warm_up(Accumulator& acc, float v) {
+  {
+    AllowAllocScope warmup;
+    acc.slots_.reserve(64);
+  }
+  acc.slots_.push_back(v);  // expect-analyze: run-path-alloc
 }
 
+// Negative: off the run path (plan-compile time) growth is not checked.
+void plan_slots(Accumulator& acc) { acc.slots_.push_back(0.0f); }
+
 TDC_RUN_PATH void serve_request(Accumulator& acc, float v) {
+  warm_up(acc, v);
   acc.record(v);
 }
 

@@ -11,7 +11,7 @@
 namespace tdc {
 
 float jitter_scale() {
-  std::random_device rd;  // expect-analyze: run-path-nondet
+  std::random_device rd;  // expect-analyze: run-path-nondet, deterministic-rng
   return static_cast<float>(rd()) * 1e-9f;
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""tdc_analyze: semantic static analysis over the whole-project call graph.
+"""tdc_analyze: the repo's invariant checker.
 
-Where tools/lint/tdc_lint.py enforces token-level conventions file by file,
-this tool proves *reachability* properties on the AST and call graph:
+Two kinds of rules, one CLI, one corpus. The semantic rules prove
+*reachability* properties on the AST and call graph; the per-file rules are
+plain text patterns checked file by file:
 
   1. Run-path purity. Functions annotated TDC_RUN_PATH (src/common/
      annotations.h) are the serving roots — InferenceSession::run /
@@ -24,9 +25,15 @@ this tool proves *reachability* properties on the AST and call graph:
   3. Lock discipline. Every std::mutex acquisition must be RAII
      (lock_guard/scoped_lock/unique_lock/shared_lock); no lock may be held
      across a call into the thread pool (parallel_for / parallel_reduce /
-     run_chunked) or across an invocation of a caller-provided callback; and
-     every mutable file-scope global must be in the registered-singleton
-     table shared with tdc_lint.py.
+     run_chunked) or across an invocation of a caller-provided callback.
+
+  4. Per-file rules over src/ tests/ bench/: no naked new[] or malloc, no
+     unseeded RNG, TDC_CHECK* instead of assert, no OpenMP, no *_impl.h in
+     public headers, and every mutable file-scope global registered in
+     REGISTERED_SINGLETONS. They read each file's comment-stripped lines and
+     do not depend on the frontend. A justified exception to one of the
+     pattern rules takes `// tdc-analyze: allow(rule[, rule])` on the line
+     or alone on the line above.
 
 Frontends. With the libclang Python bindings available (pip `libclang`,
 pinned in CI; point TDC_LIBCLANG at a specific shared object to override
@@ -42,7 +49,8 @@ self-test runs under whichever frontend is active and CI runs it under
 both.
 
 Usage:
-  tools/analyze/tdc_analyze.py                     # analyze src/
+  tools/analyze/tdc_analyze.py                     # analyze the repo (scopes above)
+  tools/analyze/tdc_analyze.py path...             # analyze only these files/dirs
   tools/analyze/tdc_analyze.py --compile-db build  # use build/compile_commands.json
   tools/analyze/tdc_analyze.py --emit-reachable F  # write reachable-set JSON to F
   tools/analyze/tdc_analyze.py --write-run-path    # refresh tools/analyze/run_path.json
@@ -62,11 +70,12 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "tools" / "lint"))
-import tdc_lint  # registered-singleton table + comment stripper (one source of truth)
-
 CXX_SUFFIXES = {".cpp", ".h"}
 RUN_PATH_JSON = Path(__file__).resolve().parent / "run_path.json"
+# Default scopes: the call graph covers the library; the per-file rules also
+# cover the tests and benches.
+GRAPH_SCOPES = ("src",)
+FILE_SCOPES = ("src", "tests", "bench")
 
 # ------------------------------------------------------------------ policy --
 
@@ -134,11 +143,73 @@ CXX_KEYWORDS = {
     "int", "void", "bool", "float", "double", "char", "auto", "constexpr",
 }
 
-RULE_IDS = [
-    "run-path-alloc", "run-path-function", "run-path-lock", "run-path-io",
-    "run-path-nondet", "layering", "non-raii-lock", "lock-across-pool",
-    "lock-across-callback", "unregistered-singleton",
-]
+# The allocation interposition layer is the one translation unit that must
+# call malloc/free directly (it IS operator new/delete).
+RAW_MALLOC_EXEMPT_FILES = {
+    "src/common/alloc_guard.cpp",
+}
+
+# Registered process-wide singletons: the only sanctioned mutable file-scope
+# state, file -> names. Everything here is either an atomic with documented
+# ordering, a mutex, state owned by one (mutex, thread) discipline, or
+# thread-local state with a propagation story in the parallel runtime.
+# Adding a name is a reviewed act; this table is the only list of them.
+REGISTERED_SINGLETONS = {
+    "src/common/parallel.cpp": {
+        "t_in_parallel", "g_pool_mutex", "g_pool",
+        "g_num_threads", "g_inter_op", "g_intra_op",
+        "g_pool_regions", "g_inline_regions",
+        "g_serial_fallbacks", "g_arena_regions", "g_peak_regions",
+        "g_fallback_noted",
+    },
+    "src/common/deadline.cpp": {"t_deadline"},
+    "src/common/fault.cpp": {"g_armed_faults"},
+    "src/common/fault.h": {"g_armed_faults"},
+    "src/common/check.cpp": {"g_check_finite"},
+    "src/common/alloc_guard.cpp": {
+        "t_alloc_guard", "g_alloc_guard_enabled", "g_violations",
+    },
+    "src/common/alloc_guard.h": {"t_alloc_guard", "g_alloc_guard_enabled"},
+    "src/exec/workspace_guard.cpp": {"g_ws_guard_enabled"},
+}
+
+
+def _under(*tops, suffix="", exempt=()):
+    """Scope predicate over a root-relative path: its first component is one
+    of `tops`, it ends with `suffix`, and it is not an `exempt` file."""
+    return lambda rel: (rel.split("/", 1)[0] in tops and rel.endswith(suffix)
+                        and rel not in exempt)
+
+
+# Per-file pattern rules: id -> (applies(relpath), pattern, message). Patterns
+# match comment- and string-stripped lines, except impl-header-in-public,
+# whose include path is a string literal and so matches the raw line.
+LINE_RULES = {
+    "raw-new-array": (
+        _under("src"), re.compile(r"\bnew\s+[A-Za-z_][\w:]*\s*\["),
+        "naked new[]; use std::vector, Tensor, or workspace"),
+    "raw-malloc": (
+        _under("src", exempt=RAW_MALLOC_EXEMPT_FILES),
+        re.compile(r"\b(malloc|calloc|realloc|free)\s*\("),
+        "raw malloc/calloc/realloc/free; use containers or Tensor"),
+    "deterministic-rng": (
+        _under(*FILE_SCOPES),
+        re.compile(r"\bstd::rand\b|\bsrand\s*\(|\btime\s*\(\s*(NULL|nullptr|0)?\s*\)"
+                   r"|\bstd::random_device\b|\bstd::mt19937\b"),
+        "nondeterministic randomness; use tdc::Rng with an explicit seed"),
+    "check-macros": (
+        _under(*FILE_SCOPES),
+        re.compile(r"\bassert\s*\(|\bthrow\s+std::(runtime_error|logic_error)\b"),
+        "use TDC_CHECK*/tdc::Error instead of assert or bare "
+        "std::runtime_error"),
+    "no-openmp": (
+        _under(*FILE_SCOPES), re.compile(r"#\s*pragma\s+omp\b"),
+        "OpenMP pragma; use tdc::parallel_for (common/parallel.h)"),
+    "impl-header-in-public": (
+        _under("src", suffix=".h"),
+        re.compile(r'#\s*include\s+"[^"]*_impl\.h"'),
+        "public header includes an internal *_impl.h header"),
+}
 
 RULE_EXPLAIN = {
     "run-path-alloc":
@@ -195,11 +266,44 @@ RULE_EXPLAIN = {
         "the classic reentrancy bug. Copy what the callback needs, unlock,\n"
         "then call.",
     "unregistered-singleton":
-        "A mutable file-scope global that is not in the registered-\n"
-        "singleton table (tools/lint/tdc_lint.py REGISTERED_SINGLETONS —\n"
-        "one table, shared with the linter). Process-wide mutable state is\n"
-        "where the races live; registration is a reviewed act that\n"
-        "documents the synchronization discipline.",
+        "A mutable namespace-scope g_*/t_* variable under src/ that is not\n"
+        "in the REGISTERED_SINGLETONS table of this tool. Process-wide\n"
+        "mutable state is where the races live; registration is a reviewed\n"
+        "act that documents the synchronization discipline. Function-local\n"
+        "statics and const/constexpr globals are exempt.",
+    "raw-new-array":
+        "Naked new T[n] under src/. Raw array new has no owner and no\n"
+        "exception safety; buffers are std::vector, Tensor, or a workspace\n"
+        "slice. A deliberate raw allocation (e.g. a fault-injection plant)\n"
+        "carries a line escape with its justification.",
+    "raw-malloc":
+        "malloc/calloc/realloc/free under src/. C allocation bypasses\n"
+        "operator new and therefore the DenyAllocGuard interposition; the\n"
+        "only translation unit allowed to touch malloc/free is\n"
+        "src/common/alloc_guard.cpp, which implements the interposed\n"
+        "operators themselves (RAW_MALLOC_EXEMPT_FILES).",
+    "deterministic-rng":
+        "std::rand, srand, time()-derived seeds, std::random_device or bare\n"
+        "std::mt19937 in src/, tests/ or bench/. Results are bit-identical\n"
+        "across runs and thread counts; the only randomness source is\n"
+        "tdc::Rng with an explicit seed.",
+    "check-macros":
+        "assert() or a bare throw std::runtime_error/logic_error in src/,\n"
+        "tests/ or bench/. assert() vanishes under NDEBUG and aborts\n"
+        "instead of throwing; bare standard exceptions lose the ErrorCode\n"
+        "taxonomy the serving tier dispatches on. Use TDC_CHECK /\n"
+        "TDC_CHECK_MSG / TDC_CHECK_INTERNAL or throw tdc::Error with an\n"
+        "explicit code.",
+    "no-openmp":
+        "#pragma omp in src/, tests/ or bench/. Every multi-threaded loop\n"
+        "funnels through the shared runtime (tdc::parallel_for) so thread\n"
+        "count, nesting policy, deadline and alloc-guard propagation stay\n"
+        "consistent; an OpenMP pragma would fork outside all of that.",
+    "impl-header-in-public":
+        "A header under src/ includes a *_impl.h file. Headers under src/\n"
+        "are the library's public surface; *_impl.h files are internal\n"
+        "factory/detail seams, and leaking them into every consumer defeats\n"
+        "the one-algorithm-per-TU layout.",
 }
 
 # --------------------------------------------------------------------- IR --
@@ -245,11 +349,129 @@ class FunctionRecord:
 
 
 class FileRecord:
-    def __init__(self, relpath, text=""):
+    def __init__(self, relpath):
         self.relpath = relpath
-        self.text = text         # raw source (singleton check, diagnostics)
         self.includes = []       # (line, include_path)
         self.functions = []
+
+
+# --------------------------------------------------------- per-file rules --
+
+
+def strip_comments_and_strings(text: str) -> str:
+    """Blanks //, /* */ comments and "..."/'...' literals, preserving line
+    structure so line numbers and brace counts stay aligned."""
+    out = []
+    i = 0
+    n = len(text)
+    state = "code"  # code | line_comment | block_comment | dquote | squote
+    while i < n:
+        ch = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if ch == "/" and nxt == "/":
+                state = "line_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if ch == "/" and nxt == "*":
+                state = "block_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if ch == '"':
+                state = "dquote"
+                out.append(" ")
+                i += 1
+                continue
+            if ch == "'":
+                state = "squote"
+                out.append(" ")
+                i += 1
+                continue
+            out.append(ch)
+            i += 1
+        elif state == "line_comment":
+            if ch == "\n":
+                state = "code"
+                out.append("\n")
+            else:
+                out.append(" ")
+            i += 1
+        elif state == "block_comment":
+            if ch == "*" and nxt == "/":
+                state = "code"
+                out.append("  ")
+                i += 2
+                continue
+            out.append("\n" if ch == "\n" else " ")
+            i += 1
+        else:  # dquote / squote
+            quote = '"' if state == "dquote" else "'"
+            if ch == "\\" and i + 1 < n:
+                out.append("  ")
+                i += 2
+                continue
+            if ch == quote:
+                state = "code"
+            out.append("\n" if ch == "\n" else " ")
+            i += 1
+    return "".join(out)
+
+
+LINE_ALLOW_RE = re.compile(r"//\s*tdc-analyze:\s*allow\(([a-z0-9_,\- ]+)\)")
+SINGLETON_DECL_RE = re.compile(
+    r"^\s*(?:static\s+|thread_local\s+|inline\s+)*"
+    r"[A-Za-z_][\w:<>,*&\s]*[\s&*]"
+    r"(g_[a-z0-9_]+|t_[a-z0-9_]+)\s*[;={(]")
+
+
+def _line_allows(lines):
+    """Line number (1-based) -> rule ids waived by a line escape. An escape
+    alone on its line also covers the next line."""
+    allows = {}
+    for idx, line in enumerate(lines, start=1):
+        m = LINE_ALLOW_RE.search(line)
+        if not m:
+            continue
+        rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
+        allows.setdefault(idx, set()).update(rules)
+        if line.strip().startswith("//"):
+            allows.setdefault(idx + 1, set()).update(rules)
+    return allows
+
+
+def check_file_text(rel, text):
+    """The per-file rules over one file: [(rel, line, rule, message)]."""
+    raw = text.splitlines()
+    code = strip_comments_and_strings(text).splitlines()
+    allows = _line_allows(raw)
+    findings = []
+    for rule, (applies, rx, message) in LINE_RULES.items():
+        if not applies(rel):
+            continue
+        lines = raw if rule == "impl-header-in-public" else code
+        for idx, line in enumerate(lines, start=1):
+            if rx.search(line) and rule not in allows.get(idx, ()):
+                findings.append((rel, idx, rule, message))
+    if rel.split("/", 1)[0] != "src":
+        return findings
+    # Mutable file-scope globals: namespace-scope g_*/t_* declarations (brace
+    # depth <= 2 covers `namespace tdc { namespace {`) that are neither
+    # const/constexpr nor registered. No line escape: registration is it.
+    registered = REGISTERED_SINGLETONS.get(rel, set())
+    depth = 0
+    for idx, line in enumerate(code, start=1):
+        m = SINGLETON_DECL_RE.match(line) if depth <= 2 else None
+        depth += line.count("{") - line.count("}")
+        if (m is None or m.group(1) in registered or line.strip().startswith(
+                ("const ", "constexpr ", "inline constexpr"))):
+            continue
+        findings.append((rel, idx, "unregistered-singleton",
+                         f"mutable file-scope '{m.group(1)}' is not in the "
+                         "registered-singleton table (REGISTERED_SINGLETONS "
+                         "in tools/analyze/tdc_analyze.py)"))
+    return findings
 
 
 # ------------------------------------------------------- shared body scan --
@@ -658,21 +880,17 @@ class FallbackFrontend:
     def parse(self):
         files = []
         for f in iter_cxx_files(self.paths):
-            try:
-                rel = f.resolve().relative_to(self.root).as_posix()
-            except ValueError:
-                rel = f.as_posix()
             text = f.read_text(encoding="utf-8", errors="replace")
-            files.append(self.parse_text(rel, text))
+            files.append(self.parse_text(rel_path(self.root, f), text))
         return files
 
     def parse_text(self, rel, text):
-        fr = FileRecord(rel, text)
+        fr = FileRecord(rel)
         for idx, line in enumerate(text.splitlines(), start=1):
             m = re.match(r'\s*#\s*include\s+"([^"]+)"', line)
             if m:
                 fr.includes.append((idx, m.group(1)))
-        code = tdc_lint._strip_comments_and_strings(text)
+        code = strip_comments_and_strings(text)
         offsets = [0]
         for idx, c in enumerate(code):
             if c == "\n":
@@ -879,18 +1097,12 @@ class ClangFrontend:
         # engine only) so self-contained-but-unused headers don't go dark.
         fb = FallbackFrontend(self.root, [])
         for h in headers:
-            rel = self._rel(h)
+            rel = rel_path(self.root, h)
             if rel in done_rels:
                 continue
             files.append(fb.parse_text(
                 rel, h.read_text(encoding="utf-8", errors="replace")))
         return files
-
-    def _rel(self, path):
-        try:
-            return Path(path).resolve().relative_to(self.root).as_posix()
-        except ValueError:
-            return Path(path).as_posix()
 
     def _harvest(self, tu, done_rels):
         ci = self.ci
@@ -903,12 +1115,12 @@ class ClangFrontend:
             if rel not in records:
                 text = Path(fname).read_text(encoding="utf-8",
                                              errors="replace")
-                fr = FileRecord(rel, text)
+                fr = FileRecord(rel)
                 for idx, line in enumerate(text.splitlines(), start=1):
                     m = re.match(r'\s*#\s*include\s+"([^"]+)"', line)
                     if m:
                         fr.includes.append((idx, m.group(1)))
-                code = tdc_lint._strip_comments_and_strings(text)
+                code = strip_comments_and_strings(text)
                 offsets = [0]
                 for idx2, ch in enumerate(code):
                     if ch == "\n":
@@ -941,7 +1153,7 @@ class ClangFrontend:
                     fpath.relative_to(self.root)
                 except ValueError:
                     return
-                rel = self._rel(fpath)
+                rel = rel_path(self.root, fpath)
                 fr = file_slot(rel, loc.file.name)
                 if fr is None:
                     return  # file already harvested by an earlier TU
@@ -1031,6 +1243,14 @@ class ClangFrontend:
 
 
 # ------------------------------------------------------------------ policy --
+
+
+def rel_path(root, path):
+    """`path` relative to `root` in posix form (as given if outside it)."""
+    try:
+        return Path(path).resolve().relative_to(root).as_posix()
+    except ValueError:
+        return Path(path).as_posix()
 
 
 def iter_cxx_files(paths):
@@ -1147,42 +1367,32 @@ class Analysis:
                         f"tier-{tier} '{parts[1]}' includes tier-{inc_tier} "
                         f"'{inc}' — upward edge in the layering DAG"))
 
-    def check_singletons(self):
-        for fr in self.files:
-            if not fr.relpath.startswith("src"):
-                continue
-            ctx = tdc_lint.FileContext(fr.relpath, fr.text)
-            for line_no, _msg in tdc_lint._check_file_scope_globals(ctx):
-                name_m = re.search(r"(g_[a-z0-9_]+|t_[a-z0-9_]+)",
-                                   ctx.code_lines[line_no - 1])
-                name = name_m.group(1) if name_m else "?"
-                self.findings.append((
-                    fr.relpath, line_no, "unregistered-singleton",
-                    f"mutable file-scope '{name}' is not in the registered-"
-                    "singleton table (tools/lint/tdc_lint.py)"))
+    def check_files(self, root, paths):
+        for f in iter_cxx_files(paths):
+            text = f.read_text(encoding="utf-8", errors="replace")
+            self.findings.extend(check_file_text(rel_path(root, f), text))
 
-    def run_all(self):
+    def run_all(self, root, file_paths):
         self.compute_reachability()
         self.check_purity()
         self.check_lock_discipline()
         self.check_layering()
-        self.check_singletons()
+        self.check_files(root, file_paths)
         self.findings.sort(key=lambda f: (f[0], f[1], f[2]))
         return self.findings
 
     # -- artifacts -----------------------------------------------------------
 
     def reachable_manifest(self):
-        funcs = sorted(
-            ({"qname": fn.qname, "file": fn.relpath, "line": fn.line,
-              "end_line": fn.end_line} for fn in self.reachable),
-            key=lambda d: (d["file"], d["line"], d["qname"]))
+        funcs = [{"qname": fn.qname, "file": fn.relpath}
+                 for fn in sorted(self.reachable, key=lambda fn: (
+                     fn.relpath, fn.line, fn.qname))]
         rfiles = sorted({fn.relpath for fn in self.reachable})
         roots = sorted(fn.qname for fn in self.functions if fn.is_run_path)
         return {
             "comment": "Run-path reachability computed by tools/analyze/"
-                       "tdc_analyze.py. tdc_lint.py consumes the function "
-                       "spans for its textual run-path rule; --check-run-path "
+                       "tdc_analyze.py: the roots, the files and the "
+                       "functions reachable from them. --check-run-path "
                        "compares the file set. Regenerate with "
                        "--write-run-path.",
             "roots": roots,
@@ -1220,11 +1430,12 @@ def make_frontend(kind, root, paths, compile_db_arg):
     return FallbackFrontend(root, paths)
 
 
-def analyze(root, paths, frontend_kind, compile_db_arg):
+def analyze(root, paths, frontend_kind, compile_db_arg, file_paths=None):
+    """Call graph over `paths`; per-file rules over `file_paths` (default:
+    the same paths)."""
     fe = make_frontend(frontend_kind, root, paths, compile_db_arg)
-    files = fe.parse()
-    an = Analysis(files)
-    an.run_all()
+    an = Analysis(fe.parse())
+    an.run_all(root, paths if file_paths is None else file_paths)
     return fe, an
 
 
@@ -1272,21 +1483,29 @@ def self_test(frontend_kind, compile_db_arg) -> int:
 
 def explain(rule_id=None) -> int:
     if rule_id is None:
-        width = max(len(r) for r in RULE_IDS)
-        for r in RULE_IDS:
-            first = RULE_EXPLAIN[r].splitlines()[0]
-            print(f"{r:<{width}}  {first}")
+        width = max(len(r) for r in RULE_EXPLAIN)
+        for r, text in RULE_EXPLAIN.items():
+            print(f"{r:<{width}}  {text.splitlines()[0]}")
         return 0
     if rule_id not in RULE_EXPLAIN:
         print(f"unknown rule '{rule_id}'; known rules:", file=sys.stderr)
-        for r in RULE_IDS:
+        for r in RULE_EXPLAIN:
             print(f"  {r}", file=sys.stderr)
         return 2
-    print(f"{rule_id}:\n{RULE_EXPLAIN[rule_id]}")
-    print("\nEscape hatch: TDC_ANALYZE_ALLOW(" + rule_id + ") as a "
-          "declaration inside the function, with a justifying comment "
-          "(src/common/annotations.h; sanctioned uses listed in "
-          "tools/analyze/rules.md).")
+    print(f"{rule_id}:\n{RULE_EXPLAIN[rule_id]}\n")
+    if rule_id in LINE_RULES:
+        print(f"Escape hatch: `// tdc-analyze: allow({rule_id})` on the line "
+              "(or alone on the line above) with a justification.")
+    elif rule_id == "unregistered-singleton":
+        print("No escape: register the name in REGISTERED_SINGLETONS "
+              "together with its synchronization discipline.")
+    elif rule_id == "layering":
+        print("No escape: move the shared declaration down a tier.")
+    else:
+        print(f"Escape hatch: TDC_ANALYZE_ALLOW({rule_id}) as a declaration "
+              "inside the function, with a justifying comment "
+              "(src/common/annotations.h; sanctioned uses listed in "
+              "tools/analyze/rules.md).")
     return 0
 
 
@@ -1322,10 +1541,11 @@ def main(argv) -> int:
         if a.startswith("-"):
             continue
         paths.append(Path(a))
-    if not paths:
-        paths = [REPO_ROOT / "src"]
+    file_paths = paths or [REPO_ROOT / d for d in FILE_SCOPES]
+    paths = paths or [REPO_ROOT / d for d in GRAPH_SCOPES]
 
-    fe, an = analyze(REPO_ROOT, paths, frontend_kind, compile_db_arg)
+    fe, an = analyze(REPO_ROOT, paths, frontend_kind, compile_db_arg,
+                     file_paths)
     roots = sorted(fn.qname for fn in an.functions if fn.is_run_path)
 
     if "--list-roots" in argv:
@@ -1348,8 +1568,8 @@ def main(argv) -> int:
                   file=sys.stderr)
             return 1
         committed = json.loads(RUN_PATH_JSON.read_text())
-        # Frontends may delimit functions slightly differently; the contract
-        # the linter consumes is the FILE set, which must match exactly.
+        # Frontends may delimit functions slightly differently; the FILE set
+        # is the contract, and it must match exactly.
         if sorted(committed.get("files", [])) != manifest["files"]:
             print("tdc_analyze: run_path.json is stale (file set changed); "
                   "run tools/analyze/tdc_analyze.py --write-run-path and "
@@ -1373,13 +1593,13 @@ def main(argv) -> int:
         print(f"\ntdc_analyze [{fe.name} frontend]: {len(an.findings)} "
               f"finding(s) over {len(an.functions)} functions "
               f"({len(an.reachable)} reachable from {len(roots)} roots). "
-              "--explain RULE for rationale; escapes are "
-              "TDC_ANALYZE_ALLOW(RULE) declarations with a justification.")
+              "--explain RULE for the rationale and the rule's escape.")
         return 1
     print(f"tdc_analyze [{fe.name} frontend]: clean — "
           f"{len(an.functions)} functions, {len(an.reachable)} reachable "
           f"from {len(roots)} run-path roots, "
-          f"{sum(len(fr.includes) for fr in an.files)} includes checked")
+          f"{sum(len(fr.includes) for fr in an.files)} includes checked, "
+          f"per-file rules over {', '.join(p.name for p in file_paths)}")
     return 0
 
 
