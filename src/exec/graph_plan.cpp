@@ -217,6 +217,48 @@ std::vector<LayerWeights> random_model_weights(const ModelSpec& model,
   return weights;
 }
 
+std::vector<const LayerDecision*> align_decisions(
+    const ModelSpec& model, const std::vector<LayerDecision>& decisions) {
+  std::vector<const LayerDecision*> dec_for(model.layers.size(), nullptr);
+  if (decisions.empty()) {
+    return dec_for;
+  }
+  std::vector<std::size_t> conv_idx;
+  std::vector<std::size_t> decomposable_idx;
+  for (std::size_t i = 0; i < model.layers.size(); ++i) {
+    const LayerSpec& l = model.layers[i];
+    if (l.kind != LayerKind::kConv) {
+      continue;
+    }
+    conv_idx.push_back(i);
+    if (l.conv.r > 1 || l.conv.s > 1) {
+      decomposable_idx.push_back(i);
+    }
+  }
+  const std::vector<std::size_t>* target = nullptr;
+  if (decisions.size() == conv_idx.size()) {
+    target = &conv_idx;
+  } else if (decisions.size() == decomposable_idx.size()) {
+    target = &decomposable_idx;
+  }
+  TDC_CHECK_MSG(target != nullptr,
+                "decision list must cover every convolution (" +
+                    std::to_string(conv_idx.size()) +
+                    ") or every decomposable convolution (" +
+                    std::to_string(decomposable_idx.size()) + "); got " +
+                    std::to_string(decisions.size()));
+  for (std::size_t k = 0; k < decisions.size(); ++k) {
+    const LayerSpec& l = model.layers[(*target)[k]];
+    TDC_CHECK_MSG(decisions[k].shape == l.conv,
+                  "decision " + std::to_string(k) +
+                      " does not match layer '" + l.name + "': " +
+                      decisions[k].shape.to_string() + " vs " +
+                      l.conv.to_string());
+    dec_for[(*target)[k]] = &decisions[k];
+  }
+  return dec_for;
+}
+
 InferenceSession InferenceSession::compile(
     const DeviceSpec& device, const ModelSpec& model,
     const std::vector<LayerWeights>& weights,
@@ -243,45 +285,8 @@ InferenceSession InferenceSession::compile_impl(
                 "the first layer must be a convolution (it defines the model "
                 "input shape)");
 
-  // Align the decision list: one entry per convolution, or one per
-  // decomposable (spatial-filter) convolution — run_codesign's natural
-  // output for model.decomposable_conv_shapes().
-  std::vector<const LayerDecision*> dec_for(model.layers.size(), nullptr);
-  if (!decisions.empty()) {
-    std::vector<std::size_t> conv_idx;
-    std::vector<std::size_t> decomposable_idx;
-    for (std::size_t i = 0; i < model.layers.size(); ++i) {
-      const LayerSpec& l = model.layers[i];
-      if (l.kind != LayerKind::kConv) {
-        continue;
-      }
-      conv_idx.push_back(i);
-      if (l.conv.r > 1 || l.conv.s > 1) {
-        decomposable_idx.push_back(i);
-      }
-    }
-    const std::vector<std::size_t>* target = nullptr;
-    if (decisions.size() == conv_idx.size()) {
-      target = &conv_idx;
-    } else if (decisions.size() == decomposable_idx.size()) {
-      target = &decomposable_idx;
-    }
-    TDC_CHECK_MSG(target != nullptr,
-                  "decision list must cover every convolution (" +
-                      std::to_string(conv_idx.size()) +
-                      ") or every decomposable convolution (" +
-                      std::to_string(decomposable_idx.size()) + "); got " +
-                      std::to_string(decisions.size()));
-    for (std::size_t k = 0; k < decisions.size(); ++k) {
-      const LayerSpec& l = model.layers[(*target)[k]];
-      TDC_CHECK_MSG(decisions[k].shape == l.conv,
-                    "decision " + std::to_string(k) +
-                        " does not match layer '" + l.name + "': " +
-                        decisions[k].shape.to_string() + " vs " +
-                        l.conv.to_string());
-      dec_for[(*target)[k]] = &decisions[k];
-    }
-  }
+  const std::vector<const LayerDecision*> dec_for =
+      align_decisions(model, decisions);
 
   // One validation pass over the whole graph (edges, arity, chaining,
   // concat/add/FC geometry); plan compilation below only adds the
@@ -339,6 +344,13 @@ InferenceSession InferenceSession::compile_impl(
           req.ranks = dec->ranks;
         }
         req.quant = int8_layer_quant(options, i, req);
+        if (options.quant != nullptr && i < options.quant->layers.size()) {
+          // Calibration's decomposition of this layer, for either
+          // precision; compile_plan checks it matches kernel and ranks.
+          const LayerQuant& q = options.quant->layers[i];
+          req.factors = q.factors.get();
+          req.factors_kernel = q.factors_kernel;
+        }
         node.plan = options.use_plan_cache
                         ? PlanCache::instance().get_or_compile(req)
                         : compile_plan(req);

@@ -59,6 +59,17 @@ struct LayerWeights {
 std::vector<LayerWeights> random_model_weights(const ModelSpec& model,
                                                std::uint64_t seed);
 
+/// Aligns a codesign decision list with model.layers: `decisions` holds one
+/// entry per convolution, or one per decomposable (spatial-filter)
+/// convolution — run_codesign's natural output for
+/// model.decomposable_conv_shapes() — and each entry's shape must match its
+/// layer's. Returns one pointer per layer, null where no decision applies
+/// (all null for an empty list); throws Error(kInvalidArgument) otherwise.
+/// InferenceSession::compile and calibrate_quant both align through this,
+/// so they agree on which layers decompose.
+std::vector<const LayerDecision*> align_decisions(
+    const ModelSpec& model, const std::vector<LayerDecision>& decisions);
+
 struct SessionOptions {
   /// Execution of decomposed layers (fused is the deployment default).
   TuckerExec tucker_exec = TuckerExec::kFused;

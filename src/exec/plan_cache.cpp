@@ -173,7 +173,13 @@ std::unique_ptr<ConvPlan> compile_plan(const PlanRequest& req) {
     desc.cost = req.cost;
     return compile_conv_plan(desc, kernel);
   }
-  const TuckerFactors factors = tucker_decompose(kernel, *req.ranks);
+  const bool reuse = req.factors != nullptr &&
+                     req.factors->ranks() == *req.ranks &&
+                     req.factors_kernel == tensor_fingerprint(kernel);
+  std::optional<TuckerFactors> decomposed;
+  const TuckerFactors& factors =
+      reuse ? *req.factors
+            : decomposed.emplace(tucker_decompose(kernel, *req.ranks));
   if (req.quant != nullptr) {
     return compile_quantized_tucker_plan(req.shape, factors, *req.quant);
   }

@@ -64,8 +64,17 @@ std::uint64_t tensor_fingerprint(const Tensor& t);
 ///   * `quant` set — an int8 plan (exec/quantize.h): the quantized im2col
 ///     engine, which ignores the algorithm fields. Null — fp32.
 ///
-/// `kernel` points at the full CNRS [C, N, R, S] weight tensor; it and
-/// `quant` must outlive the compile call only.
+/// `factors`, when set on a Tucker request, is a decomposition the caller
+/// already holds (calibration's, see LayerQuant::factors), and
+/// `factors_kernel` the tensor_fingerprint of the kernel it was taken from.
+/// A compile uses it in place of decomposing only when that fingerprint
+/// matches `kernel` and its ranks match `ranks`; otherwise it decomposes as
+/// usual. The factors are then exactly tucker_decompose(*kernel, *ranks),
+/// so they stay out of the key. The fingerprint is checked on the compile
+/// (cache-miss) path only, so cache hits pay nothing for it.
+///
+/// `kernel` points at the full CNRS [C, N, R, S] weight tensor; it, `quant`
+/// and `factors` must outlive the compile call only.
 struct PlanRequest {
   ConvShape shape;
   const Tensor* kernel = nullptr;
@@ -80,10 +89,13 @@ struct PlanRequest {
   std::int64_t row_tile = 0;
 
   const LayerQuant* quant = nullptr;
+  const TuckerFactors* factors = nullptr;
+  std::uint64_t factors_kernel = 0;
 };
 
 /// Compiles `req` without the cache: the plan kind's compile_*_plan building
-/// block, after decomposing the kernel for Tucker requests.
+/// block, after decomposing the kernel for Tucker requests whose `factors`
+/// are absent or do not match.
 std::unique_ptr<ConvPlan> compile_plan(const PlanRequest& req);
 
 class PlanCache {

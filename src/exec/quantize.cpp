@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/env.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "exec/plan_cache.h"
 #include "linalg/gemm.h"
 #include "tucker/flops.h"
 #include "tucker/tucker.h"
@@ -189,45 +191,6 @@ std::int64_t calibration_samples_default() {
 
 namespace {
 
-/// The decision-list alignment rule of InferenceSession::compile, shared by
-/// calibration so both agree on which layers decompose: one entry per
-/// convolution, or one per decomposable (spatial-filter) convolution.
-std::vector<const LayerDecision*> align_decisions(
-    const ModelSpec& model, const std::vector<LayerDecision>& decisions) {
-  std::vector<const LayerDecision*> dec_for(model.layers.size(), nullptr);
-  if (decisions.empty()) {
-    return dec_for;
-  }
-  std::vector<std::size_t> conv_idx;
-  std::vector<std::size_t> decomposable_idx;
-  for (std::size_t i = 0; i < model.layers.size(); ++i) {
-    const LayerSpec& l = model.layers[i];
-    if (l.kind != LayerKind::kConv) {
-      continue;
-    }
-    conv_idx.push_back(i);
-    if (l.conv.r > 1 || l.conv.s > 1) {
-      decomposable_idx.push_back(i);
-    }
-  }
-  const std::vector<std::size_t>* target = nullptr;
-  if (decisions.size() == conv_idx.size()) {
-    target = &conv_idx;
-  } else if (decisions.size() == decomposable_idx.size()) {
-    target = &decomposable_idx;
-  }
-  TDC_CHECK_MSG(target != nullptr,
-                "calibration decision list must cover every convolution (" +
-                    std::to_string(conv_idx.size()) +
-                    ") or every decomposable convolution (" +
-                    std::to_string(decomposable_idx.size()) + "); got " +
-                    std::to_string(decisions.size()));
-  for (std::size_t k = 0; k < decisions.size(); ++k) {
-    dec_for[(*target)[k]] = &decisions[k];
-  }
-  return dec_for;
-}
-
 /// Method-dispatching range observer.
 struct RangeObserver {
   explicit RangeObserver(const CalibrationOptions& options)
@@ -251,7 +214,7 @@ struct RangeObserver {
 /// factors plus an im2col core plan, so calibration can observe Z1/Z2 on
 /// the same numbers the quantized pipeline will approximate.
 struct TuckerRef {
-  TuckerFactors factors;
+  std::shared_ptr<const TuckerFactors> factors;
   ConvShape core_shape;
   std::unique_ptr<ConvPlan> core_plan;
 };
@@ -281,8 +244,9 @@ QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
       align_decisions(model, decisions);
 
   // Tucker intermediates of decomposed layers come from the real factors at
-  // the decided ranks (one extra decomposition per layer; the PlanCache
-  // will reuse its own when the quantized session compiles).
+  // the decided ranks. This is the build's one decomposition per layer: the
+  // table keeps the factors, and InferenceSession::compile hands them to
+  // the layer's Tucker compile instead of decomposing again.
   std::vector<TuckerRef> tucker_refs(model.layers.size());
   for (std::size_t i = 0; i < model.layers.size(); ++i) {
     const LayerDecision* dec = dec_for[i];
@@ -290,13 +254,14 @@ QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
       continue;
     }
     TuckerRef& tr = tucker_refs[i];
-    tr.factors = tucker_decompose(weights[i].conv_kernel, dec->ranks);
+    tr.factors = std::make_shared<const TuckerFactors>(
+        tucker_decompose(weights[i].conv_kernel, dec->ranks));
     tr.core_shape = core_conv_shape(model.layers[i].conv, dec->ranks);
     ConvDescriptor core_desc;
     core_desc.shape = tr.core_shape;
     core_desc.algo = ConvAlgo::kIm2col;
     core_desc.device = device;
-    tr.core_plan = compile_conv_plan(core_desc, tr.factors.core);
+    tr.core_plan = compile_conv_plan(core_desc, tr.factors->core);
   }
 
   // Private per-op activation buffers (calibration needs every conv input,
@@ -362,7 +327,7 @@ QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
                                                        cs.c * cs.h * cs.w);
         const TuckerRef& tr = tucker_refs[static_cast<std::size_t>(i)];
         if (tr.core_plan != nullptr) {
-          const TuckerRanks ranks = tr.factors.ranks();
+          const TuckerRanks ranks = tr.factors->ranks();
           const std::int64_t hw = cs.h * cs.w;
           const std::int64_t ohw = cs.out_h() * cs.out_w();
           z_buf.resize(static_cast<std::size_t>(
@@ -371,7 +336,7 @@ QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
           float* z2 = z1 + ranks.d1 * hw;
           // Z1 = U1ᵀ · X (u1 is stored [C, D1]).
           gemm_at(ranks.d1, hw, cs.c,
-                  std::span<const float>(tr.factors.u1.raw(),
+                  std::span<const float>(tr.factors->u1.raw(),
                                          static_cast<std::size_t>(cs.c *
                                                                   ranks.d1)),
                   std::span<const float>(inputs[0],
@@ -400,6 +365,10 @@ QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
     q.input = input_obs[i].params();
     q.z1 = z1_obs[i].params();
     q.z2 = z2_obs[i].params();
+    if (tucker_refs[i].factors != nullptr) {
+      q.factors = std::move(tucker_refs[i].factors);
+      q.factors_kernel = tensor_fingerprint(weights[i].conv_kernel);
+    }
   }
   return table;
 }

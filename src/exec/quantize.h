@@ -114,11 +114,24 @@ class PercentileObserver {
 /// output and core output) and are only read when the layer compiles as a
 /// decomposed pipeline. Weight scales are not stored here — they derive
 /// deterministically from the kernel tensor at plan-compile time.
+///
+/// For a decomposed layer, `factors` keeps the Tucker decomposition
+/// calibration observed Z1/Z2 on, and `factors_kernel` the
+/// tensor_fingerprint of the kernel it came from; its ranks are
+/// factors->ranks(). InferenceSession::compile hands both to the layer's
+/// Tucker compile (fp32 or int8) as PlanRequest::factors, which uses them
+/// when kernel and ranks match the layer being compiled, so a cold build
+/// decomposes each layer once; on any mismatch the compile decomposes
+/// afresh. The factors are a deterministic function of kernel and ranks,
+/// so they do not enter quant_fingerprint or any plan key. Null for layers
+/// calibration did not decompose.
 struct LayerQuant {
   bool quantize = false;
   QuantParams input;
   QuantParams z1;
   QuantParams z2;
+  std::shared_ptr<const TuckerFactors> factors;
+  std::uint64_t factors_kernel = 0;
 };
 
 /// One entry per ModelSpec layer (non-conv layers keep quantize = false).
@@ -149,10 +162,12 @@ struct CalibrationOptions {
 /// `model`: compiles a dense fp32 reference session, drives `samples`
 /// synthetic inputs through it while observing each convolution's input
 /// range, and — for layers `decisions` marks decomposed — additionally
-/// decomposes the kernel at the decided ranks and observes the fp32 Z1/Z2
-/// intermediates. Deterministic for fixed options; offline (allocates
-/// freely). The returned table aligns with model.layers and marks every
-/// convolution quantize = true.
+/// decomposes the kernel at the decided ranks, observes the fp32 Z1/Z2
+/// intermediates and keeps the factors in the layer's entry. `decisions`
+/// aligns with the model as in InferenceSession::compile (align_decisions
+/// in exec/graph_plan.h) and throws the same errors. Deterministic for
+/// fixed options; offline (allocates freely). The returned table aligns
+/// with model.layers and marks every convolution quantize = true.
 QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
                            const std::vector<LayerWeights>& weights,
                            const std::vector<LayerDecision>& decisions = {},

@@ -84,9 +84,34 @@ Tridiagonal tridiagonalize(std::vector<double> m, std::int64_t n) {
     t.tau[static_cast<std::size_t>(k)] = tau;
 
     // p = τ·A22·u over the trailing block; one row per element, fixed-order
-    // inner accumulation.
+    // inner accumulation. Four rows share each u[j] load and run four
+    // independent add chains (one row's chain alone is latency-bound);
+    // every row still sums its own products in ascending j, so the result
+    // does not depend on how rows are grouped or chunked.
     parallel_for(k + 1, n, 8, [&](std::int64_t b, std::int64_t e_) {
-      for (std::int64_t i = b; i < e_; ++i) {
+      std::int64_t i = b;
+      for (; i + 4 <= e_; i += 4) {
+        const double* r0 = m.data() + i * n;
+        const double* r1 = r0 + n;
+        const double* r2 = r1 + n;
+        const double* r3 = r2 + n;
+        double a0 = 0.0;
+        double a1 = 0.0;
+        double a2 = 0.0;
+        double a3 = 0.0;
+        for (std::int64_t j = k + 1; j < n; ++j) {
+          const double uj = uk[j];
+          a0 += r0[j] * uj;
+          a1 += r1[j] * uj;
+          a2 += r2[j] * uj;
+          a3 += r3[j] * uj;
+        }
+        p[static_cast<std::size_t>(i)] = tau * a0;
+        p[static_cast<std::size_t>(i + 1)] = tau * a1;
+        p[static_cast<std::size_t>(i + 2)] = tau * a2;
+        p[static_cast<std::size_t>(i + 3)] = tau * a3;
+      }
+      for (; i < e_; ++i) {
         const double* row = m.data() + i * n;
         double acc = 0.0;
         for (std::int64_t j = k + 1; j < n; ++j) {

@@ -11,6 +11,7 @@
 // repeated eigenvalue's eigenspace is a correct answer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -234,26 +235,30 @@ TEST(EigTopk, ClusteredEigenvaluesSpanTheRightEigenspace) {
 
 TEST(Eig, DeterministicAcrossThreadCounts) {
   const int saved = num_threads();
-  const std::int64_t n = 256;
-  const Tensor a = random_spd(n, 77);
+  // Odd sizes just above the Jacobi fallback put the tridiagonal matvec's
+  // 4-row groups, its row remainder and the chunk edges at every offset.
+  for (const std::int64_t n : {33, 35, 37, 101, 256}) {
+    const Tensor a = random_spd(n, 77);
+    const std::int64_t k = std::min<std::int64_t>(64, n);
 
-  set_num_threads(1);
-  const EigResult full1 = eig_symmetric(a);
-  const EigResult top1 = eig_symmetric_topk(a, 64);
-  const std::vector<double> vals1 = eig_symmetric_values(a);
-  for (const int nt : {2, 4, 8}) {
-    set_num_threads(nt);
-    const EigResult full = eig_symmetric(a);
-    const EigResult top = eig_symmetric_topk(a, 64);
-    const std::vector<double> vals = eig_symmetric_values(a);
-    // Bitwise: the doubles must be equal, not just close.
-    EXPECT_EQ(full.values, full1.values) << "threads=" << nt;
-    EXPECT_EQ(Tensor::max_abs_diff(full.vectors, full1.vectors), 0.0)
-        << "threads=" << nt;
-    EXPECT_EQ(top.values, top1.values) << "threads=" << nt;
-    EXPECT_EQ(Tensor::max_abs_diff(top.vectors, top1.vectors), 0.0)
-        << "threads=" << nt;
-    EXPECT_EQ(vals, vals1) << "threads=" << nt;
+    set_num_threads(1);
+    const EigResult full1 = eig_symmetric(a);
+    const EigResult top1 = eig_symmetric_topk(a, k);
+    const std::vector<double> vals1 = eig_symmetric_values(a);
+    for (const int nt : {2, 4, 8}) {
+      set_num_threads(nt);
+      const EigResult full = eig_symmetric(a);
+      const EigResult top = eig_symmetric_topk(a, k);
+      const std::vector<double> vals = eig_symmetric_values(a);
+      // Bitwise: the doubles must be equal, not just close.
+      EXPECT_EQ(full.values, full1.values) << "n=" << n << " threads=" << nt;
+      EXPECT_EQ(Tensor::max_abs_diff(full.vectors, full1.vectors), 0.0)
+          << "n=" << n << " threads=" << nt;
+      EXPECT_EQ(top.values, top1.values) << "n=" << n << " threads=" << nt;
+      EXPECT_EQ(Tensor::max_abs_diff(top.vectors, top1.vectors), 0.0)
+          << "n=" << n << " threads=" << nt;
+      EXPECT_EQ(vals, vals1) << "n=" << n << " threads=" << nt;
+    }
   }
   set_num_threads(saved);
 }

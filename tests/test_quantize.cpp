@@ -4,7 +4,8 @@
 // exact naive integer reference (the AVX2 and scalar kernels must both match
 // it bit for bit); per-channel BN folding; quantized conv and Tucker plans
 // against their fp32 twins within the documented quantization-error bound on
-// NaN-poisoned guard-banded workspaces; calibration determinism; and the
+// NaN-poisoned guard-banded workspaces; calibration determinism; the
+// hand-off of calibration's Tucker factors to the compile; and the
 // acceptance walk — a calibrated mixed-precision full-width ResNet-18 served
 // through the replica fleet bitwise-identically to a plain session.
 #include <gtest/gtest.h>
@@ -505,6 +506,178 @@ TEST(Quantize, CalibrationCoversEveryConvAndIsDeterministic) {
       calibrate_quant(make_a100(), model, weights, {}, other);
   EXPECT_NE(quant_fingerprint(table.layers[0]),
             quant_fingerprint(shifted.layers[0]));
+}
+
+// A small chain of 3×3 convolutions; decisions (one per decomposable conv)
+// decompose conv1 and conv2 at `ranks1` / `ranks2` and keep conv0 dense.
+ModelSpec tucker_tiny_model() {
+  ModelSpec model;
+  model.name = "tucker-tiny";
+  model.layers.push_back(
+      LayerSpec::make_conv("conv0", ConvShape::same(3, 8, 12, 3)));
+  model.layers.push_back(
+      LayerSpec::make_conv("conv1", ConvShape::same(8, 8, 12, 3)));
+  model.layers.push_back(LayerSpec::make_elementwise("relu", 8.0 * 12 * 12));
+  model.layers.push_back(
+      LayerSpec::make_conv("conv2", ConvShape::same(8, 6, 12, 3)));
+  return model;
+}
+
+std::vector<LayerDecision> tucker_tiny_decisions(const ModelSpec& model,
+                                                 TuckerRanks ranks1,
+                                                 TuckerRanks ranks2) {
+  std::vector<LayerDecision> decisions;
+  for (const ConvShape& shape : model.decomposable_conv_shapes()) {
+    LayerDecision d;
+    d.shape = shape;
+    decisions.push_back(d);
+  }
+  decisions[1].decomposed = true;
+  decisions[1].ranks = ranks1;
+  decisions[2].decomposed = true;
+  decisions[2].ranks = ranks2;
+  return decisions;
+}
+
+QuantTable without_factors(QuantTable table) {
+  for (LayerQuant& q : table.layers) {
+    q.factors.reset();
+  }
+  return table;
+}
+
+// Compiles privately (no PlanCache, so every session really compiles its
+// own Tucker plans) and runs the same requests through it.
+std::vector<Tensor> serve_requests(const ModelSpec& model,
+                                   const std::vector<LayerWeights>& weights,
+                                   const std::vector<LayerDecision>& decisions,
+                                   const QuantTable& table) {
+  SessionOptions options;
+  options.dense_algo = ConvAlgo::kIm2col;
+  options.use_plan_cache = false;
+  options.quant = &table;
+  const InferenceSession session = InferenceSession::compile(
+      make_a100(), model, weights, decisions, options);
+  Rng rng(7020);
+  std::vector<Tensor> outputs;
+  for (int r = 0; r < 3; ++r) {
+    outputs.push_back(
+        session.run(Tensor::random_uniform({3, 12, 12}, rng, -1.0f, 1.0f)));
+  }
+  return outputs;
+}
+
+void expect_bitwise_equal(const std::vector<Tensor>& a,
+                          const std::vector<Tensor>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    EXPECT_EQ(Tensor::max_abs_diff(a[r], b[r]), 0.0) << "request " << r;
+  }
+}
+
+TEST(Quantize, CalibrationFactorsFeedTheCompileBitwise) {
+  const ModelSpec model = tucker_tiny_model();
+  const auto weights = random_model_weights(model, 7021);
+  const auto decisions = tucker_tiny_decisions(model, {4, 4}, {4, 3});
+  CalibrationOptions opts;
+  opts.samples = 2;
+  const QuantTable table =
+      calibrate_quant(make_a100(), model, weights, decisions, opts);
+
+  // The table keeps exactly the decomposed layers' factors, tagged with
+  // their kernel and ranks, and they are the deterministic decomposition.
+  EXPECT_EQ(table.layers[0].factors, nullptr);
+  EXPECT_EQ(table.layers[2].factors, nullptr);
+  for (const std::size_t i : {std::size_t{1}, std::size_t{3}}) {
+    const LayerQuant& q = table.layers[i];
+    ASSERT_NE(q.factors, nullptr) << i;
+    EXPECT_EQ(q.factors_kernel, tensor_fingerprint(weights[i].conv_kernel));
+    const TuckerRanks ranks = decisions[i == 1 ? 1 : 2].ranks;
+    EXPECT_EQ(q.factors->ranks(), ranks);
+    const TuckerFactors fresh = tucker_decompose(weights[i].conv_kernel, ranks);
+    EXPECT_EQ(Tensor::max_abs_diff(q.factors->core, fresh.core), 0.0);
+    EXPECT_EQ(Tensor::max_abs_diff(q.factors->u1, fresh.u1), 0.0);
+    EXPECT_EQ(Tensor::max_abs_diff(q.factors->u2, fresh.u2), 0.0);
+  }
+
+  // Handed-off factors serve bitwise what a fresh decomposition serves, in
+  // int8 (forced) and in fp32 (int8 off: the factors still feed the fp32
+  // Tucker compile).
+  const QuantTable cleared = without_factors(table);
+  for (const char* mode : {"2", "0"}) {
+    ::setenv("TDC_INT8", mode, 1);
+    expect_bitwise_equal(serve_requests(model, weights, decisions, table),
+                         serve_requests(model, weights, decisions, cleared));
+  }
+
+  // The hand-off is live: factors of another kernel under this kernel's
+  // tags change what the session serves.
+  ::setenv("TDC_INT8", "2", 1);
+  QuantTable swapped = table;
+  Tensor other_kernel = weights[1].conv_kernel;
+  other_kernel[0] += 0.5f;
+  swapped.layers[1].factors = std::make_shared<const TuckerFactors>(
+      tucker_decompose(other_kernel, decisions[1].ranks));
+  const std::vector<Tensor> reference =
+      serve_requests(model, weights, decisions, cleared);
+  const std::vector<Tensor> poisoned =
+      serve_requests(model, weights, decisions, swapped);
+  EXPECT_GT(Tensor::max_abs_diff(reference[0], poisoned[0]), 0.0);
+  ::unsetenv("TDC_INT8");
+}
+
+TEST(Quantize, MismatchedCalibrationFactorsAreIgnored) {
+  const ModelSpec model = tucker_tiny_model();
+  const auto weights = random_model_weights(model, 7022);
+  const auto decisions = tucker_tiny_decisions(model, {4, 4}, {4, 3});
+  CalibrationOptions opts;
+  opts.samples = 2;
+  ::setenv("TDC_INT8", "2", 1);
+
+  // Calibrated on other weights of the same shapes: every factor's kernel
+  // tag mismatches, so the compile decomposes this model's kernels.
+  const auto other_weights = random_model_weights(model, 7023);
+  const QuantTable foreign =
+      calibrate_quant(make_a100(), model, other_weights, decisions, opts);
+  ASSERT_NE(foreign.layers[1].factors, nullptr);
+  expect_bitwise_equal(
+      serve_requests(model, weights, decisions, foreign),
+      serve_requests(model, weights, decisions, without_factors(foreign)));
+
+  // Calibrated on these weights at other ranks: the rank tag mismatches.
+  const QuantTable own =
+      calibrate_quant(make_a100(), model, weights, decisions, opts);
+  const auto reranked = tucker_tiny_decisions(model, {3, 4}, {4, 2});
+  expect_bitwise_equal(
+      serve_requests(model, weights, reranked, own),
+      serve_requests(model, weights, reranked, without_factors(own)));
+  ::unsetenv("TDC_INT8");
+}
+
+TEST(Quantize, CalibrationRejectsMisalignedDecisionsLikeCompile) {
+  const ModelSpec model = tucker_tiny_model();
+  const auto weights = random_model_weights(model, 7024);
+  auto decisions = tucker_tiny_decisions(model, {4, 4}, {4, 3});
+  decisions[1].shape = ConvShape::same(8, 8, 10, 3);  // wrong spatial size
+
+  const auto error_code = [](const auto& call) {
+    try {
+      call();
+    } catch (const Error& e) {
+      return e.code();
+    }
+    ADD_FAILURE() << "expected a tdc::Error";
+    return ErrorCode::kInternal;
+  };
+  EXPECT_EQ(error_code([&] {
+              calibrate_quant(make_a100(), model, weights, decisions);
+            }),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(error_code([&] {
+              InferenceSession::compile(make_a100(), model, weights,
+                                        decisions);
+            }),
+            ErrorCode::kInvalidArgument);
 }
 
 // The acceptance walk: calibrated mixed-precision full-width ResNet-18 —
