@@ -20,6 +20,7 @@
 #include "exec/plan_impl.h"
 #include "exec/quantize.h"
 #include "exec/workspace_guard.h"
+#include "tucker/tucker.h"
 
 namespace tdc {
 
@@ -301,10 +302,79 @@ InferenceSession InferenceSession::compile_impl(
                                  ? options.cost_provider
                                  : &host_cost_provider();
 
+  // Every convolution's request first, with its kernel hashed once for the
+  // cache key and the factors check alike, and the plan the cache already
+  // holds for it. A cache hit is final here: the layer loop takes that plan
+  // instead of looking it up again.
+  const std::size_t n_layers = model.layers.size();
+  std::vector<PlanRequest> conv_reqs(n_layers);
+  std::vector<std::shared_ptr<const ConvPlan>> cached(n_layers);
+  std::vector<std::size_t> to_decompose;
+  for (std::size_t i = 0; i < n_layers; ++i) {
+    const LayerSpec& layer = model.layers[i];
+    if (layer.kind != LayerKind::kConv) {
+      continue;
+    }
+    const Tensor& kernel = weights[i].conv_kernel;
+    TDC_CHECK_MSG(kernel.rank() == 4 && kernel.dim(0) == layer.conv.c &&
+                      kernel.dim(1) == layer.conv.n &&
+                      kernel.dim(2) == layer.conv.r &&
+                      kernel.dim(3) == layer.conv.s,
+                  "layer '" + layer.name +
+                      "' needs a CNRS kernel matching " +
+                      layer.conv.to_string());
+    const LayerDecision* dec = dec_for[i];
+    PlanRequest& req = conv_reqs[i];
+    req.shape = layer.conv;
+    req.kernel = &kernel;
+    req.kernel_fingerprint = tensor_fingerprint(kernel);
+    req.device = device;
+    req.cost = cost;
+    req.algo = options.dense_algo;
+    req.exec = options.tucker_exec;
+    req.core_algo = options.tucker_core_algo;
+    if (dec != nullptr && dec->decomposed) {
+      req.ranks = dec->ranks;
+    }
+    req.quant = int8_layer_quant(options, i, req);
+    if (options.quant != nullptr && i < options.quant->layers.size()) {
+      // Calibration's decomposition of this layer, for either precision.
+      const LayerQuant& q = options.quant->layers[i];
+      req.factors = q.factors.get();
+      req.factors_kernel = q.factors_kernel;
+    }
+    if (options.use_plan_cache) {
+      cached[i] = PlanCache::instance().find(req);
+    }
+    if (cached[i] == nullptr && req.ranks && !req.matching_factors()) {
+      to_decompose.push_back(i);
+    }
+  }
+
+  // The Tucker layers left without a plan or factors decompose together,
+  // largest first, across the arena's workers. Each layer's factors are
+  // dropped as soon as its plan has packed them.
+  std::vector<TuckerFactors> decomposed(n_layers);
+  {
+    std::vector<const Tensor*> kernels;
+    std::vector<TuckerRanks> ranks;
+    for (const std::size_t i : to_decompose) {
+      kernels.push_back(conv_reqs[i].kernel);
+      ranks.push_back(*conv_reqs[i].ranks);
+    }
+    std::vector<TuckerFactors> all = tucker_decompose_all(kernels, ranks);
+    for (std::size_t k = 0; k < to_decompose.size(); ++k) {
+      const std::size_t i = to_decompose[k];
+      decomposed[i] = std::move(all[k]);
+      conv_reqs[i].factors = &decomposed[i];
+      conv_reqs[i].factors_kernel = conv_reqs[i].kernel_fingerprint;
+    }
+  }
+
   InferenceSession s;
   s.input_shape_ = conv_input_shape(model.layers.front().conv);
 
-  for (std::size_t i = 0; i < model.layers.size(); ++i) {
+  for (std::size_t i = 0; i < n_layers; ++i) {
     deadline_poll("session compile layer boundary");
     if (fault_injected("exec.compile_alloc")) {
       throw std::bad_alloc();  // a layer's plan allocation failed
@@ -322,40 +392,16 @@ InferenceSession InferenceSession::compile_impl(
     }
 
     switch (layer.kind) {
-      case LayerKind::kConv: {
-        const Tensor& kernel = weights[i].conv_kernel;
-        TDC_CHECK_MSG(kernel.rank() == 4 && kernel.dim(0) == layer.conv.c &&
-                          kernel.dim(1) == layer.conv.n &&
-                          kernel.dim(2) == layer.conv.r &&
-                          kernel.dim(3) == layer.conv.s,
-                      "layer '" + layer.name +
-                          "' needs a CNRS kernel matching " +
-                          layer.conv.to_string());
-        const LayerDecision* dec = dec_for[i];
-        PlanRequest req;
-        req.shape = layer.conv;
-        req.kernel = &kernel;
-        req.device = device;
-        req.cost = cost;
-        req.algo = options.dense_algo;
-        req.exec = options.tucker_exec;
-        req.core_algo = options.tucker_core_algo;
-        if (dec != nullptr && dec->decomposed) {
-          req.ranks = dec->ranks;
+      case LayerKind::kConv:
+        if (cached[i] != nullptr) {
+          node.plan = std::move(cached[i]);
+        } else if (options.use_plan_cache) {
+          node.plan = PlanCache::instance().get_or_compile(conv_reqs[i]);
+        } else {
+          node.plan = compile_plan(conv_reqs[i]);
         }
-        req.quant = int8_layer_quant(options, i, req);
-        if (options.quant != nullptr && i < options.quant->layers.size()) {
-          // Calibration's decomposition of this layer, for either
-          // precision; compile_plan checks it matches kernel and ranks.
-          const LayerQuant& q = options.quant->layers[i];
-          req.factors = q.factors.get();
-          req.factors_kernel = q.factors_kernel;
-        }
-        node.plan = options.use_plan_cache
-                        ? PlanCache::instance().get_or_compile(req)
-                        : compile_plan(req);
+        decomposed[i] = TuckerFactors{};
         break;
-      }
       case LayerKind::kPool:
         node.plan = compile_pool_plan(pool_descriptor(layer, ins[0]));
         break;

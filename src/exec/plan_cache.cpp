@@ -127,7 +127,7 @@ std::string plan_key(const PlanRequest& req) {
     append_provenance(&key, req.cost, req.algo);
   }
   key += '|';
-  append_u64(&key, tensor_fingerprint(*req.kernel));
+  append_u64(&key, req.kernel_id());
   return key;
 }
 
@@ -154,6 +154,16 @@ std::uint64_t tensor_fingerprint(const Tensor& t) {
   return fnv1a(p, bytes, h);
 }
 
+std::uint64_t PlanRequest::kernel_id() const {
+  return kernel_fingerprint != 0 ? kernel_fingerprint
+                                 : tensor_fingerprint(*kernel);
+}
+
+bool PlanRequest::matching_factors() const {
+  return ranks && factors != nullptr && factors->ranks() == *ranks &&
+         factors_kernel == kernel_id();
+}
+
 PlanCache& PlanCache::instance() {
   static PlanCache cache;
   return cache;
@@ -173,13 +183,11 @@ std::unique_ptr<ConvPlan> compile_plan(const PlanRequest& req) {
     desc.cost = req.cost;
     return compile_conv_plan(desc, kernel);
   }
-  const bool reuse = req.factors != nullptr &&
-                     req.factors->ranks() == *req.ranks &&
-                     req.factors_kernel == tensor_fingerprint(kernel);
   std::optional<TuckerFactors> decomposed;
   const TuckerFactors& factors =
-      reuse ? *req.factors
-            : decomposed.emplace(tucker_decompose(kernel, *req.ranks));
+      req.matching_factors()
+          ? *req.factors
+          : decomposed.emplace(tucker_decompose(kernel, *req.ranks));
   if (req.quant != nullptr) {
     return compile_quantized_tucker_plan(req.shape, factors, *req.quant);
   }
@@ -262,6 +270,18 @@ std::shared_ptr<const ConvPlan> PlanCache::get_or_compile(
   flight->done = true;
   flight->cv.notify_all();
   return plan;
+}
+
+std::shared_ptr<const ConvPlan> PlanCache::find(const PlanRequest& req) {
+  TDC_CHECK_MSG(req.kernel != nullptr, "plan request without a kernel");
+  const std::string key = plan_key(req);
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = plans_.find(key);
+  if (it == plans_.end()) {
+    return nullptr;
+  }
+  ++hits_;
+  return it->second;
 }
 
 PlanCache::Stats PlanCache::stats() const {

@@ -65,13 +65,17 @@ std::uint64_t tensor_fingerprint(const Tensor& t);
 ///     engine, which ignores the algorithm fields. Null — fp32.
 ///
 /// `factors`, when set on a Tucker request, is a decomposition the caller
-/// already holds (calibration's, see LayerQuant::factors), and
-/// `factors_kernel` the tensor_fingerprint of the kernel it was taken from.
-/// A compile uses it in place of decomposing only when that fingerprint
-/// matches `kernel` and its ranks match `ranks`; otherwise it decomposes as
-/// usual. The factors are then exactly tucker_decompose(*kernel, *ranks),
-/// so they stay out of the key. The fingerprint is checked on the compile
-/// (cache-miss) path only, so cache hits pay nothing for it.
+/// already holds (calibration's, see LayerQuant::factors, or the session's
+/// batched one), and `factors_kernel` the tensor_fingerprint of the kernel
+/// it was taken from. A compile uses it in place of decomposing only when
+/// matching_factors() holds; otherwise it decomposes as usual. The factors
+/// are then exactly tucker_decompose(*kernel, *ranks), so they stay out of
+/// the key.
+///
+/// `kernel_fingerprint` is tensor_fingerprint(*kernel) when the caller
+/// already has it, else 0 (computed on demand). InferenceSession::compile
+/// hashes each kernel once and passes the result here, so the cache lookup,
+/// the compile that may follow and the factors check never hash it again.
 ///
 /// `kernel` points at the full CNRS [C, N, R, S] weight tensor; it, `quant`
 /// and `factors` must outlive the compile call only.
@@ -91,6 +95,14 @@ struct PlanRequest {
   const LayerQuant* quant = nullptr;
   const TuckerFactors* factors = nullptr;
   std::uint64_t factors_kernel = 0;
+  std::uint64_t kernel_fingerprint = 0;
+
+  /// tensor_fingerprint(*kernel), or the caller's kernel_fingerprint.
+  std::uint64_t kernel_id() const;
+
+  /// True when this is a Tucker request whose `factors` were taken from
+  /// `kernel` at `ranks`, so a compile can use them instead of decomposing.
+  bool matching_factors() const;
 };
 
 /// Compiles `req` without the cache: the plan kind's compile_*_plan building
@@ -107,6 +119,11 @@ class PlanCache {
   /// (compile_plan) and inserts on miss. A Tucker hit skips the
   /// decomposition too, since the key holds the original kernel and ranks.
   std::shared_ptr<const ConvPlan> get_or_compile(const PlanRequest& req);
+
+  /// The cached plan for an equivalent request, or null; never compiles. A
+  /// found plan counts as a hit. A miss counts nothing, because the
+  /// get_or_compile that follows it counts its own lookup.
+  std::shared_ptr<const ConvPlan> find(const PlanRequest& req);
 
   struct Stats {
     std::int64_t hits = 0;

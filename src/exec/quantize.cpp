@@ -244,19 +244,30 @@ QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
       align_decisions(model, decisions);
 
   // Tucker intermediates of decomposed layers come from the real factors at
-  // the decided ranks. This is the build's one decomposition per layer: the
-  // table keeps the factors, and InferenceSession::compile hands them to
-  // the layer's Tucker compile instead of decomposing again.
-  std::vector<TuckerRef> tucker_refs(model.layers.size());
+  // the decided ranks. This is the build's one decomposition per layer, all
+  // layers in one tucker_decompose_all: the table keeps the factors, and
+  // InferenceSession::compile hands them to the layer's Tucker compile
+  // instead of decomposing again.
+  std::vector<std::size_t> tucker_layers;
+  std::vector<const Tensor*> tucker_kernels;
+  std::vector<TuckerRanks> tucker_ranks;
   for (std::size_t i = 0; i < model.layers.size(); ++i) {
     const LayerDecision* dec = dec_for[i];
-    if (dec == nullptr || !dec->decomposed) {
-      continue;
+    if (dec != nullptr && dec->decomposed) {
+      tucker_layers.push_back(i);
+      tucker_kernels.push_back(&weights[i].conv_kernel);
+      tucker_ranks.push_back(dec->ranks);
     }
+  }
+  std::vector<TuckerFactors> decomposed =
+      tucker_decompose_all(tucker_kernels, tucker_ranks);
+  std::vector<TuckerRef> tucker_refs(model.layers.size());
+  for (std::size_t k = 0; k < tucker_layers.size(); ++k) {
+    const std::size_t i = tucker_layers[k];
     TuckerRef& tr = tucker_refs[i];
-    tr.factors = std::make_shared<const TuckerFactors>(
-        tucker_decompose(weights[i].conv_kernel, dec->ranks));
-    tr.core_shape = core_conv_shape(model.layers[i].conv, dec->ranks);
+    tr.factors =
+        std::make_shared<const TuckerFactors>(std::move(decomposed[k]));
+    tr.core_shape = core_conv_shape(model.layers[i].conv, tucker_ranks[k]);
     ConvDescriptor core_desc;
     core_desc.shape = tr.core_shape;
     core_desc.algo = ConvAlgo::kIm2col;

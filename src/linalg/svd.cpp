@@ -11,11 +11,17 @@ namespace tdc {
 
 namespace {
 
+/// Columns of `a` read as the matrix [dim(0), rest] (see svd.h).
+std::int64_t matrix_cols(const Tensor& a) {
+  TDC_CHECK_MSG(a.rank() >= 2, "svd expects a matrix or a higher-rank tensor");
+  return a.numel() / a.dim(0);
+}
+
 /// Gram matrix G = A·A^T (m×m) through the packed engine GEMM.
 Tensor gram(const Tensor& a) {
   const std::int64_t m = a.dim(0);
   Tensor g({m, m});
-  gemm_bt(m, m, a.dim(1), a.data(), a.data(), g.data());
+  gemm_bt(m, m, matrix_cols(a), a.data(), a.data(), g.data());
   return g;
 }
 
@@ -34,25 +40,24 @@ std::vector<double> to_singular_values(const std::vector<double>& eigvals,
 }  // namespace
 
 SvdLeft svd_left(const Tensor& a) {
-  TDC_CHECK_MSG(a.rank() == 2, "svd_left expects a matrix");
   EigResult eig = eig_symmetric(gram(a));
   SvdLeft out;
-  out.singular_values = to_singular_values(eig.values, a.dim(0), a.dim(1));
+  out.singular_values =
+      to_singular_values(eig.values, a.dim(0), matrix_cols(a));
   out.u = std::move(eig.vectors);
   return out;
 }
 
 Tensor leading_left_singular_vectors(const Tensor& a, std::int64_t k) {
-  TDC_CHECK_MSG(a.rank() == 2, "svd expects a matrix");
+  TDC_CHECK_MSG(a.rank() >= 2, "svd expects a matrix or a higher-rank tensor");
   TDC_CHECK_MSG(k >= 1 && k <= a.dim(0),
                 "requested more singular vectors than rows");
   return eig_symmetric_topk(gram(a), k).vectors;
 }
 
 std::vector<double> left_singular_values(const Tensor& a) {
-  TDC_CHECK_MSG(a.rank() == 2, "svd expects a matrix");
   return to_singular_values(eig_symmetric_values(gram(a)), a.dim(0),
-                            a.dim(1));
+                            matrix_cols(a));
 }
 
 }  // namespace tdc

@@ -7,7 +7,11 @@
 // the engine's packed GEMM and handed to the tridiagonal eigensolver
 // (linalg/eig.h), so every entry point here is deterministic across thread
 // counts; leading_left_singular_vectors takes the top-k eigenpath and never
-// pays for vectors it discards.
+// pays for vectors it discards. Deterministic is not the same as scalable:
+// at the Gram sizes of a CNN (n <= 512) the eigensolve gains nothing from
+// more threads (measurements in eig.h), so concurrency pays across
+// matrices — one whole SVD per worker, as tucker_decompose_all runs them —
+// not inside one.
 #pragma once
 
 #include <vector>
@@ -15,6 +19,11 @@
 #include "tensor/tensor.h"
 
 namespace tdc {
+
+// Every entry point reads its argument `a` as the row-major matrix
+// [a.dim(0), a.numel() / a.dim(0)]: a rank-2 tensor as itself, a higher-rank
+// one as its mode-0 unfolding, which row-major storage already is — so a
+// CNRS kernel's input-channel singular vectors need no unfolded copy.
 
 struct SvdLeft {
   /// Singular values in descending order (size min(m, n), padded with zeros
@@ -25,7 +34,7 @@ struct SvdLeft {
   Tensor u;
 };
 
-/// Left singular vectors + singular values of a rank-2 tensor.
+/// Left singular vectors + singular values of `a`.
 SvdLeft svd_left(const Tensor& a);
 
 /// Convenience: the first `k` columns of svd_left(a).u, shape [m, k] —

@@ -1,5 +1,7 @@
 #include "tensor/unfold.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "linalg/gemm.h"
 
@@ -7,58 +9,47 @@ namespace tdc {
 
 namespace {
 
-// Enumerate all multi-indices of `dims` in row-major order, invoking fn(idx).
-template <typename Fn>
-void for_each_index(const std::vector<std::int64_t>& dims, Fn&& fn) {
-  std::vector<std::int64_t> idx(dims.size(), 0);
-  std::int64_t total = 1;
-  for (const auto d : dims) {
-    total *= d;
-  }
-  for (std::int64_t flat = 0; flat < total; ++flat) {
-    fn(idx);
-    for (int i = static_cast<int>(dims.size()) - 1; i >= 0; --i) {
-      if (++idx[static_cast<std::size_t>(i)] < dims[static_cast<std::size_t>(i)]) {
-        break;
-      }
-      idx[static_cast<std::size_t>(i)] = 0;
-    }
-  }
-}
+// A row-major tensor viewed as [outer, extent, inner] around `mode`: outer
+// is the product of the dims before it, inner of the dims after it.
+struct ModeSplit {
+  std::int64_t outer = 1;
+  std::int64_t extent = 1;
+  std::int64_t inner = 1;
+};
 
-// Column index of a multi-index in the Kolda–Bader mode-k unfolding: the
-// non-mode dimensions are flattened with the *first* non-mode dimension
-// varying slowest? Kolda–Bader uses column-major flattening of the remaining
-// modes in increasing order; any fixed bijection works for our purposes
-// (unfold/fold round-trip and SVD row spaces are invariant to column order).
-// We use row-major over the remaining modes in increasing order.
-std::int64_t column_of(const std::vector<std::int64_t>& idx,
-                       const std::vector<std::int64_t>& dims, int mode) {
-  std::int64_t col = 0;
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    if (static_cast<int>(i) == mode) {
-      continue;
+ModeSplit split_at(const std::vector<std::int64_t>& dims, int mode) {
+  ModeSplit s;
+  for (int i = 0; i < static_cast<int>(dims.size()); ++i) {
+    const std::int64_t d = dims[static_cast<std::size_t>(i)];
+    if (i < mode) {
+      s.outer *= d;
+    } else if (i == mode) {
+      s.extent = d;
+    } else {
+      s.inner *= d;
     }
-    col = col * dims[i] + idx[i];
   }
-  return col;
+  return s;
 }
 
 }  // namespace
 
+// The unfolding is the block permutation [outer, extent, inner] ->
+// [extent, outer, inner]: row r gathers, for each outer index o, the
+// contiguous inner run T[o, r, :]. Column o·inner + i therefore walks the
+// non-mode dimensions in row-major order (the last varies fastest).
 Tensor unfold_mode(const Tensor& t, int mode) {
   TDC_CHECK_MSG(mode >= 0 && mode < t.rank(), "unfold mode out of range");
-  const auto& dims = t.dims();
-  const std::int64_t rows = dims[static_cast<std::size_t>(mode)];
-  const std::int64_t cols = t.numel() / rows;
-  Tensor out({rows, cols});
-  std::int64_t flat = 0;
-  for_each_index(dims, [&](const std::vector<std::int64_t>& idx) {
-    const std::int64_t r = idx[static_cast<std::size_t>(mode)];
-    const std::int64_t c = column_of(idx, dims, mode);
-    out(r, c) = t[flat];
-    ++flat;
-  });
+  const ModeSplit s = split_at(t.dims(), mode);
+  Tensor out({s.extent, s.outer * s.inner});
+  const float* src = t.raw();
+  float* dst = out.raw();
+  for (std::int64_t o = 0; o < s.outer; ++o) {
+    for (std::int64_t r = 0; r < s.extent; ++r) {
+      std::copy_n(src + (o * s.extent + r) * s.inner, s.inner,
+                  dst + (r * s.outer + o) * s.inner);
+    }
+  }
   return out;
 }
 
@@ -66,21 +57,19 @@ Tensor fold_mode(const Tensor& m, int mode, std::vector<std::int64_t> dims) {
   TDC_CHECK_MSG(m.rank() == 2, "fold_mode expects a matrix");
   TDC_CHECK_MSG(mode >= 0 && mode < static_cast<int>(dims.size()),
                 "fold mode out of range");
-  std::int64_t total = 1;
-  for (const auto d : dims) {
-    total *= d;
+  const ModeSplit s = split_at(dims, mode);
+  TDC_CHECK_MSG(s.outer * s.extent * s.inner == m.numel(),
+                "fold_mode element count mismatch");
+  TDC_CHECK_MSG(m.dim(0) == s.extent, "fold_mode row count mismatch");
+  Tensor out(std::move(dims));
+  const float* src = m.raw();
+  float* dst = out.raw();
+  for (std::int64_t o = 0; o < s.outer; ++o) {
+    for (std::int64_t r = 0; r < s.extent; ++r) {
+      std::copy_n(src + (r * s.outer + o) * s.inner, s.inner,
+                  dst + (o * s.extent + r) * s.inner);
+    }
   }
-  TDC_CHECK_MSG(total == m.numel(), "fold_mode element count mismatch");
-  TDC_CHECK_MSG(m.dim(0) == dims[static_cast<std::size_t>(mode)],
-                "fold_mode row count mismatch");
-  Tensor out(dims);
-  std::int64_t flat = 0;
-  for_each_index(dims, [&](const std::vector<std::int64_t>& idx) {
-    const std::int64_t r = idx[static_cast<std::size_t>(mode)];
-    const std::int64_t c = column_of(idx, dims, mode);
-    out[flat] = m(r, c);
-    ++flat;
-  });
   return out;
 }
 
@@ -95,16 +84,10 @@ Tensor mode_product(const Tensor& t, const Tensor& a, int mode) {
   out_dims[static_cast<std::size_t>(mode)] = out_extent;
   Tensor out(out_dims);
 
-  // outer = product of dims before `mode`, inner = product after. With
-  // row-major storage, T can be viewed as [outer, in_extent, inner].
-  std::int64_t outer = 1;
-  for (int i = 0; i < mode; ++i) {
-    outer *= t.dim(i);
-  }
-  std::int64_t inner = 1;
-  for (int i = mode + 1; i < t.rank(); ++i) {
-    inner *= t.dim(i);
-  }
+  // With row-major storage, T is [outer, in_extent, inner].
+  const ModeSplit split = split_at(t.dims(), mode);
+  const std::int64_t outer = split.outer;
+  const std::int64_t inner = split.inner;
 
   // Each outer slab is one GEMM: Out[o] = A^T · T[o] with T[o] the
   // [in_extent, inner] slice. The transpose and the slab views are stride

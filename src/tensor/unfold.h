@@ -3,8 +3,11 @@
 // The truncated-HOSVD projection in the ADMM K̂-update (paper Eq. 12) works on
 // the mode-1 and mode-2 unfoldings of the 4-D kernel tensor:
 //   T ∈ R^{C×N×R×S}:  T_(1) ∈ R^{C×(N·R·S)},  T_(2) ∈ R^{N×(C·R·S)}.
-// We use the standard Kolda–Bader convention: unfold_mode(T, k) places mode k
-// as rows and the remaining modes, in increasing mode order, as columns.
+// unfold_mode(T, k) places mode k as rows and flattens the remaining modes
+// into columns in row-major order (the last mode varies fastest). Kolda–Bader
+// order the columns the other way round; the row space, and so every HOSVD
+// factor, is the same under either order. For mode 0 of a row-major tensor
+// the unfolding is the tensor's own storage viewed as [dims[0], rest].
 #pragma once
 
 #include "tensor/tensor.h"

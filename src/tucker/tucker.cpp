@@ -1,25 +1,43 @@
 #include "tucker/tucker.h"
 
 #include <algorithm>
+#include <atomic>
+#include <new>
+#include <numeric>
 
 #include "common/check.h"
+#include "common/fault.h"
+#include "common/parallel.h"
 #include "linalg/gemm.h"
 #include "linalg/svd.h"
 #include "tensor/unfold.h"
 
 namespace tdc {
 
-TuckerFactors tucker_decompose(const Tensor& kernel_cnrs, TuckerRanks ranks) {
+namespace {
+
+void check_decomposable(const Tensor& kernel_cnrs, TuckerRanks ranks) {
   TDC_CHECK_MSG(kernel_cnrs.rank() == 4, "kernel must be rank-4 CNRS");
-  const std::int64_t c = kernel_cnrs.dim(0);
-  const std::int64_t n = kernel_cnrs.dim(1);
-  TDC_CHECK_MSG(ranks.d1 >= 1 && ranks.d1 <= c, "d1 out of range");
-  TDC_CHECK_MSG(ranks.d2 >= 1 && ranks.d2 <= n, "d2 out of range");
+  TDC_CHECK_MSG(ranks.d1 >= 1 && ranks.d1 <= kernel_cnrs.dim(0),
+                "d1 out of range");
+  TDC_CHECK_MSG(ranks.d2 >= 1 && ranks.d2 <= kernel_cnrs.dim(1),
+                "d2 out of range");
+}
+
+}  // namespace
+
+TuckerFactors tucker_decompose(const Tensor& kernel_cnrs, TuckerRanks ranks) {
+  check_decomposable(kernel_cnrs, ranks);
+  if (fault_injected("tucker.decompose_alloc")) {
+    throw std::bad_alloc();  // a factor or unfolding allocation failed
+  }
 
   TuckerFactors f;
   // Mode-0 (input channel) and mode-1 (output channel) unfoldings; paper
-  // modes 1 and 2 in 1-based numbering.
-  f.u1 = leading_left_singular_vectors(unfold_mode(kernel_cnrs, 0), ranks.d1);
+  // modes 1 and 2 in 1-based numbering. The SVD reads the kernel itself as
+  // its mode-0 unfolding [C, N·R·S] (CNRS storage already is that matrix),
+  // so only mode 1 is unfolded into a copy.
+  f.u1 = leading_left_singular_vectors(kernel_cnrs, ranks.d1);
   f.u2 = leading_left_singular_vectors(unfold_mode(kernel_cnrs, 1), ranks.d2);
 
   // Core = K ×_0 U1^T ×_1 U2^T. mode_product contracts with A as [in, out],
@@ -27,6 +45,45 @@ TuckerFactors tucker_decompose(const Tensor& kernel_cnrs, TuckerRanks ranks) {
   Tensor tmp = mode_product(kernel_cnrs, f.u1, 0);
   f.core = mode_product(tmp, f.u2, 1);
   return f;
+}
+
+std::vector<TuckerFactors> tucker_decompose_all(
+    std::span<const Tensor* const> kernels, std::span<const TuckerRanks> ranks) {
+  TDC_CHECK_MSG(kernels.size() == ranks.size(), "need one rank pair per kernel");
+  const std::size_t n = kernels.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    TDC_CHECK_MSG(kernels[i] != nullptr, "null kernel");
+    check_decomposable(*kernels[i], ranks[i]);
+  }
+  // Largest kernel first (LPT): the long decompositions start at once and
+  // the short ones fill in behind them, so the region ends close to
+  // max(longest, total / workers).
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return kernels[a]->numel() > kernels[b]->numel();
+                   });
+  std::vector<TuckerFactors> out(n);
+  std::atomic<std::size_t> next{0};
+  // One chunk per worker; each pulls whole kernels off the shared cursor.
+  // Inside the region every nested parallel_for runs inline, which leaves
+  // each decomposition's factors exactly those of a lone tucker_decompose.
+  parallel_for(0, static_cast<std::int64_t>(n), 1,
+               [&](std::int64_t, std::int64_t) {
+                 std::size_t k;
+                 while ((k = next.fetch_add(1, std::memory_order_relaxed)) <
+                        n) {
+                   const std::size_t i = order[k];
+                   try {
+                     out[i] = tucker_decompose(*kernels[i], ranks[i]);
+                   } catch (...) {
+                     next.store(n, std::memory_order_relaxed);  // stop early
+                     throw;
+                   }
+                 }
+               });
+  return out;
 }
 
 Tensor tucker_reconstruct(const TuckerFactors& f) {
@@ -51,10 +108,12 @@ double tucker_projection_error(const Tensor& kernel_cnrs, TuckerRanks ranks) {
 
 TuckerRanks tucker_latent_ranks(const Tensor& kernel_cnrs, double tol) {
   TDC_CHECK_MSG(kernel_cnrs.rank() == 4, "kernel must be rank-4 CNRS");
+  // The SVD reads the kernel itself as its mode-0 unfolding (svd.h).
+  const Tensor mode1 = unfold_mode(kernel_cnrs, 1);
   TuckerRanks out;
   for (int mode = 0; mode < 2; ++mode) {
     const std::vector<double> sv =
-        left_singular_values(unfold_mode(kernel_cnrs, mode));
+        left_singular_values(mode == 0 ? kernel_cnrs : mode1);
     const double largest = sv.empty() ? 0.0 : sv.front();
     std::int64_t rank = 0;
     for (const double s : sv) {

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -33,6 +35,16 @@ struct TuckerFactors {
 /// U1 = leading D1 left singular vectors of the mode-C unfolding, U2 likewise
 /// for mode-N, Core = K ×_C U1^T ×_N U2^T. Requires 1 <= d1 <= C, 1 <= d2 <= N.
 TuckerFactors tucker_decompose(const Tensor& kernel_cnrs, TuckerRanks ranks);
+
+/// tucker_decompose(*kernels[i], ranks[i]) for every i, as one parallel
+/// region: workers take kernels largest first off a shared cursor and
+/// decompose each one serially, so the layers of a build decompose
+/// concurrently while every result stays bitwise tucker_decompose's at any
+/// thread count. Every kernel and rank pair is validated on the calling
+/// thread before any work starts; an error inside a decomposition is
+/// rethrown there too, and no result is returned.
+std::vector<TuckerFactors> tucker_decompose_all(
+    std::span<const Tensor* const> kernels, std::span<const TuckerRanks> ranks);
 
 /// Reconstruct the (approximate) CNRS kernel: Core ×_1 U1 ×_2 U2 (Eq. 1).
 Tensor tucker_reconstruct(const TuckerFactors& f);

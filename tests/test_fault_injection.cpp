@@ -6,6 +6,7 @@
 // EnvDriven suite at the bottom is driven by the CI TDC_FAULT matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "common/rng.h"
 #include "exec/autotune.h"
 #include "exec/graph_plan.h"
+#include "exec/plan_cache.h"
 #include "exec/workspace_guard.h"
 #include "gpusim/device.h"
 #include "linalg/gemm.h"
@@ -53,16 +55,34 @@ ErrorCode run_and_code(const std::function<void()>& f) {
   return ErrorCode::kInternal;
 }
 
-// Small real inventory for the recovery tests: ResNet-20/CIFAR, dense,
-// pinned im2col so compiles are fast and bit-deterministic.
+// Every decomposable conv of `model` Tucker-decomposed at half its channel
+// ranks.
+std::vector<LayerDecision> half_rank_decisions(const ModelSpec& model) {
+  std::vector<LayerDecision> decisions;
+  for (const ConvShape& shape : model.decomposable_conv_shapes()) {
+    LayerDecision d;
+    d.shape = shape;
+    d.decomposed = true;
+    d.ranks = {std::max<std::int64_t>(shape.c / 2, 1),
+               std::max<std::int64_t>(shape.n / 2, 1)};
+    decisions.push_back(d);
+  }
+  return decisions;
+}
+
+// Small real inventory for the recovery tests: ResNet-20/CIFAR, pinned
+// im2col so compiles are fast and bit-deterministic; dense, or with every
+// decomposable conv Tucker-decomposed (the decomposition failure points).
 struct Serving {
-  Serving() {
+  explicit Serving(bool tucker = false) {
     SessionOptions options;
     options.dense_algo = ConvAlgo::kIm2col;
     model = make_resnet20_cifar();
     weights = random_model_weights(model, 2026);
-    session = InferenceSession::compile(make_a100(), model, weights, {},
-                                        options);
+    session = InferenceSession::compile(
+        make_a100(), model, weights,
+        tucker ? half_rank_decisions(model) : std::vector<LayerDecision>{},
+        options);
     Rng rng(7);
     x = Tensor::random_uniform({session.input_shape().c,
                                 session.input_shape().h,
@@ -208,6 +228,34 @@ TEST_F(FaultTest, CompileAllocFailureRecoversBitIdentical) {
 
   Serving recovered;  // fault exhausted: same process compiles clean
   EXPECT_EQ(Tensor::max_abs_diff(recovered.run_clean(), y_ref), 0.0);
+}
+
+TEST_F(FaultTest, DecomposeAllocFailureLeavesCacheEmptyAndRecovers) {
+  Serving ref(/*tucker=*/true);  // never-faulted reference
+  const Tensor y_ref = ref.run_clean();
+
+  // Cold compile: the batched decomposition runs before any plan compiles,
+  // so the fault (on a pool worker at 4 threads) surfaces typed on the
+  // caller and leaves nothing in the cache.
+  const int prev_threads = num_threads();
+  set_num_threads(4);
+  PlanCache::instance().clear();
+  fault_arm("tucker.decompose_alloc", FaultSpec{.count = 1});
+  EXPECT_EQ(run_and_code([&] { Serving faulted(/*tucker=*/true); }),
+            ErrorCode::kResourceExhausted);
+  EXPECT_EQ(fault_fire_count("tucker.decompose_alloc"), 1);
+  EXPECT_EQ(PlanCache::instance().stats().entries, 0);
+
+  Serving recovered(/*tucker=*/true);
+  EXPECT_EQ(Tensor::max_abs_diff(recovered.run_clean(), y_ref), 0.0);
+
+  // Warm compile: every layer is a cache hit, so nothing decomposes and
+  // the armed point never fires.
+  fault_arm("tucker.decompose_alloc");
+  Serving warm(/*tucker=*/true);
+  EXPECT_EQ(fault_fire_count("tucker.decompose_alloc"), 0);
+  EXPECT_EQ(Tensor::max_abs_diff(warm.run_clean(), y_ref), 0.0);
+  set_num_threads(prev_threads);
 }
 
 TEST_F(FaultTest, RunAllocFailureLeavesSessionReusable) {
@@ -569,6 +617,20 @@ TEST(EnvDriven, AmbientFaultSurfacesTypedAndRecovers) {
     }
     EXPECT_TRUE(threw);
     Serving recovered;
+    EXPECT_EQ(Tensor::max_abs_diff(recovered.run_clean(),
+                                   recovered.run_clean()),
+              0.0);
+  } else if (point == "tucker.decompose_alloc") {
+    PlanCache::instance().clear();  // a cold compile decomposes every layer
+    bool threw = false;
+    try {
+      Serving faulted(/*tucker=*/true);
+    } catch (const Error& e) {
+      threw = true;
+      EXPECT_EQ(e.code(), ErrorCode::kResourceExhausted);
+    }
+    EXPECT_TRUE(threw);
+    Serving recovered(/*tucker=*/true);
     EXPECT_EQ(Tensor::max_abs_diff(recovered.run_clean(),
                                    recovered.run_clean()),
               0.0);

@@ -189,6 +189,20 @@ TEST(Svd, LeadingVectorCountValidated) {
   Tensor a({3, 5});
   EXPECT_THROW(leading_left_singular_vectors(a, 4), Error);
   EXPECT_THROW(leading_left_singular_vectors(a, 0), Error);
+  EXPECT_THROW(leading_left_singular_vectors(Tensor({3}), 1), Error);
+}
+
+TEST(Svd, HigherRankTensorIsReadAsItsModeZeroUnfolding) {
+  // A CNRS kernel passes itself for its [C, N·R·S] unfolding: the results
+  // must be bitwise those of the explicit matrix.
+  Rng rng(59);
+  const Tensor k = Tensor::random_uniform({40, 24, 3, 3}, rng, -1.0f, 1.0f);
+  const Tensor m = k.reshaped({40, 24 * 9});
+  const Tensor uk = leading_left_singular_vectors(k, 7);
+  const Tensor um = leading_left_singular_vectors(m, 7);
+  EXPECT_EQ(Tensor::max_abs_diff(uk, um), 0.0);
+  EXPECT_EQ(left_singular_values(k), left_singular_values(m));
+  EXPECT_EQ(svd_left(k).singular_values, svd_left(m).singular_values);
 }
 
 }  // namespace

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <new>
+#include <string>
+#include <vector>
+
 #include "common/check.h"
+#include "common/fault.h"
+#include "common/parallel.h"
 #include "linalg/gemm.h"
 #include "tensor/unfold.h"
 #include "tucker/flops.h"
@@ -139,6 +146,98 @@ TEST(Tucker, ReconstructMatchesEquationOne) {
       }
     }
   }
+}
+
+// --- tucker_decompose_all: one parallel region over a build's layers ---
+
+// Sets the runtime's thread count and arena split for one test and restores
+// the defaults afterwards, so the concurrent path runs whatever
+// TDC_NUM_THREADS the suite was started with.
+class DecomposeAllTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    set_num_threads(threads_);
+    set_arena_config({});
+  }
+
+  // A mixed inventory: more kernels than workers, sizes in no particular
+  // order, Gram matrices on both sides of the Jacobi fallback.
+  void SetUp() override {
+    Rng rng(91);
+    const std::vector<std::vector<std::int64_t>> dims = {
+        {24, 40, 3, 3}, {96, 64, 3, 3}, {8, 8, 1, 1},  {64, 96, 3, 3},
+        {48, 48, 5, 5}, {16, 72, 3, 3}, {80, 40, 3, 1}};
+    for (const auto& d : dims) {
+      kernels_.push_back(Tensor::random_uniform(d, rng, -1.0f, 1.0f));
+      ranks_.push_back({d[0] / 2, (d[1] * 3) / 4});
+    }
+    for (const Tensor& k : kernels_) {
+      ptrs_.push_back(&k);
+    }
+  }
+
+  static void expect_bitwise(const Tensor& a, const Tensor& b) {
+    ASSERT_TRUE(a.same_shape(b));
+    EXPECT_EQ(std::memcmp(a.raw(), b.raw(),
+                          static_cast<std::size_t>(a.numel()) * sizeof(float)),
+              0);
+  }
+
+  const int threads_ = num_threads();
+  std::vector<Tensor> kernels_;
+  std::vector<const Tensor*> ptrs_;
+  std::vector<TuckerRanks> ranks_;
+};
+
+TEST_F(DecomposeAllTest, MatchesPerKernelDecompositionBitwise) {
+  for (const int threads : {1, 2, 4}) {
+    for (const int intra_op : {1, 0}) {
+      set_num_threads(threads);
+      set_arena_config({.inter_op = 0, .intra_op = intra_op});
+      const std::vector<TuckerFactors> all =
+          tucker_decompose_all(ptrs_, ranks_);
+      ASSERT_EQ(all.size(), kernels_.size());
+      for (std::size_t i = 0; i < kernels_.size(); ++i) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + ", intra_op " +
+                     std::to_string(intra_op) + ", kernel " +
+                     std::to_string(i));
+        const TuckerFactors one = tucker_decompose(kernels_[i], ranks_[i]);
+        expect_bitwise(all[i].u1, one.u1);
+        expect_bitwise(all[i].u2, one.u2);
+        expect_bitwise(all[i].core, one.core);
+      }
+    }
+  }
+}
+
+TEST_F(DecomposeAllTest, EmptyInventoryDecomposesNothing) {
+  EXPECT_TRUE(tucker_decompose_all({}, {}).empty());
+}
+
+TEST_F(DecomposeAllTest, BadRankThrowsTypedOnCallerWithNoOutput) {
+  set_num_threads(4);
+  ranks_[3].d2 = kernels_[3].dim(1) + 1;
+  std::vector<TuckerFactors> out;
+  try {
+    out = tucker_decompose_all(ptrs_, ranks_);
+    FAIL() << "expected an out-of-range rank error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(out.empty());
+  ranks_.pop_back();  // one rank pair short of the kernels
+  EXPECT_THROW(tucker_decompose_all(ptrs_, ranks_), Error);
+}
+
+TEST_F(DecomposeAllTest, FailureInsideRegionRethrowsOnCaller) {
+  set_num_threads(4);
+  fault_arm("tucker.decompose_alloc", FaultSpec{.skip = 2, .count = 1});
+  std::vector<TuckerFactors> out;
+  EXPECT_THROW(out = tucker_decompose_all(ptrs_, ranks_), std::bad_alloc);
+  EXPECT_EQ(fault_fire_count("tucker.decompose_alloc"), 1);
+  fault_disarm_all();
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(tucker_decompose_all(ptrs_, ranks_).size(), kernels_.size());
 }
 
 // --- Eqs. (5)/(6): parameter and FLOPs accounting ---

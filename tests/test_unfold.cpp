@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/check.h"
 #include "linalg/gemm.h"
 #include "tensor/unfold.h"
@@ -33,6 +37,56 @@ TEST(Unfold, Mode0RowsAreContiguousSlices) {
   for (std::int64_t i = 0; i < 3; ++i) {
     for (std::int64_t j = 0; j < 20; ++j) {
       EXPECT_EQ(m(i, j), t[i * 20 + j]);
+    }
+  }
+}
+
+// The index-walk definition of the unfolding: element T[idx] lands in row
+// idx[mode], column = the other indices flattened row-major.
+Tensor unfold_oracle(const Tensor& t, int mode) {
+  const std::vector<std::int64_t>& dims = t.dims();
+  const std::int64_t rows = dims[static_cast<std::size_t>(mode)];
+  Tensor out({rows, t.numel() / rows});
+  std::vector<std::int64_t> idx(dims.size(), 0);
+  for (std::int64_t flat = 0; flat < t.numel(); ++flat) {
+    std::int64_t col = 0;
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      if (static_cast<int>(i) != mode) {
+        col = col * dims[i] + idx[i];
+      }
+    }
+    out(idx[static_cast<std::size_t>(mode)], col) = t[flat];
+    for (int i = static_cast<int>(dims.size()) - 1; i >= 0; --i) {
+      const auto u = static_cast<std::size_t>(i);
+      if (++idx[u] < dims[u]) {
+        break;
+      }
+      idx[u] = 0;
+    }
+  }
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(Unfold, MatchesIndexWalkOracleBitwise) {
+  Rng rng(33);
+  const std::vector<std::int64_t> extents = {3, 4, 2, 5, 3};
+  for (std::size_t rank = 1; rank <= extents.size(); ++rank) {
+    const std::vector<std::int64_t> dims(extents.begin(),
+                                         extents.begin() +
+                                             static_cast<std::ptrdiff_t>(rank));
+    const Tensor t = Tensor::random_uniform(dims, rng, -1.0f, 1.0f);
+    for (int mode = 0; mode < static_cast<int>(rank); ++mode) {
+      SCOPED_TRACE("rank " + std::to_string(rank) + ", mode " +
+                   std::to_string(mode));
+      const Tensor m = unfold_mode(t, mode);
+      EXPECT_TRUE(same_bits(m, unfold_oracle(t, mode)));
+      EXPECT_TRUE(same_bits(fold_mode(m, mode, dims), t));
     }
   }
 }

@@ -28,8 +28,9 @@ plain text patterns checked file by file:
      run_chunked) or across an invocation of a caller-provided callback.
 
   4. Per-file rules over src/ tests/ bench/: no naked new[] or malloc, no
-     unseeded RNG, TDC_CHECK* instead of assert, no OpenMP, no *_impl.h in
-     public headers, and every mutable file-scope global registered in
+     unseeded RNG, TDC_CHECK* instead of assert, no OpenMP, no raw threads
+     outside the pool, no *_impl.h in public headers, and every mutable
+     file-scope global registered in
      REGISTERED_SINGLETONS. They read each file's comment-stripped lines and
      do not depend on the frontend. A justified exception to one of the
      pattern rules takes `// tdc-analyze: allow(rule[, rule])` on the line
@@ -149,6 +150,12 @@ RAW_MALLOC_EXEMPT_FILES = {
     "src/common/alloc_guard.cpp",
 }
 
+# The shared pool is the one owner of library threads: it constructs and
+# joins the workers every parallel region runs on.
+RAW_THREAD_EXEMPT_FILES = {
+    "src/common/parallel.cpp",
+}
+
 # Registered process-wide singletons: the only sanctioned mutable file-scope
 # state, file -> names. Everything here is either an atomic with documented
 # ordering, a mutex, state owned by one (mutex, thread) discipline, or
@@ -205,6 +212,10 @@ LINE_RULES = {
     "no-openmp": (
         _under(*FILE_SCOPES), re.compile(r"#\s*pragma\s+omp\b"),
         "OpenMP pragma; use tdc::parallel_for (common/parallel.h)"),
+    "raw-thread": (
+        _under("src", exempt=RAW_THREAD_EXEMPT_FILES),
+        re.compile(r"\bstd::(thread|jthread|async)\b"),
+        "raw thread; build-time concurrency goes through tdc::parallel_for"),
     "impl-header-in-public": (
         _under("src", suffix=".h"),
         re.compile(r'#\s*include\s+"[^"]*_impl\.h"'),
@@ -299,6 +310,14 @@ RULE_EXPLAIN = {
         "funnels through the shared runtime (tdc::parallel_for) so thread\n"
         "count, nesting policy, deadline and alloc-guard propagation stay\n"
         "consistent; an OpenMP pragma would fork outside all of that.",
+    "raw-thread":
+        "std::thread, std::jthread or std::async under src/ outside\n"
+        "src/common/parallel.cpp, which owns the pool's workers\n"
+        "(RAW_THREAD_EXEMPT_FILES). Concurrency inside the library, build-time\n"
+        "work such as tucker_decompose_all included, runs as a region of the\n"
+        "shared pool so the arena caps (inter_op/intra_op), deadline and\n"
+        "alloc-guard propagation, exception capture and ParallelStats all\n"
+        "apply; a private thread bypasses every one of them.",
     "impl-header-in-public":
         "A header under src/ includes a *_impl.h file. Headers under src/\n"
         "are the library's public surface; *_impl.h files are internal\n"
