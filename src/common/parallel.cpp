@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -389,6 +390,13 @@ void set_arena_config(const ArenaConfig& config) {
 }
 
 bool in_parallel_region() { return t_in_parallel; }
+
+int region_width() {
+  if (t_in_parallel) {
+    return 1;
+  }
+  return std::min(num_threads(), resolve_intra_op());
+}
 
 ParallelStats parallel_stats() {
   ParallelStats s;

@@ -12,13 +12,15 @@
 //   2. TDC_NUM_THREADS    — environment override, read once at first use;
 //   3. std::thread::hardware_concurrency().
 //
-// Chunks are split statically; a call from inside a parallel region runs
-// serially (no nested fan-out). Concurrent *top-level* callers are served by
-// task arenas (TBB-style, the ATen Parallel.h idiom): the persistent pool
-// admits up to arena_config().inter_op simultaneous fork/join regions, each
-// with a bounded share of the workers (intra_op - 1 assisting workers plus
-// the calling thread), and workers share themselves across the active
-// regions chunk by chunk. Only when every arena slot is taken does an extra
+// Chunks are split statically, at most one per thread that will serve the
+// region (region_width(): the intra-op width, capped by the thread count); a
+// call from inside a parallel region runs serially (no nested fan-out).
+// Concurrent *top-level* callers are served by task arenas (TBB-style, the
+// ATen Parallel.h idiom): the persistent pool admits up to
+// arena_config().inter_op simultaneous fork/join regions, each with a
+// bounded share of the workers (intra_op - 1 assisting workers plus the
+// calling thread), and workers share themselves across the active regions
+// chunk by chunk. Only when every arena slot is taken does an extra
 // caller degrade to inline serial execution (counted in parallel_stats()).
 // Exceptions thrown by the body are captured and rethrown on the calling
 // thread.
@@ -78,7 +80,7 @@ void set_arena_config(const ArenaConfig& config);
 struct ParallelStats {
   std::int64_t pool_regions = 0;      ///< regions fanned out on the pool
   std::int64_t inline_regions = 0;    ///< regions inline by policy (one
-                                      ///  chunk, or a single-thread runtime)
+                                      ///  chunk: width 1 or a short range)
   std::int64_t serial_fallbacks = 0;  ///< regions inline because every arena
                                       ///  slot held another caller's region
   std::int64_t arena_regions = 0;     ///< pool regions that ran concurrently
@@ -89,6 +91,14 @@ struct ParallelStats {
 
 /// Snapshot of the counters (monotonic since process start).
 ParallelStats parallel_stats();
+
+/// Threads that would serve a region opened here: 1 inside a parallel
+/// region (nested calls run inline), else min(num_threads(),
+/// arena_config().intra_op). parallel_for and parallel_reduce cut at most
+/// this many chunks, and a width-1 region runs inline on the caller without
+/// touching the pool (counted as an inline region). Callers that partition
+/// work themselves (the GEMM's tile split) size their chunks with it too.
+int region_width();
 
 /// Default minimum iterations per chunk before a loop is worth splitting.
 inline constexpr std::int64_t kDefaultGrainSize = 1;
@@ -107,9 +117,10 @@ void run_chunked(std::int64_t num_chunks, FunctionRef<void(std::int64_t)> fn);
 
 }  // namespace detail
 
-/// Calls f(sub_begin, sub_end) over a static partition of [begin, end).
-/// Ranges shorter than grain_size (or any call made with one thread, or from
-/// inside another parallel region) run inline on the caller.
+/// Calls f(sub_begin, sub_end) over a static partition of [begin, end) into
+/// at most region_width() chunks. Ranges no longer than grain_size, calls
+/// at width 1 and calls from inside another parallel region run inline on
+/// the caller.
 template <class F>
 void parallel_for(std::int64_t begin, std::int64_t end,
                   std::int64_t grain_size, const F& f) {
@@ -129,13 +140,8 @@ void parallel_for(std::int64_t begin, std::int64_t end,
     f(begin, end);
     return;
   }
-  const int nt = num_threads();
-  if (nt == 1) {
-    f(begin, end);
-    return;
-  }
   const std::int64_t chunks =
-      std::min<std::int64_t>(nt, detail::divup(range, grain));
+      std::min<std::int64_t>(region_width(), detail::divup(range, grain));
   const std::int64_t chunk_size = detail::divup(range, chunks);
   detail::run_chunked(chunks, [&](std::int64_t chunk) {
     const std::int64_t b = begin + chunk * chunk_size;
@@ -164,12 +170,13 @@ T parallel_reduce(std::int64_t begin, std::int64_t end,
   if (range <= grain) {
     return f(begin, end, ident);
   }
-  const int nt = num_threads();
-  if (nt == 1) {
-    return f(begin, end, ident);
-  }
   const std::int64_t chunks =
-      std::min<std::int64_t>(nt, detail::divup(range, grain));
+      std::min<std::int64_t>(region_width(), detail::divup(range, grain));
+  if (chunks == 1) {
+    T acc = ident;
+    detail::run_chunked(1, [&](std::int64_t) { acc = f(begin, end, ident); });
+    return acc;
+  }
   const std::int64_t chunk_size = detail::divup(range, chunks);
   std::vector<T> partial(static_cast<std::size_t>(chunks), ident);
   detail::run_chunked(chunks, [&](std::int64_t chunk) {

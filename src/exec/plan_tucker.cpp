@@ -20,6 +20,7 @@
 #include <memory>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "exec/conv_plan.h"
 #include "linalg/gemm.h"
 #include "tucker/flops.h"
@@ -111,23 +112,26 @@ class FusedTuckerPlanImpl final : public ConvPlan {
       }
 
       // Patch matrix of the band (im2col over the slab; pad_h is already
-      // folded into the slab's zero rows, pad_w is applied here).
-      for (std::int64_t row = 0; row < crs; ++row) {
-        const std::int64_t d1 = row / (core_.r * core_.s);
-        const std::int64_t r = (row / core_.s) % core_.r;
-        const std::int64_t s = row % core_.s;
-        const float* plane = z1_slab + d1 * slab_hw;
-        float* out_row = cols + row * hw_band;
-        for (std::int64_t b_h = 0; b_h < band_oh; ++b_h) {
-          const std::int64_t lh = b_h * core_.stride_h + r;
-          const float* in_row = plane + lh * w;
-          float* out = out_row + b_h * ow;
-          for (std::int64_t o_w = 0; o_w < ow; ++o_w) {
-            const std::int64_t iw = o_w * core_.stride_w - core_.pad_w + s;
-            out[o_w] = (iw >= 0 && iw < w) ? in_row[iw] : 0.0f;
+      // folded into the slab's zero rows, pad_w is applied here). Rows are
+      // independent copies, so they split across the region's width.
+      parallel_for(0, crs, 1, [&](std::int64_t row0, std::int64_t row1) {
+        for (std::int64_t row = row0; row < row1; ++row) {
+          const std::int64_t d1 = row / (core_.r * core_.s);
+          const std::int64_t r = (row / core_.s) % core_.r;
+          const std::int64_t s = row % core_.s;
+          const float* plane = z1_slab + d1 * slab_hw;
+          float* out_row = cols + row * hw_band;
+          for (std::int64_t b_h = 0; b_h < band_oh; ++b_h) {
+            const std::int64_t lh = b_h * core_.stride_h + r;
+            const float* in_row = plane + lh * w;
+            float* out = out_row + b_h * ow;
+            for (std::int64_t o_w = 0; o_w < ow; ++o_w) {
+              const std::int64_t iw = o_w * core_.stride_w - core_.pad_w + s;
+              out[o_w] = (iw >= 0 && iw < w) ? in_row[iw] : 0.0f;
+            }
           }
         }
-      }
+      });
 
       // Core stage: Z2[D2, band] = Wcore[D2, D1·R·S] · cols.
       gemm_prepacked(packed_core_, hw_band, cols, hw_band, 1, z2_band,

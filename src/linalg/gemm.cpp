@@ -121,23 +121,35 @@ void pack_b(std::int64_t kc, std::int64_t nc, const float* b,
   }
 }
 
-void scale_c(std::int64_t m, std::int64_t n, float* c, std::int64_t ldc,
+// C[rows×cols] *= beta over one rectangle of C (beta = 0 overwrites, so
+// stale NaNs never leak into the result).
+void scale_c(std::int64_t rows, std::int64_t cols, float* c, std::int64_t ldc,
              float beta) {
   if (beta == 1.0f) {
     return;
   }
-  parallel_for(0, m, 64, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t i = r0; i < r1; ++i) {
-      float* row = c + i * ldc;
-      if (beta == 0.0f) {
-        std::fill(row, row + n, 0.0f);
-      } else {
-        for (std::int64_t j = 0; j < n; ++j) {
-          row[j] *= beta;
-        }
+  for (std::int64_t i = 0; i < rows; ++i) {
+    float* row = c + i * ldc;
+    if (beta == 0.0f) {
+      std::fill(row, row + cols, 0.0f);
+    } else {
+      for (std::int64_t j = 0; j < cols; ++j) {
+        row[j] *= beta;
       }
     }
-  });
+  }
+}
+
+// Grows a thread-local pack buffer to at least `floats`. Capacity only ever
+// grows, so after first-touch warm-up the steady state performs no heap
+// allocation; the growth itself is the one allocation allowed inside a
+// guarded run.
+float* pack_buffer(std::vector<float>& buf, std::int64_t floats) {
+  if (static_cast<std::int64_t>(buf.size()) < floats) {
+    AllowAllocScope warmup;
+    buf.resize(static_cast<std::size_t>(floats));
+  }
+  return buf.data();
 }
 
 // Padded row count of the packed-A format: every MR sliver is zero-filled to
@@ -147,95 +159,163 @@ std::int64_t packed_a_rows(std::int64_t m) {
   return detail::divup(m, kMr) * kMr;
 }
 
+// Multiply-adds below which one more chunk of a GEMM region is not worth a
+// worker wake-up.
+constexpr std::int64_t kMinChunkMacs = std::int64_t{1} << 16;
+
+// Chunk grid of one GEMM region: `rows` × `cols` rectangles of C whose edges
+// sit on the MR×NR tile grid.
+struct TileSplit {
+  std::int64_t rows = 1;
+  std::int64_t cols = 1;
+};
+
+// Balanced split of C's tiles over at most `width` chunks: the grid whose
+// largest chunk holds the fewest MR×NR tiles, preferring column splits on a
+// tie (a column chunk packs only its own B slivers, while every row chunk
+// packs all of them).
+TileSplit split_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
+                      int width) {
+  const std::int64_t row_slivers = detail::divup(m, kMr);
+  const std::int64_t col_slivers = detail::divup(n, kNr);
+  const std::int64_t chunks = std::clamp<std::int64_t>(
+      m * n * std::max<std::int64_t>(k, 1) / kMinChunkMacs, 1, width);
+  TileSplit best;
+  std::int64_t best_tiles = row_slivers * col_slivers;
+  for (std::int64_t cols = std::min(chunks, col_slivers); cols >= 1; --cols) {
+    const std::int64_t rows = std::min(chunks / cols, row_slivers);
+    const std::int64_t tiles = detail::divup(row_slivers, rows) *
+                               detail::divup(col_slivers, cols);
+    if (tiles < best_tiles) {
+      best = {rows, cols};
+      best_tiles = tiles;
+    }
+  }
+  return best;
+}
+
+// Operands of one GEMM call, shared by every chunk of its region. A(i,kk) =
+// a[i·a_rs + kk·a_cs], B(kk,j) = b[kk·b_rs + j·b_cs]; when `prepacked_a` is
+// non-null it holds the pack_a output for every (pc, ic) block (the
+// PackedGemmA layout, pm padded rows) and A is never packed here.
+struct GemmArgs {
+  std::int64_t k;
+  const float* a;
+  std::int64_t a_rs, a_cs;
+  const float* b;
+  std::int64_t b_rs, b_cs;
+  float* c;
+  std::int64_t ldc;
+  float alpha, beta;
+  const float* prepacked_a;
+  std::int64_t pm;
+};
+
+// One chunk of a GEMM region: C rows [i0, i1) × columns [j0, j1), edges on
+// the MR×NR tile grid. Scales its rectangle by beta, then walks the same
+// (jc, pc, ic) blocks the whole-matrix walk would, restricted to its
+// rectangle, packing the B slivers it consumes into this thread's buffer.
+// Every C tile therefore receives the same micro-kernel calls, over the same
+// packed bytes and in the same pc order, whichever chunk owns it.
+TDC_RUN_PATH void gemm_chunk(const GemmArgs& g, std::int64_t i0,
+                             std::int64_t i1, std::int64_t j0,
+                             std::int64_t j1) {
+  scale_c(i1 - i0, j1 - j0, g.c + i0 * g.ldc + j0, g.ldc, g.beta);
+  if (g.k == 0 || g.alpha == 0.0f) {
+    return;
+  }
+  thread_local std::vector<float> bbuf;
+  thread_local std::vector<float> abuf;
+  float* const bpack = pack_buffer(
+      bbuf, kKc * std::min<std::int64_t>(
+                      detail::divup(j1 - j0, kNr) * kNr, kNc));
+  float* const apack =
+      g.prepacked_a != nullptr ? nullptr : pack_buffer(abuf, kMc * kKc);
+  DenyAllocGuard band_guard("gemm band");
+  for (std::int64_t jc = j0; jc < j1; jc += kNc) {
+    const std::int64_t nc = std::min<std::int64_t>(kNc, j1 - jc);
+    for (std::int64_t pc = 0; pc < g.k; pc += kKc) {
+      // Cooperative cancellation between KC×NC bands: this chunk's tiles
+      // hold only whole completed band updates when it throws, and the
+      // caller's next run rewrites C from scratch (beta pass), so no torn
+      // state survives.
+      deadline_poll("gemm band");
+      const std::int64_t kc = std::min<std::int64_t>(kKc, g.k - pc);
+      pack_b(kc, nc, g.b + pc * g.b_rs + jc * g.b_cs, g.b_rs, g.b_cs, bpack);
+      for (std::int64_t ic = i0; ic < i1; ic += kMc) {
+        const std::int64_t mc = std::min<std::int64_t>(kMc, i1 - ic);
+        const float* apanel;
+        if (g.prepacked_a != nullptr) {
+          apanel = g.prepacked_a + g.pm * pc + ic * kc;
+        } else {
+          pack_a(mc, kc, g.a + ic * g.a_rs + pc * g.a_cs, g.a_rs, g.a_cs,
+                 apack);
+          apanel = apack;
+        }
+        for (std::int64_t jr = 0; jr < nc; jr += kNr) {
+          const std::int64_t nr = std::min<std::int64_t>(kNr, nc - jr);
+          const float* bp = bpack + (jr / kNr) * kc * kNr;
+          for (std::int64_t ir = 0; ir < mc; ir += kMr) {
+            const std::int64_t mr = std::min<std::int64_t>(kMr, mc - ir);
+            const float* ap = apanel + (ir / kMr) * kc * kMr;
+            float* ctile = g.c + (ic + ir) * g.ldc + jc + jr;
+            if (mr == kMr && nr == kNr) {
+              micro_kernel(kc, ap, bp, g.alpha, ctile, g.ldc);
+            } else {
+              // Ragged edge: run the kernel on a zeroed MR×NR scratch tile
+              // and accumulate only the live entries.
+              float tmp[kMr * kNr] = {};
+              micro_kernel(kc, ap, bp, g.alpha, tmp, kNr);
+              for (std::int64_t i = 0; i < mr; ++i) {
+                for (std::int64_t j = 0; j < nr; ++j) {
+                  ctile[i * g.ldc + j] += tmp[i * kNr + j];
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // Shared driver: C[M,N] = alpha·op(A)·op(B) + beta·C with op folded into the
-// packing strides — A(i,kk) = a[i·a_rs + kk·a_cs], B(kk,j) = b[kk·b_rs + j·b_cs] —
-// and a C row stride for writing into a band of a larger matrix. When
-// `prepacked_a` is non-null it holds the pack_a output for every (pc, ic)
-// block (the PackedGemmA layout) and the per-panel pack is skipped.
+// packing strides and a C row stride for writing into a band of a larger
+// matrix. One parallel region per call: split_tiles cuts C into at most
+// region_width() tile-aligned rectangles and each chunk runs gemm_chunk on
+// its own, so batch-1 GEMMs with few rows still use the whole intra-op
+// width.
 TDC_RUN_PATH void gemm_packed(std::int64_t m, std::int64_t n,
                               std::int64_t k,
                  const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, std::int64_t b_cs,
                  float* cp, std::int64_t ldc, float alpha, float beta,
                  const float* prepacked_a = nullptr) {
-  scale_c(m, n, cp, ldc, beta);
-  if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) {
+  if (m == 0 || n == 0) {
     return;
   }
-
-  const std::int64_t pm = packed_a_rows(m);
-  // Thread-local pack buffer: capacity only ever grows, so after first-touch
-  // warm-up the steady state performs no heap allocation — which the armed
-  // band guard below then enforces for everything inside the block walk.
-  thread_local std::vector<float> bbuf;
-  {
-    AllowAllocScope warmup;
-    // Grow-only warm-up of the thread-local B pack buffer.
-    bbuf.resize(static_cast<std::size_t>(
-        kKc * std::min<std::int64_t>(detail::divup(n, kNr) * kNr, kNc)));
-  }
-  // bbuf is thread-local, so workers must read the caller's packed panel
-  // through this captured pointer, not through their own thread's bbuf.
-  float* const bpack = bbuf.data();
-  DenyAllocGuard band_guard("gemm band");
-  for (std::int64_t jc = 0; jc < n; jc += kNc) {
-    const std::int64_t nc = std::min<std::int64_t>(kNc, n - jc);
-    for (std::int64_t pc = 0; pc < k; pc += kKc) {
-      // Cooperative cancellation between KC×NC bands: C holds only whole
-      // completed band updates when this throws, and the caller's next run
-      // rewrites C from scratch (beta pass), so no torn state survives.
-      deadline_poll("gemm band");
-      const std::int64_t kc = std::min<std::int64_t>(kKc, k - pc);
-      pack_b(kc, nc, b + pc * b_rs + jc * b_cs, b_rs, b_cs, bpack);
-
-      // One chunk per MC panel of rows; each worker packs its own A panel
-      // (or reads the plan-time pack when one is supplied).
-      const std::int64_t num_panels = detail::divup(m, kMc);
-      parallel_for(0, num_panels, 1, [&](std::int64_t p0, std::int64_t p1) {
-        thread_local std::vector<float> abuf;
-        for (std::int64_t p = p0; p < p1; ++p) {
-          const std::int64_t ic = p * kMc;
-          const std::int64_t mc = std::min<std::int64_t>(kMc, m - ic);
-          const float* apanel;
-          if (prepacked_a != nullptr) {
-            apanel = prepacked_a + pm * pc + ic * kc;
-          } else {
-            {
-              // First-touch growth of the worker's pack buffer is the one
-              // allowed allocation inside the guarded band.
-              AllowAllocScope warmup;
-              abuf.resize(
-                  static_cast<std::size_t>(kMc * kKc));
-            }
-            pack_a(mc, kc, a + ic * a_rs + pc * a_cs, a_rs, a_cs, abuf.data());
-            apanel = abuf.data();
-          }
-          for (std::int64_t jr = 0; jr < nc; jr += kNr) {
-            const std::int64_t nr = std::min<std::int64_t>(kNr, nc - jr);
-            const float* bp = bpack + (jr / kNr) * kc * kNr;
-            for (std::int64_t ir = 0; ir < mc; ir += kMr) {
-              const std::int64_t mr = std::min<std::int64_t>(kMr, mc - ir);
-              const float* ap = apanel + (ir / kMr) * kc * kMr;
-              float* ctile = cp + (ic + ir) * ldc + jc + jr;
-              if (mr == kMr && nr == kNr) {
-                micro_kernel(kc, ap, bp, alpha, ctile, ldc);
-              } else {
-                // Ragged edge: run the kernel on a zeroed MR×NR scratch tile
-                // and accumulate only the live entries.
-                float tmp[kMr * kNr] = {};
-                micro_kernel(kc, ap, bp, alpha, tmp, kNr);
-                for (std::int64_t i = 0; i < mr; ++i) {
-                  for (std::int64_t j = 0; j < nr; ++j) {
-                    ctile[i * ldc + j] += tmp[i * kNr + j];
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
+  const GemmArgs g{.k = k,
+                   .a = a, .a_rs = a_rs, .a_cs = a_cs,
+                   .b = b, .b_rs = b_rs, .b_cs = b_cs,
+                   .c = cp, .ldc = ldc, .alpha = alpha, .beta = beta,
+                   .prepacked_a = prepacked_a, .pm = packed_a_rows(m)};
+  const TileSplit split = split_tiles(m, n, k, region_width());
+  const std::int64_t row_slivers = detail::divup(m, kMr);
+  const std::int64_t col_slivers = detail::divup(n, kNr);
+  parallel_for(0, split.rows * split.cols, 1,
+               [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t chunk = c0; chunk < c1; ++chunk) {
+      const std::int64_t r = chunk / split.cols;
+      const std::int64_t q = chunk % split.cols;
+      const std::int64_t i0 = r * row_slivers / split.rows * kMr;
+      const std::int64_t i1 =
+          std::min(m, (r + 1) * row_slivers / split.rows * kMr);
+      const std::int64_t j0 = q * col_slivers / split.cols * kNr;
+      const std::int64_t j1 =
+          std::min(n, (q + 1) * col_slivers / split.cols * kNr);
+      gemm_chunk(g, i0, i1, j0, j1);
     }
-  }
+  });
 }
 
 }  // namespace
@@ -290,7 +370,8 @@ PackedGemmA pack_gemm_a(std::int64_t m, std::int64_t k, const float* a,
   packed.panels_.resize(
       static_cast<std::size_t>(pm * k));
   // Same (pc, ic) block walk as the driver, so offsets line up exactly:
-  // the panel for K-block pc and row panel ic starts at pm·pc + ic·kc.
+  // the slivers of K-block pc from any MR-aligned row ic on start at
+  // pm·pc + ic·kc, which lets a row chunk start mid-panel.
   for (std::int64_t pc = 0; pc < k; pc += kKc) {
     const std::int64_t kc = std::min<std::int64_t>(kKc, k - pc);
     for (std::int64_t ic = 0; ic < m; ic += kMc) {
@@ -317,13 +398,12 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
   TDC_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
   TDC_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
 
-  scale_c(m, n, c.data(), n, beta);
-
   parallel_for(0, detail::divup(m, kBlockM), 1,
                [&](std::int64_t blk0, std::int64_t blk1) {
     for (std::int64_t blk = blk0; blk < blk1; ++blk) {
       const std::int64_t i0 = blk * kBlockM;
       const std::int64_t i_max = std::min(i0 + kBlockM, m);
+      scale_c(i_max - i0, n, c.data() + i0 * n, n, beta);
       for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
         const std::int64_t k_max = std::min(k0 + kBlockK, k);
         for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {

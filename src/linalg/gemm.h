@@ -6,9 +6,21 @@
 //
 // The implementation packs A into MR-row and B into NR-column panels and
 // drives a 6×16 FMA micro-kernel (AVX2 when available, an autovectorizable
-// scalar tile otherwise), parallelized over row panels through the shared
-// runtime in common/parallel.h. The transposed variants fold the transpose
-// into the packing strides — no operand copies are materialized.
+// scalar tile otherwise). The transposed variants fold the transpose into
+// the packing strides — no operand copies are materialized.
+//
+// Threading: each call opens one region of the shared runtime
+// (common/parallel.h) with at most region_width() chunks. Each chunk owns a
+// rectangle of C whose edges lie on the 6×16 tile grid: the grid is the one
+// whose largest chunk holds the fewest tiles, so C splits by columns when N
+// has at least one 16-column sliver per thread and by 6-row slivers
+// otherwise (both when neither alone fills the width). Calls with fewer
+// than ~64K multiply-adds per chunk split less. A chunk scales its
+// rectangle by beta, packs the B slivers it reads into its own thread-local
+// buffer and walks the K blocks in the serial order. Every C tile therefore
+// gets the same micro-kernel calls, on the same packed bytes, in the same
+// K order at any thread count or intra-op width: results are bitwise
+// independent of both.
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,14 @@
 // determinism of both across thread counts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/alloc_guard.h"
+#include "common/check.h"
+#include "common/deadline.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "conv/conv.h"
@@ -145,7 +150,9 @@ TEST(PackedGemm, DeterministicAcrossThreadCounts) {
   const auto serial = run(1);
   const auto threaded = run(6);
   set_num_threads(saved);
-  EXPECT_EQ(serial, threaded);  // chunking is per row panel — bitwise equal
+  // Chunks own whole MR×NR tiles and walk the K blocks in order, so every
+  // tile sees the same micro-kernel calls at any width — bitwise equal.
+  EXPECT_EQ(serial, threaded);
 }
 
 TEST(PackedGemm, PrepackedAIsBitIdenticalToPackOnTheFly) {
@@ -174,6 +181,209 @@ TEST(PackedGemm, PrepackedTransposedAMatchesGemmAt) {
   const PackedGemmA packed = pack_gemm_a(m, k, a.data(), 1, m);
   gemm_prepacked(packed, n, b.data(), n, 1, c_pre.data(), n);
   EXPECT_EQ(c_at, c_pre);
+}
+
+// ---------------------------------------------------------------------------
+// The tile split across thread counts and arena widths. gemm_packed cuts C
+// into tile-aligned rectangles by region_width(), so every (num_threads,
+// intra_op) pair below picks a different row/column split; each must be
+// bitwise equal to the one-thread result.
+
+// Sets the thread count and arena split per case; restores the thread count
+// and the env/default arena resolution after.
+class GemmSplitTest : public ::testing::Test {
+ protected:
+  void SetUp() override { saved_threads_ = num_threads(); }
+  void TearDown() override {
+    set_num_threads(saved_threads_);
+    set_arena_config(ArenaConfig{});
+  }
+  static void configure(int threads, int intra_op) {
+    set_num_threads(threads);
+    set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = intra_op});
+  }
+  int saved_threads_ = 1;
+};
+
+// One operand layout of the split matrix. Every variant writes through
+// gemm_strided or gemm_prepacked with ldc >= n.
+enum class GemmLayout {
+  kPlain,       // row-major A, B; ldc = n; beta = 0
+  kPrepackedA,  // plan-time packed A; ldc = n + 5; beta = 1
+  kTransposed,  // A stored [K, M], B stored [N, K]; ldc = n + 3; beta = 0.5
+};
+
+struct SplitCase {
+  std::int64_t m, n, k;
+  GemmLayout layout;
+};
+
+struct SplitOperands {
+  SplitOperands(const SplitCase& sc, Rng& rng)
+      : sc(sc),
+        ldc(sc.layout == GemmLayout::kPlain
+                ? sc.n
+                : sc.n + (sc.layout == GemmLayout::kPrepackedA ? 5 : 3)),
+        beta(sc.layout == GemmLayout::kPlain
+                 ? 0.0f
+                 : (sc.layout == GemmLayout::kPrepackedA ? 1.0f : 0.5f)),
+        a(random_vec(static_cast<std::size_t>(sc.m * sc.k), rng)),
+        b(random_vec(static_cast<std::size_t>(sc.k * sc.n), rng)),
+        c0(random_vec(static_cast<std::size_t>(sc.m * ldc), rng)) {
+    if (sc.layout == GemmLayout::kPrepackedA) {
+      packed = pack_gemm_a(sc.m, sc.k, a.data(), sc.k, 1);
+    }
+  }
+
+  bool transposed() const { return sc.layout == GemmLayout::kTransposed; }
+
+  // C = alpha·A·B + beta·C0 through the layout's entry point.
+  std::vector<float> run(float alpha) const {
+    std::vector<float> c = c0;
+    if (sc.layout == GemmLayout::kPrepackedA) {
+      gemm_prepacked(packed, sc.n, b.data(), sc.n, 1, c.data(), ldc, alpha,
+                     beta);
+    } else if (transposed()) {
+      gemm_strided(sc.m, sc.n, sc.k, a.data(), 1, sc.m, b.data(), 1, sc.k,
+                   c.data(), ldc, alpha, beta);
+    } else {
+      gemm_strided(sc.m, sc.n, sc.k, a.data(), sc.k, 1, b.data(), sc.n, 1,
+                   c.data(), ldc, alpha, beta);
+    }
+    return c;
+  }
+
+  // Largest deviation from the naive oracle over the live [m, n] window;
+  // the ldc padding columns must keep their initial values exactly.
+  double oracle_error(const std::vector<float>& c, float alpha) const {
+    std::vector<float> expected(static_cast<std::size_t>(sc.m * sc.n));
+    for (std::int64_t i = 0; i < sc.m; ++i) {
+      for (std::int64_t j = 0; j < sc.n; ++j) {
+        expected[static_cast<std::size_t>(i * sc.n + j)] =
+            c0[static_cast<std::size_t>(i * ldc + j)];
+      }
+    }
+    gemm_naive(sc.m, sc.n, sc.k, a, transposed(), b, transposed(), &expected,
+               alpha, beta);
+    double err = 0.0;
+    for (std::int64_t i = 0; i < sc.m; ++i) {
+      for (std::int64_t j = 0; j < ldc; ++j) {
+        const auto at = static_cast<std::size_t>(i * ldc + j);
+        if (j >= sc.n) {
+          if (c[at] != c0[at]) {
+            return std::numeric_limits<double>::infinity();
+          }
+          continue;
+        }
+        err = std::max(
+            err, static_cast<double>(std::abs(
+                     c[at] - expected[static_cast<std::size_t>(i * sc.n + j)])));
+      }
+    }
+    return err;
+  }
+
+  SplitCase sc;
+  std::int64_t ldc;
+  float beta;
+  std::vector<float> a, b, c0;
+  PackedGemmA packed;
+};
+
+// The batch-1 shapes of the engine: row counts from one MR sliver to
+// several MC panels, column counts from one ragged NR sliver to a full
+// 56×56 plane. K crosses the KC = 256 block edge where the product stays
+// small enough for a quick suite.
+std::vector<SplitCase> split_cases() {
+  std::vector<SplitCase> cases;
+  const std::int64_t ms[] = {1, 6, 32, 64, 128, 130, 512};
+  const std::int64_t ns[] = {1, 15, 16, 17, 49, 896, 3136};
+  const GemmLayout layouts[] = {GemmLayout::kPlain, GemmLayout::kPrepackedA,
+                                GemmLayout::kTransposed};
+  std::size_t i = 0;
+  for (const std::int64_t m : ms) {
+    for (const std::int64_t n : ns) {
+      const std::int64_t k = m * n <= 64 * 896 ? 260 : 24;
+      cases.push_back({m, n, k, layouts[i++ % 3]});
+    }
+  }
+  return cases;
+}
+
+TEST_F(GemmSplitTest, BitwiseAcrossThreadsAndArenaWidths) {
+  Rng rng(9100);
+  constexpr float kAlpha = 0.75f;
+  for (const SplitCase& sc : split_cases()) {
+    const SplitOperands ops(sc, rng);
+    configure(1, 1);
+    const std::vector<float> serial = ops.run(kAlpha);
+    ASSERT_LT(ops.oracle_error(serial, kAlpha), 1e-3)
+        << "m=" << sc.m << " n=" << sc.n << " k=" << sc.k;
+    for (const int threads : {1, 2, 3, 4}) {
+      for (const int intra_op : {1, 2, 0}) {
+        configure(threads, intra_op);
+        EXPECT_EQ(ops.run(kAlpha), serial)
+            << "m=" << sc.m << " n=" << sc.n << " k=" << sc.k
+            << " layout=" << static_cast<int>(sc.layout)
+            << " threads=" << threads << " intra_op=" << intra_op;
+      }
+    }
+  }
+}
+
+TEST_F(GemmSplitTest, WarmSplitCallAllocatesNothing) {
+  const bool saved_guard = alloc_guard_enabled();
+  configure(4, 0);
+  Rng rng(9200);
+  const SplitOperands plain({64, 896, 300, GemmLayout::kPlain}, rng);
+  const SplitOperands packed({130, 3136, 40, GemmLayout::kPrepackedA}, rng);
+  std::vector<float> c_plain = plain.c0;
+  std::vector<float> c_packed = packed.c0;
+  const auto run_both = [&] {
+    gemm_strided(64, 896, 300, plain.a.data(), 300, 1, plain.b.data(), 896, 1,
+                 c_plain.data(), plain.ldc);
+    gemm_prepacked(packed.packed, 3136, packed.b.data(), 3136, 1,
+                   c_packed.data(), packed.ldc, 1.0f, packed.beta);
+  };
+  // Warm every pool worker's pack buffers: which worker serves which chunk
+  // is not fixed, so a few rounds let each one grow to its steady state.
+  for (int round = 0; round < 8; ++round) {
+    run_both();
+  }
+  set_alloc_guard(true);
+  const std::int64_t violations = alloc_guard_violations();
+  {
+    DenyAllocGuard guard("gemm split test");
+    EXPECT_NO_THROW(run_both());
+  }
+  EXPECT_EQ(alloc_guard_violations(), violations);
+  set_alloc_guard(saved_guard);
+}
+
+TEST_F(GemmSplitTest, DeadlineInsideSplitGemmThrowsOnCaller) {
+  configure(4, 0);
+  Rng rng(9300);
+  // Deep enough to take well over the budget at any width, wide enough
+  // that the region splits four ways.
+  const std::int64_t m = 128, n = 3136, k = 1024;
+  const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
+  const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  bool expired = false;
+  try {
+    DeadlineScope scope(Deadline::after(0.001));
+    gemm(m, n, k, a, b, c);
+  } catch (const Error& e) {
+    expired = e.code() == ErrorCode::kDeadlineExceeded;
+  }
+  EXPECT_TRUE(expired);
+  // The runtime stays usable and the next call rewrites C from scratch.
+  std::vector<float> again(c.size());
+  gemm(m, n, k, a, b, again);
+  configure(1, 1);
+  std::vector<float> serial(c.size());
+  gemm(m, n, k, a, b, serial);
+  EXPECT_EQ(again, serial);
 }
 
 TEST(Transpose2d, BlockedTransposeIsExact) {

@@ -553,8 +553,9 @@ TEST_F(FaultTest, ConcurrentTopLevelCallerIsCountedAsSerialFallback) {
   set_num_threads(4);
   // Concurrent top-level callers are normally admitted as separate arena
   // regions now; pinning inter_op = 1 recreates the exhausted-arena case so
-  // the counted degradation path stays deterministic to exercise.
-  set_arena_config(ArenaConfig{.inter_op = 1, .intra_op = 0});
+  // the counted degradation path stays deterministic to exercise. Width 4
+  // is explicit: a width-1 region runs inline and never takes a slot.
+  set_arena_config(ArenaConfig{.inter_op = 1, .intra_op = 4});
   // Prime the pool so its creation races nothing below.
   parallel_for(0, 8, 1, [](std::int64_t, std::int64_t) {});
   const ParallelStats before = parallel_stats();

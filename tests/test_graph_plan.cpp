@@ -337,6 +337,63 @@ TEST(InferenceSession, BatchedRunMatchesPerImageAcrossThreadCounts) {
   set_num_threads(saved);
 }
 
+TEST(InferenceSession, OutputsBitwiseAcrossThreadsAndArenaWidths) {
+  // The GEMM's tile split and the fused band's patch build both follow the
+  // region width; none of them may change a served output. ResNet-20's
+  // 32×32 planes give every GEMM enough columns to split.
+  const int saved_threads = num_threads();
+  const ModelSpec model = make_resnet20_cifar();
+  const auto weights = random_model_weights(model, 815);
+  std::vector<LayerDecision> half_ranks;
+  for (const ConvShape& shape : model.decomposable_conv_shapes()) {
+    LayerDecision d;
+    d.shape = shape;
+    d.decomposed = true;
+    d.ranks = {std::max<std::int64_t>(shape.c / 2, 1),
+               std::max<std::int64_t>(shape.n / 2, 1)};
+    half_ranks.push_back(d);
+  }
+  struct Variant {
+    const char* label;
+    TuckerExec exec;
+    bool tucker;
+  };
+  const Variant variants[] = {{"fused", TuckerExec::kFused, true},
+                              {"staged", TuckerExec::kStaged, true},
+                              {"dense", TuckerExec::kFused, false}};
+  Rng rng(816);
+  const Tensor x = Tensor::random_uniform({3, 32, 32}, rng);
+  for (const Variant& v : variants) {
+    SessionOptions options;
+    options.dense_algo = ConvAlgo::kIm2col;
+    options.tucker_core_algo = ConvAlgo::kIm2col;
+    options.tucker_exec = v.exec;
+    const InferenceSession session = InferenceSession::compile(
+        make_a100(), model, weights,
+        v.tucker ? half_ranks : std::vector<LayerDecision>{}, options);
+    std::vector<float> ws(
+        static_cast<std::size_t>(session.workspace_bytes() / sizeof(float)));
+    const OpShape& out = session.output_shape();
+    set_num_threads(1);
+    set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = 1});
+    Tensor expected({out.c, out.h, out.w});
+    session.run(x, &expected, ws);
+    ASSERT_TRUE(all_finite(expected)) << v.label;
+    for (const int threads : {1, 2, 4}) {
+      for (const int intra_op : {1, 2}) {
+        set_num_threads(threads);
+        set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = intra_op});
+        Tensor y({out.c, out.h, out.w});
+        session.run(x, &y, ws);
+        EXPECT_EQ(Tensor::max_abs_diff(y, expected), 0.0)
+            << v.label << " threads=" << threads << " intra_op=" << intra_op;
+      }
+    }
+  }
+  set_num_threads(saved_threads);
+  set_arena_config(ArenaConfig{});  // back to the env/default resolution
+}
+
 TEST(InferenceSession, CachedRecompileSharesPlansAndStaysBitIdentical) {
   const ModelSpec model = make_resnet20_cifar();
   const auto weights = random_model_weights(model, 809);

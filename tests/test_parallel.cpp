@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -7,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "common/parallel.h"
 
 namespace tdc {
@@ -155,10 +157,15 @@ TEST_F(ParallelTest, ConcurrentTopLevelCallersStayCorrect) {
 }
 
 TEST_F(ParallelTest, ArenaConfigResolvesDefaults) {
+  // A default field resolves from the environment first (the threaded CI
+  // step sets TDC_INTRA_OP), then from the built-in default.
+  const auto env_inter = env_int("TDC_INTER_OP", 1, kMaxArenas);
+  const auto env_intra = env_int("TDC_INTRA_OP", 1, 4096);
   set_arena_config(ArenaConfig{});  // both fields default
   const ArenaConfig cfg = arena_config();
-  EXPECT_EQ(cfg.inter_op, kMaxArenas);
-  EXPECT_EQ(cfg.intra_op, num_threads());  // 0 tracks the thread count
+  EXPECT_EQ(cfg.inter_op, env_inter.value_or(kMaxArenas));
+  // intra_op 0 tracks the thread count unless TDC_INTRA_OP is set.
+  EXPECT_EQ(cfg.intra_op, env_intra.value_or(num_threads()));
 
   set_arena_config(ArenaConfig{.inter_op = 3, .intra_op = 2});
   EXPECT_EQ(arena_config().inter_op, 3);
@@ -166,7 +173,7 @@ TEST_F(ParallelTest, ArenaConfigResolvesDefaults) {
 
   set_arena_config(ArenaConfig{.inter_op = 100, .intra_op = 0});
   EXPECT_EQ(arena_config().inter_op, kMaxArenas);  // clamped to the slots
-  EXPECT_EQ(arena_config().intra_op, num_threads());
+  EXPECT_EQ(arena_config().intra_op, env_intra.value_or(num_threads()));
 }
 
 TEST_F(ParallelTest, ConcurrentCallersWithinInterOpNeverFallBack) {
@@ -213,7 +220,8 @@ TEST_F(ParallelTest, InterOpOneForcesCountedFallback) {
   // With the arena bound dropped to one region, a second concurrent caller
   // must degrade to inline execution — correct results, counted fallback.
   set_num_threads(4);
-  set_arena_config(ArenaConfig{.inter_op = 1, .intra_op = 0});
+  // Width 4 is explicit: a width-1 region runs inline and never takes a slot.
+  set_arena_config(ArenaConfig{.inter_op = 1, .intra_op = 4});
   constexpr std::int64_t kN = 500'000;
   const std::int64_t fallbacks_before = parallel_stats().serial_fallbacks;
 
@@ -245,6 +253,7 @@ TEST_F(ParallelTest, InterOpOneForcesCountedFallback) {
 
 TEST_F(ParallelTest, StatsCountRegions) {
   set_num_threads(4);
+  set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = 4});
   const ParallelStats before = parallel_stats();
   parallel_for(0, 10'000, 1, [](std::int64_t, std::int64_t) {});
   const ParallelStats after = parallel_stats();
@@ -252,6 +261,51 @@ TEST_F(ParallelTest, StatsCountRegions) {
   // A solo region is not a fallback, and the high-water mark is at least 1.
   EXPECT_EQ(after.serial_fallbacks, before.serial_fallbacks);
   EXPECT_GE(after.peak_concurrent_regions, 1);
+}
+
+TEST_F(ParallelTest, WidthOneRegionsRunInlineNotOnThePool) {
+  // At intra_op = 1 no worker may assist, so a region is one chunk run on
+  // the caller: counted inline, never a pool region or a fallback.
+  set_num_threads(4);
+  set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = 1});
+  EXPECT_EQ(region_width(), 1);
+  const ParallelStats before = parallel_stats();
+  int calls = 0;  // safe only because the range must stay on one thread
+  parallel_for(0, 10'000, 1, [&](std::int64_t b, std::int64_t e) {
+    ++calls;
+    EXPECT_TRUE(in_parallel_region());
+    EXPECT_EQ(b, 0);
+    EXPECT_EQ(e, 10'000);
+  });
+  const std::int64_t sum = parallel_reduce(
+      0, 100, 1, std::int64_t{0},
+      [](std::int64_t b, std::int64_t e, std::int64_t acc) {
+        return acc + (e - b);
+      },
+      [](std::int64_t x, std::int64_t y) { return x + y; });
+  const ParallelStats after = parallel_stats();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(sum, 100);
+  EXPECT_EQ(after.pool_regions, before.pool_regions);
+  EXPECT_EQ(after.inline_regions, before.inline_regions + 2);
+  EXPECT_EQ(after.serial_fallbacks, before.serial_fallbacks);
+}
+
+TEST_F(ParallelTest, ChunksFollowTheEffectiveWidth) {
+  // Chunks are cut for the threads that will serve the region:
+  // min(num_threads(), intra_op), and 1 inside a region.
+  set_num_threads(4);
+  for (const int intra_op : {1, 2, 3, 4, 8}) {
+    set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = intra_op});
+    const int width = std::min(4, intra_op);
+    EXPECT_EQ(region_width(), width);
+    std::atomic<int> chunks{0};
+    parallel_for(0, 1'000, 1, [&](std::int64_t, std::int64_t) {
+      EXPECT_EQ(region_width(), 1);
+      chunks.fetch_add(1);
+    });
+    EXPECT_EQ(chunks.load(), width) << "intra_op=" << intra_op;
+  }
 }
 
 // A deliberately foreign exception type: the pool must rethrow anything the
