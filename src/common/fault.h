@@ -26,6 +26,7 @@
 // Failure points currently wired (see tests/test_fault_injection.cpp):
 //   exec.compile_alloc   plan/session compilation throws std::bad_alloc
 //   tucker.decompose_alloc a Tucker decomposition throws std::bad_alloc
+//   quantize.calibrate_alloc a calibration sample job throws std::bad_alloc
 //   exec.run_alloc       convenience-workspace allocation throws bad_alloc
 //   exec.op_nan          an op-plan output is NaN-poisoned after the run
 //   exec.op_delay        an op boundary sleeps `param` ms (deadline tests)

@@ -187,6 +187,11 @@ class ThreadPool {
         if (!error) {
           error = std::current_exception();
         }
+        // No chunk starts after a throw: close the cursor and count the
+        // chunks nobody will take as done, so the join still completes.
+        const std::int64_t handed_out =
+            r.next_chunk.exchange(r.total_chunks, std::memory_order_relaxed);
+        executed += std::max<std::int64_t>(r.total_chunks - handed_out, 0);
       }
       t_in_parallel = false;
       ++executed;
@@ -335,6 +340,76 @@ void run_inline(std::int64_t num_chunks, FunctionRef<void(std::int64_t)> fn) {
   t_in_parallel = false;
 }
 
+// Runs a top-level region of num_chunks >= 2 chunks on the pool with up to
+// `max_assists` assisting workers; a single-threaded runtime or a refused
+// admission (every arena slot taken) runs it inline instead.
+void run_region(std::int64_t num_chunks, int max_assists,
+                FunctionRef<void(std::int64_t)> fn) {
+  // Arena admission: g_pool_mutex guards lazy pool construction and the
+  // shared-ownership pin; it is released before the pool handoff. A caller
+  // the arenas cannot admit (every slot taken) runs inline on its own
+  // thread — correct, but serial, so it is counted.
+  TDC_ANALYZE_ALLOW(run-path-lock);
+  std::shared_ptr<ThreadPool> pool;
+  {
+    std::unique_lock<std::mutex> lock(g_pool_mutex);
+    const int nt = resolve_num_threads_locked();
+    if (nt > 1 && !g_pool) {
+      // One-time pool construction may be triggered by the first guarded
+      // run; infrastructure warm-up is the sanctioned allocation.
+      AllowAllocScope warmup;
+      g_pool = std::make_shared<ThreadPool>(nt - 1);
+    }
+    pool = g_pool;  // pin: survives a concurrent set_num_threads
+  }
+  if (pool == nullptr) {
+    g_inline_regions.fetch_add(1, std::memory_order_relaxed);
+    run_inline(num_chunks, fn);
+    return;
+  }
+  const int max_regions = resolve_inter_op();
+  // The caller's armed deadline and armed alloc guard (if any) ride into the
+  // pool workers, so cancellation polls and allocation denial inside worker
+  // chunks (GEMM bands of a batched run) observe them. The wrapper is a
+  // stack lambda behind a FunctionRef — no heap allocation either way — and
+  // exists only on deadlined/guarded regions.
+  const Deadline* dl = detail::active_deadline();
+  const bool guarded = detail::t_alloc_guard.depth > 0 &&
+                       detail::t_alloc_guard.bypass == 0;
+  if (dl == nullptr && !guarded) {
+    if (!pool->run(num_chunks, max_regions, max_assists, fn)) {
+      note_serial_fallback();
+      run_inline(num_chunks, fn);
+    }
+    return;
+  }
+  const char* guard_site = guarded ? detail::t_alloc_guard.site : nullptr;
+  const auto propagated = [dl, guarded, guard_site,
+                           fn](std::int64_t chunk) {
+    const Deadline* prev =
+        dl != nullptr ? detail::exchange_active_deadline(dl) : nullptr;
+    struct Restore {
+      const Deadline* dl;
+      const Deadline* prev;
+      ~Restore() {
+        if (dl != nullptr) {
+          detail::exchange_active_deadline(prev);
+        }
+      }
+    } restore{dl, prev};
+    if (guarded) {
+      DenyAllocGuard guard(guard_site);
+      fn(chunk);
+    } else {
+      fn(chunk);
+    }
+  };
+  if (!pool->run(num_chunks, max_regions, max_assists, propagated)) {
+    note_serial_fallback();
+    run_inline(num_chunks, fn);  // deadline/guard are already armed here
+  }
+}
+
 }  // namespace
 
 int num_threads() {
@@ -398,6 +473,32 @@ int region_width() {
   return std::min(num_threads(), resolve_intra_op());
 }
 
+int job_width() {
+  if (t_in_parallel) {
+    return 1;
+  }
+  return std::min(num_threads(), resolve_inter_op() * resolve_intra_op());
+}
+
+void parallel_jobs(std::int64_t n, FunctionRef<void(std::int64_t)> fn) {
+  if (n <= 0) {
+    return;
+  }
+  if (t_in_parallel) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      fn(j);
+    }
+    return;
+  }
+  const int width = job_width();
+  if (width == 1 || n == 1) {
+    g_inline_regions.fetch_add(1, std::memory_order_relaxed);
+    run_inline(n, fn);
+    return;
+  }
+  run_region(n, width - 1, fn);
+}
+
 ParallelStats parallel_stats() {
   ParallelStats s;
   s.pool_regions = g_pool_regions.load(std::memory_order_relaxed);
@@ -412,11 +513,6 @@ namespace detail {
 
 TDC_RUN_PATH void run_chunked(std::int64_t num_chunks,
                               FunctionRef<void(std::int64_t)> fn) {
-  // Arena admission: g_pool_mutex guards lazy pool construction and the
-  // shared-ownership pin; it is released before the pool handoff. A caller
-  // the arenas cannot admit (every slot taken) runs inline on its own
-  // thread — correct, but serial, so it is counted.
-  TDC_ANALYZE_ALLOW(run-path-lock);
   if (num_chunks <= 0) {
     return;
   }
@@ -425,64 +521,7 @@ TDC_RUN_PATH void run_chunked(std::int64_t num_chunks,
     run_inline(num_chunks, fn);
     return;
   }
-  std::shared_ptr<ThreadPool> pool;
-  {
-    std::unique_lock<std::mutex> lock(g_pool_mutex);
-    const int nt = resolve_num_threads_locked();
-    if (nt > 1 && !g_pool) {
-      // One-time pool construction may be triggered by the first guarded
-      // run; infrastructure warm-up is the sanctioned allocation.
-      AllowAllocScope warmup;
-      g_pool = std::make_shared<ThreadPool>(nt - 1);
-    }
-    pool = g_pool;  // pin: survives a concurrent set_num_threads
-  }
-  if (pool == nullptr) {
-    g_inline_regions.fetch_add(1, std::memory_order_relaxed);
-    run_inline(num_chunks, fn);
-    return;
-  }
-  const int max_regions = resolve_inter_op();
-  const int max_assists = resolve_intra_op() - 1;
-  // The caller's armed deadline and armed alloc guard (if any) ride into the
-  // pool workers, so cancellation polls and allocation denial inside worker
-  // chunks (GEMM bands of a batched run) observe them. The wrapper is a
-  // stack lambda behind a FunctionRef — no heap allocation either way — and
-  // exists only on deadlined/guarded regions.
-  const Deadline* dl = detail::active_deadline();
-  const bool guarded = t_alloc_guard.depth > 0 && t_alloc_guard.bypass == 0;
-  if (dl == nullptr && !guarded) {
-    if (!pool->run(num_chunks, max_regions, max_assists, fn)) {
-      note_serial_fallback();
-      run_inline(num_chunks, fn);
-    }
-    return;
-  }
-  const char* guard_site = guarded ? t_alloc_guard.site : nullptr;
-  const auto propagated = [dl, guarded, guard_site,
-                           fn](std::int64_t chunk) {
-    const Deadline* prev =
-        dl != nullptr ? exchange_active_deadline(dl) : nullptr;
-    struct Restore {
-      const Deadline* dl;
-      const Deadline* prev;
-      ~Restore() {
-        if (dl != nullptr) {
-          exchange_active_deadline(prev);
-        }
-      }
-    } restore{dl, prev};
-    if (guarded) {
-      DenyAllocGuard guard(guard_site);
-      fn(chunk);
-    } else {
-      fn(chunk);
-    }
-  };
-  if (!pool->run(num_chunks, max_regions, max_assists, propagated)) {
-    note_serial_fallback();
-    run_inline(num_chunks, fn);  // deadline/guard are already armed here
-  }
+  run_region(num_chunks, resolve_intra_op() - 1, fn);
 }
 
 }  // namespace detail

@@ -23,7 +23,17 @@
 // chunk by chunk. Only when every arena slot is taken does an extra
 // caller degrade to inline serial execution (counted in parallel_stats()).
 // Exceptions thrown by the body are captured and rethrown on the calling
-// thread.
+// thread; once a chunk has thrown, no further chunk of its region starts.
+//
+// Regions versus jobs. A region (parallel_for, parallel_reduce) splits one
+// loop into at most region_width() static chunks: the threads one caller is
+// granted. A job region (parallel_jobs) runs n independent, whole units of
+// work — one Tucker decomposition, one calibration sample — each serially,
+// handed out one at a time from the region's chunk cursor to up to
+// job_width() = min(num_threads(), inter_op × intra_op) threads: the
+// capacity the arena config grants to inter_op concurrent callers. A
+// deployment that serves at width 1 (one replica per core) thereby still
+// builds on every core, without touching the process-wide arena config.
 #pragma once
 
 #include <algorithm>
@@ -99,6 +109,25 @@ ParallelStats parallel_stats();
 /// touching the pool (counted as an inline region). Callers that partition
 /// work themselves (the GEMM's tile split) size their chunks with it too.
 int region_width();
+
+/// Threads that would serve a job region opened here (parallel_jobs): 1
+/// inside a parallel region, else min(num_threads(), arena_config().inter_op
+/// × arena_config().intra_op). At the defaults (intra_op tracking the thread
+/// count) this equals region_width(); it exceeds it when intra_op is set
+/// below the thread count, e.g. a fleet of width-1 replicas.
+int job_width();
+
+/// Runs fn(j) exactly once for each j in [0, n) and blocks until all have
+/// finished. Jobs go out in index order (put the longest first) to at most
+/// job_width() threads, the caller included, so a descheduled thread simply
+/// takes fewer jobs. Every job runs serially: parallel loops inside it run
+/// inline, so a job's result never depends on the width. With one job, at
+/// width 1 or inside a region the jobs run inline on the caller, in order.
+/// When a job throws, no further job starts; the first exception is
+/// rethrown on the caller once the jobs in flight have finished. The
+/// caller's deadline and armed DenyAllocGuard ride into the jobs as they do
+/// into parallel_for chunks. Opening the region performs no allocation.
+void parallel_jobs(std::int64_t n, FunctionRef<void(std::int64_t)> fn);
 
 /// Default minimum iterations per chunk before a loop is worth splitting.
 inline constexpr std::int64_t kDefaultGrainSize = 1;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <utility>
 
 #include "common/check.h"
 #include "common/env.h"
+#include "common/fault.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "exec/plan_cache.h"
@@ -127,19 +129,62 @@ void MinMaxObserver::observe(const float* x, std::int64_t count) {
   }
 }
 
+void MinMaxObserver::merge(const MinMaxObserver& other) {
+  if (!other.seen_) {
+    return;
+  }
+  if (!seen_) {
+    *this = other;
+    return;
+  }
+  // Both keep the first of equal extremes, so for NaN-free values the
+  // merge is bitwise the serial result, signed zeros included.
+  lo_ = std::min(lo_, other.lo_);
+  hi_ = std::max(hi_, other.hi_);
+}
+
 PercentileObserver::PercentileObserver(double pct, std::int64_t cap)
     : pct_(pct), cap_(cap) {
   TDC_CHECK(pct > 0.5 && pct <= 1.0 && cap >= 16);
   vals_.reserve(static_cast<std::size_t>(cap));
 }
 
+namespace {
+
+// ~4k values per observation.
+std::int64_t base_stride(std::int64_t count) {
+  return std::max<std::int64_t>(std::int64_t{1}, count / 4096);
+}
+
+}  // namespace
+
 void PercentileObserver::observe(const float* x, std::int64_t count) {
-  // Deterministic stride subsample: ~4k values per observation, thinned by
-  // powers of two whenever the buffer would outgrow its cap. No RNG — two
-  // identical calibration runs observe identical samples.
-  const std::int64_t stride =
-      std::max<std::int64_t>(std::int64_t{1}, count / 4096) * stride_;
-  for (std::int64_t i = 0; i < count; i += stride) {
+  take(x, count, base_stride(count) * stride_);
+}
+
+std::vector<float> PercentileObserver::subsample(const float* x,
+                                                 std::int64_t count) {
+  std::vector<float> sub;
+  const std::int64_t step = base_stride(count);
+  sub.reserve(static_cast<std::size_t>((count + step - 1) / step));
+  for (std::int64_t i = 0; i < count; i += step) {
+    sub.push_back(x[i]);
+  }
+  return sub;
+}
+
+void PercentileObserver::replay(const std::vector<float>& sub) {
+  // sub[k] is x[k·b], so every stride_-th entry is every (b·stride_)-th
+  // original value: the picks of observe(x, count).
+  take(sub.data(), static_cast<std::int64_t>(sub.size()), stride_);
+}
+
+void PercentileObserver::take(const float* x, std::int64_t count,
+                              std::int64_t step) {
+  // Deterministic stride subsample, thinned by powers of two whenever the
+  // buffer would outgrow its cap. No RNG — two identical calibration runs
+  // observe identical samples.
+  for (std::int64_t i = 0; i < count; i += step) {
     vals_.push_back(x[i]);
   }
   while (static_cast<std::int64_t>(vals_.size()) > cap_) {
@@ -191,15 +236,32 @@ std::int64_t calibration_samples_default() {
 
 namespace {
 
-/// Method-dispatching range observer.
-struct RangeObserver {
-  explicit RangeObserver(const CalibrationOptions& options)
-      : method(options.method), pct(options.percentile) {}
-  void observe(const float* x, std::int64_t count) {
+/// What one sample contributes to one observed tensor: its min/max
+/// (kMinMax) or its base-stride subsample (kPercentile). Sample jobs record
+/// concurrently, each into its own.
+struct SampleRange {
+  void record(CalibMethod method, const float* x, std::int64_t count) {
     if (method == CalibMethod::kMinMax) {
       mm.observe(x, count);
     } else {
-      pct.observe(x, count);
+      sub = PercentileObserver::subsample(x, count);
+    }
+  }
+  MinMaxObserver mm;
+  std::vector<float> sub;
+};
+
+/// Method-dispatching range observer. The caller merges the samples'
+/// records in sample order, which leaves it exactly as observing every
+/// sample in turn.
+struct RangeObserver {
+  explicit RangeObserver(const CalibrationOptions& options)
+      : method(options.method), pct(options.percentile) {}
+  void merge(const SampleRange& s) {
+    if (method == CalibMethod::kMinMax) {
+      mm.merge(s.mm);
+    } else {
+      pct.replay(s.sub);
     }
   }
   QuantParams params() const {
@@ -219,12 +281,90 @@ struct TuckerRef {
   std::unique_ptr<ConvPlan> core_plan;
 };
 
-}  // namespace
+// Observation slots of op i: its input, and the Z1/Z2 of a decomposed conv.
+constexpr std::size_t kSlotsPerOp = 3;
 
-QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
-                           const std::vector<LayerWeights>& weights,
-                           const std::vector<LayerDecision>& decisions,
-                           const CalibrationOptions& options) {
+/// The read-only state every sample job shares.
+struct Reference {
+  const ModelSpec& model;
+  const InferenceSession& session;
+  const std::vector<TuckerRef>& tucker;
+  CalibMethod method;
+  std::vector<std::int64_t> last_use;  // last consuming op (-1: none)
+  std::int64_t ws_floats = 0;          // largest op or core-plan workspace
+  std::int64_t z_floats = 1;           // largest Z1 + Z2
+};
+
+/// One sample's forward through the reference: records every observation
+/// into `rec` (kSlotsPerOp per op). Owns its workspace, Z and activation
+/// buffers; an activation is freed after its last consumer has run.
+void run_sample(const Reference& ref, const Tensor& x,
+                std::vector<SampleRange>& rec) {
+  if (fault_injected("quantize.calibrate_alloc")) {
+    throw std::bad_alloc();  // a sample's buffers could not be allocated
+  }
+  std::vector<float> workspace(static_cast<std::size_t>(ref.ws_floats));
+  std::vector<float> z_buf(static_cast<std::size_t>(ref.z_floats));
+  const std::int64_t n_ops = ref.session.num_ops();
+  std::vector<std::vector<float>> act(static_cast<std::size_t>(n_ops));
+  const auto produced = [&](std::int64_t j) {
+    return j == InferenceSession::kModelInput
+               ? x.raw()
+               : act[static_cast<std::size_t>(j)].data();
+  };
+  std::vector<const float*> inputs;
+  for (std::int64_t i = 0; i < n_ops; ++i) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    const std::span<const std::int64_t> edges = ref.session.op_inputs(i);
+    // The graph walk gathers producer pointers like run_graph does, but
+    // from the job's private buffers.
+    inputs.clear();
+    for (const std::int64_t j : edges) {
+      inputs.push_back(produced(j));
+    }
+    if (ref.model.layers[ui].kind == LayerKind::kConv) {
+      const ConvShape& cs = ref.model.layers[ui].conv;
+      const std::size_t slot = ui * kSlotsPerOp;
+      rec[slot].record(ref.method, inputs[0], cs.c * cs.h * cs.w);
+      const TuckerRef& tr = ref.tucker[ui];
+      if (tr.core_plan != nullptr) {
+        const TuckerRanks ranks = tr.factors->ranks();
+        const std::int64_t hw = cs.h * cs.w;
+        const std::int64_t ohw = cs.out_h() * cs.out_w();
+        float* z1 = z_buf.data();
+        float* z2 = z1 + ranks.d1 * hw;
+        // Z1 = U1ᵀ · X (u1 is stored [C, D1]).
+        gemm_at(ranks.d1, hw, cs.c,
+                std::span<const float>(tr.factors->u1.raw(),
+                                       static_cast<std::size_t>(cs.c *
+                                                                ranks.d1)),
+                std::span<const float>(inputs[0],
+                                       static_cast<std::size_t>(cs.c * hw)),
+                std::span<float>(z1, static_cast<std::size_t>(ranks.d1 * hw)));
+        rec[slot + 1].record(ref.method, z1, ranks.d1 * hw);
+        tr.core_plan->run_unchecked(z1, z2, workspace);
+        rec[slot + 2].record(ref.method, z2, ranks.d2 * ohw);
+      }
+    }
+    act[ui].resize(static_cast<std::size_t>(
+        ref.session.op(i).output_shape().floats()));
+    ref.session.op(i).run_inputs(inputs, act[ui].data(), workspace);
+    for (const std::int64_t j : edges) {
+      if (j != InferenceSession::kModelInput &&
+          ref.last_use[static_cast<std::size_t>(j)] == i) {
+        std::vector<float>().swap(act[static_cast<std::size_t>(j)]);
+      }
+    }
+    if (ref.last_use[ui] < 0) {
+      std::vector<float>().swap(act[ui]);
+    }
+  }
+}
+
+QuantTable calibrate_impl(const DeviceSpec& device, const ModelSpec& model,
+                          const std::vector<LayerWeights>& weights,
+                          const std::vector<LayerDecision>& decisions,
+                          const CalibrationOptions& options) {
   TDC_CHECK_MSG(weights.size() == model.layers.size(),
                 "calibration needs one LayerWeights entry per layer");
   const std::int64_t samples = options.samples > 0
@@ -234,10 +374,12 @@ QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
 
   // The fp32 reference: a dense session with the deterministic im2col plan
   // everywhere (calibration prices nothing — it only needs exact fp32
-  // activations at every conv input).
+  // activations at every conv input). It stays out of the PlanCache: its
+  // plans are freed with it when calibration returns.
   SessionOptions ref_options;
   ref_options.dense_algo = ConvAlgo::kIm2col;
-  const InferenceSession ref =
+  ref_options.use_plan_cache = false;
+  const InferenceSession session =
       InferenceSession::compile(device, model, weights, {}, ref_options);
 
   const std::vector<const LayerDecision*> dec_for =
@@ -275,93 +417,56 @@ QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
     tr.core_plan = compile_conv_plan(core_desc, tr.factors->core);
   }
 
-  // Private per-op activation buffers (calibration needs every conv input,
-  // which the session's internal arena does not expose).
-  const std::int64_t n_ops = ref.num_ops();
-  std::vector<std::vector<float>> outputs(static_cast<std::size_t>(n_ops));
-  std::int64_t ws_floats = 0;
+  const std::int64_t n_ops = session.num_ops();
+  std::vector<RangeObserver> observers(
+      static_cast<std::size_t>(n_ops) * kSlotsPerOp, RangeObserver(options));
+  Reference ref{model, session, tucker_refs, options.method,
+                std::vector<std::int64_t>(static_cast<std::size_t>(n_ops), -1)};
   for (std::int64_t i = 0; i < n_ops; ++i) {
-    outputs[static_cast<std::size_t>(i)].resize(
-        static_cast<std::size_t>(ref.op(i).output_shape().floats()));
-    ws_floats = std::max(ws_floats, (ref.op(i).workspace_bytes() + 3) / 4);
-  }
-  for (std::size_t i = 0; i < tucker_refs.size(); ++i) {
-    if (tucker_refs[i].core_plan != nullptr) {
-      const TuckerRef& tr = tucker_refs[i];
-      ws_floats =
-          std::max(ws_floats, (tr.core_plan->workspace_bytes() + 3) / 4);
+    for (const std::int64_t j : session.op_inputs(i)) {
+      if (j != InferenceSession::kModelInput) {
+        ref.last_use[static_cast<std::size_t>(j)] = i;
+      }
+    }
+    ref.ws_floats =
+        std::max(ref.ws_floats, (session.op(i).workspace_bytes() + 3) / 4);
+    const TuckerRef& tr = tucker_refs[static_cast<std::size_t>(i)];
+    if (tr.core_plan != nullptr) {
+      const ConvShape& cs = model.layers[static_cast<std::size_t>(i)].conv;
+      const TuckerRanks ranks = tr.factors->ranks();
+      ref.ws_floats =
+          std::max(ref.ws_floats, (tr.core_plan->workspace_bytes() + 3) / 4);
+      ref.z_floats = std::max(ref.z_floats, ranks.d1 * cs.h * cs.w +
+                                                ranks.d2 * cs.out_h() *
+                                                    cs.out_w());
     }
   }
-  std::vector<float> workspace(static_cast<std::size_t>(ws_floats));
-  std::vector<float> z_buf;  // grows to the largest Z1/Z2 of the model
 
-  std::vector<RangeObserver> input_obs(static_cast<std::size_t>(n_ops),
-                                       RangeObserver(options));
-  std::vector<RangeObserver> z1_obs(static_cast<std::size_t>(n_ops),
-                                    RangeObserver(options));
-  std::vector<RangeObserver> z2_obs(static_cast<std::size_t>(n_ops),
-                                    RangeObserver(options));
-
+  // Samples run in waves of job_width(), one job each; the caller draws the
+  // inputs in RNG order and merges each wave's records in sample order.
   Rng rng(options.seed);
-  const OpShape& in = ref.input_shape();
-  const float* ptrs[2] = {nullptr, nullptr};
-  for (std::int64_t sample = 0; sample < samples; ++sample) {
-    const Tensor x =
-        Tensor::random_uniform({in.c, in.h, in.w}, rng, -1.0f, 1.0f);
-    for (std::int64_t i = 0; i < n_ops; ++i) {
-      const std::span<const std::int64_t> edges = ref.op_inputs(i);
-      // The graph walk gathers producer pointers like run_graph does, but
-      // into private buffers; fan-in beyond 2 (concat) gathers on the heap
-      // — calibration is offline, allocation is fine.
-      std::vector<const float*> wide;
-      std::span<const float* const> inputs;
-      if (edges.size() <= 2) {
-        for (std::size_t k = 0; k < edges.size(); ++k) {
-          ptrs[k] = edges[k] == InferenceSession::kModelInput
-                        ? x.raw()
-                        : outputs[static_cast<std::size_t>(edges[k])].data();
-        }
-        inputs = std::span<const float* const>(ptrs, edges.size());
-      } else {
-        for (const std::int64_t j : edges) {
-          wide.push_back(j == InferenceSession::kModelInput
-                             ? x.raw()
-                             : outputs[static_cast<std::size_t>(j)].data());
-        }
-        inputs = std::span<const float* const>(wide.data(), wide.size());
+  const OpShape& in = session.input_shape();
+  const std::int64_t wave = std::min<std::int64_t>(job_width(), samples);
+  std::vector<Tensor> xs;
+  std::vector<std::vector<SampleRange>> recs(static_cast<std::size_t>(wave));
+  for (std::int64_t first = 0; first < samples; first += wave) {
+    const std::int64_t count = std::min(wave, samples - first);
+    xs.clear();
+    for (std::int64_t s = 0; s < count; ++s) {
+      xs.push_back(
+          Tensor::random_uniform({in.c, in.h, in.w}, rng, -1.0f, 1.0f));
+      recs[static_cast<std::size_t>(s)].assign(observers.size(),
+                                               SampleRange{});
+    }
+    parallel_jobs(count, [&](std::int64_t s) {
+      run_sample(ref, xs[static_cast<std::size_t>(s)],
+                 recs[static_cast<std::size_t>(s)]);
+    });
+    for (std::int64_t s = 0; s < count; ++s) {
+      const std::vector<SampleRange>& rec = recs[static_cast<std::size_t>(s)];
+      for (std::size_t k = 0; k < observers.size(); ++k) {
+        observers[k].merge(rec[k]);
       }
-      const bool is_conv =
-          model.layers[static_cast<std::size_t>(i)].kind == LayerKind::kConv;
-      if (is_conv) {
-        const ConvShape& cs = model.layers[static_cast<std::size_t>(i)].conv;
-        input_obs[static_cast<std::size_t>(i)].observe(inputs[0],
-                                                       cs.c * cs.h * cs.w);
-        const TuckerRef& tr = tucker_refs[static_cast<std::size_t>(i)];
-        if (tr.core_plan != nullptr) {
-          const TuckerRanks ranks = tr.factors->ranks();
-          const std::int64_t hw = cs.h * cs.w;
-          const std::int64_t ohw = cs.out_h() * cs.out_w();
-          z_buf.resize(static_cast<std::size_t>(
-              std::max(ranks.d1 * hw + ranks.d2 * ohw, std::int64_t{1})));
-          float* z1 = z_buf.data();
-          float* z2 = z1 + ranks.d1 * hw;
-          // Z1 = U1ᵀ · X (u1 is stored [C, D1]).
-          gemm_at(ranks.d1, hw, cs.c,
-                  std::span<const float>(tr.factors->u1.raw(),
-                                         static_cast<std::size_t>(cs.c *
-                                                                  ranks.d1)),
-                  std::span<const float>(inputs[0],
-                                         static_cast<std::size_t>(cs.c * hw)),
-                  std::span<float>(z1, static_cast<std::size_t>(ranks.d1 *
-                                                                hw)));
-          z1_obs[static_cast<std::size_t>(i)].observe(z1, ranks.d1 * hw);
-          tr.core_plan->run_unchecked(z1, z2, workspace);
-          z2_obs[static_cast<std::size_t>(i)].observe(z2, ranks.d2 * ohw);
-        }
-      }
-      ref.op(i).run_inputs(inputs,
-                           outputs[static_cast<std::size_t>(i)].data(),
-                           workspace);
     }
   }
 
@@ -373,15 +478,26 @@ QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
     }
     LayerQuant& q = table.layers[i];
     q.quantize = true;
-    q.input = input_obs[i].params();
-    q.z1 = z1_obs[i].params();
-    q.z2 = z2_obs[i].params();
+    q.input = observers[i * kSlotsPerOp].params();
+    q.z1 = observers[i * kSlotsPerOp + 1].params();
+    q.z2 = observers[i * kSlotsPerOp + 2].params();
     if (tucker_refs[i].factors != nullptr) {
       q.factors = std::move(tucker_refs[i].factors);
       q.factors_kernel = tensor_fingerprint(weights[i].conv_kernel);
     }
   }
   return table;
+}
+
+}  // namespace
+
+QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
+                           const std::vector<LayerWeights>& weights,
+                           const std::vector<LayerDecision>& decisions,
+                           const CalibrationOptions& options) {
+  return map_resource_failure("calibrate_quant", [&] {
+    return calibrate_impl(device, model, weights, decisions, options);
+  });
 }
 
 }  // namespace tdc

@@ -77,6 +77,10 @@ Tensor fold_batchnorm_into_kernel(const Tensor& kernel_cnrs,
 class MinMaxObserver {
  public:
   void observe(const float* x, std::int64_t count);
+  /// Folds in another observer's range: for NaN-free values, afterwards
+  /// this observer is exactly what observing the other's values after its
+  /// own would have left (per-sample observers merged in sample order).
+  void merge(const MinMaxObserver& other);
   bool seen() const { return seen_; }
   float lo() const { return lo_; }
   float hi() const { return hi_; }
@@ -92,14 +96,30 @@ class MinMaxObserver {
 /// `cap` values (thinning by powers of two as observations accumulate) and
 /// reads the [1−pct, pct] quantiles, so a handful of outliers cannot blow
 /// up the scale the way kMinMax lets them.
+///
+/// One observation of `count` values keeps every (b·stride)-th value, from
+/// the first, where b = max(1, count / 4096) is the observation's base
+/// stride and `stride` the observer's current thinning factor. That makes
+/// observations replayable: subsample() keeps the base-stride values, and
+/// replay() picks from them exactly what observe() would pick from the
+/// originals, so per-sample subsamples taken concurrently and replayed in
+/// sample order leave the observer bitwise as a serial run does.
 class PercentileObserver {
  public:
   explicit PercentileObserver(double pct = 0.999,
                               std::int64_t cap = 1 << 16);
   void observe(const float* x, std::int64_t count);
+  /// The base-stride subsample of one observation (what observe() keeps at
+  /// stride 1).
+  static std::vector<float> subsample(const float* x, std::int64_t count);
+  /// Equal to observe(x, count) when `sub` is subsample(x, count).
+  void replay(const std::vector<float>& sub);
   QuantParams params() const;
 
  private:
+  // Keeps x[0], x[step], x[2·step], ..., then thins to the cap.
+  void take(const float* x, std::int64_t count, std::int64_t step);
+
   double pct_;
   std::int64_t cap_;
   std::int64_t stride_ = 1;
@@ -165,9 +185,24 @@ struct CalibrationOptions {
 /// decomposes the kernel at the decided ranks, observes the fp32 Z1/Z2
 /// intermediates and keeps the factors in the layer's entry. `decisions`
 /// aligns with the model as in InferenceSession::compile (align_decisions
-/// in exec/graph_plan.h) and throws the same errors. Deterministic for
-/// fixed options; offline (allocates freely). The returned table aligns
-/// with model.layers and marks every convolution quantize = true.
+/// in exec/graph_plan.h) and throws the same errors. The returned table
+/// aligns with model.layers and marks every convolution quantize = true.
+///
+/// The build runs across the whole pool (common/parallel.h), even when
+/// serving is configured one thread per replica: the decompositions run as
+/// parallel_jobs (tucker_decompose_all), and so do the samples, in waves of
+/// job_width(). The caller draws every sample input in RNG order; each
+/// sample job owns its workspace and activation buffers (each freed after
+/// its last consumer) and records its own observations, which the caller
+/// merges in sample order (MinMaxObserver::merge,
+/// PercentileObserver::replay). The table, factors included, is therefore
+/// bitwise the same at every thread count and arena split.
+///
+/// The reference session is private: it is compiled outside the PlanCache,
+/// so its packed fp32 weights are freed when calibration returns instead of
+/// living in the process-wide cache. Offline (allocates freely); a failed
+/// allocation surfaces as Error(kResourceExhausted), returns no table and
+/// leaves no state behind, so the next calibration is bitwise equal.
 QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
                            const std::vector<LayerWeights>& weights,
                            const std::vector<LayerDecision>& decisions = {},

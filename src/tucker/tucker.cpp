@@ -1,7 +1,6 @@
 #include "tucker/tucker.h"
 
 #include <algorithm>
-#include <atomic>
 #include <new>
 #include <numeric>
 
@@ -65,24 +64,12 @@ std::vector<TuckerFactors> tucker_decompose_all(
                      return kernels[a]->numel() > kernels[b]->numel();
                    });
   std::vector<TuckerFactors> out(n);
-  std::atomic<std::size_t> next{0};
-  // One chunk per worker; each pulls whole kernels off the shared cursor.
-  // Inside the region every nested parallel_for runs inline, which leaves
-  // each decomposition's factors exactly those of a lone tucker_decompose.
-  parallel_for(0, static_cast<std::int64_t>(n), 1,
-               [&](std::int64_t, std::int64_t) {
-                 std::size_t k;
-                 while ((k = next.fetch_add(1, std::memory_order_relaxed)) <
-                        n) {
-                   const std::size_t i = order[k];
-                   try {
-                     out[i] = tucker_decompose(*kernels[i], ranks[i]);
-                   } catch (...) {
-                     next.store(n, std::memory_order_relaxed);  // stop early
-                     throw;
-                   }
-                 }
-               });
+  // One job per kernel: each decomposition runs serially, so its factors
+  // are exactly those of a lone tucker_decompose.
+  parallel_jobs(static_cast<std::int64_t>(n), [&](std::int64_t k) {
+    const std::size_t i = order[static_cast<std::size_t>(k)];
+    out[i] = tucker_decompose(*kernels[i], ranks[i]);
+  });
   return out;
 }
 

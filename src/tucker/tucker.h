@@ -36,11 +36,10 @@ struct TuckerFactors {
 /// for mode-N, Core = K ×_C U1^T ×_N U2^T. Requires 1 <= d1 <= C, 1 <= d2 <= N.
 TuckerFactors tucker_decompose(const Tensor& kernel_cnrs, TuckerRanks ranks);
 
-/// tucker_decompose(*kernels[i], ranks[i]) for every i, as one parallel
-/// region: workers take kernels largest first off a shared cursor and
-/// decompose each one serially, so the layers of a build decompose
-/// concurrently while every result stays bitwise tucker_decompose's at any
-/// thread count. Every kernel and rank pair is validated on the calling
+/// tucker_decompose(*kernels[i], ranks[i]) for every i, one parallel_jobs
+/// job per kernel, largest first: up to job_width() threads decompose the
+/// layers of a build concurrently, each one serially, so every result stays
+/// bitwise tucker_decompose's at any thread count and arena split. Every kernel and rank pair is validated on the calling
 /// thread before any work starts; an error inside a decomposition is
 /// rethrown there too, and no result is returned.
 std::vector<TuckerFactors> tucker_decompose_all(

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -27,6 +28,7 @@
 #include "exec/autotune.h"
 #include "exec/graph_plan.h"
 #include "exec/plan_cache.h"
+#include "exec/quantize.h"
 #include "exec/workspace_guard.h"
 #include "gpusim/device.h"
 #include "linalg/gemm.h"
@@ -109,6 +111,43 @@ struct Serving {
   Tensor y;
   std::vector<float> workspace;
 };
+
+// Calibrates ResNet-20 with every decomposable conv decomposed at half
+// rank (four samples, so a width-4 job region runs them in one wave).
+QuantTable calibrate_resnet20() {
+  const ModelSpec model = make_resnet20_cifar();
+  const auto weights = random_model_weights(model, 2026);
+  CalibrationOptions opts;
+  opts.samples = 4;
+  return calibrate_quant(make_a100(), model, weights,
+                         half_rank_decisions(model), opts);
+}
+
+bool same_tensor_bytes(const Tensor& a, const Tensor& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Bitwise equality of two calibrations: every layer's parameters and, for
+// decomposed layers, the factors.
+void expect_same_table(const QuantTable& a, const QuantTable& b) {
+  ASSERT_EQ(a.layers.size(), b.layers.size());
+  for (std::size_t i = 0; i < a.layers.size(); ++i) {
+    EXPECT_EQ(quant_fingerprint(a.layers[i]), quant_fingerprint(b.layers[i]))
+        << "layer " << i;
+    ASSERT_EQ(a.layers[i].factors == nullptr, b.layers[i].factors == nullptr)
+        << "layer " << i;
+    if (a.layers[i].factors != nullptr) {
+      const TuckerFactors& fa = *a.layers[i].factors;
+      const TuckerFactors& fb = *b.layers[i].factors;
+      EXPECT_TRUE(same_tensor_bytes(fa.u1, fb.u1) &&
+                  same_tensor_bytes(fa.u2, fb.u2) &&
+                  same_tensor_bytes(fa.core, fb.core))
+          << "layer " << i;
+    }
+  }
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -256,6 +295,30 @@ TEST_F(FaultTest, DecomposeAllocFailureLeavesCacheEmptyAndRecovers) {
   EXPECT_EQ(fault_fire_count("tucker.decompose_alloc"), 0);
   EXPECT_EQ(Tensor::max_abs_diff(warm.run_clean(), y_ref), 0.0);
   set_num_threads(prev_threads);
+}
+
+TEST_F(FaultTest, CalibrateAllocFailureIsTypedAndRecovers) {
+  // Width-1 regions on four threads (the int8 fleet's configuration): the
+  // samples still fan out as four jobs, so the fault fires inside a job,
+  // on a pool worker or on the caller.
+  const int prev_threads = num_threads();
+  const ArenaConfig prev_arenas = arena_config();
+  set_num_threads(4);
+  set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = 1});
+  ASSERT_EQ(job_width(), 4);
+  const QuantTable reference = calibrate_resnet20();
+
+  for (const std::int64_t skip : {0, 2, 3}) {
+    fault_arm("quantize.calibrate_alloc", FaultSpec{.skip = skip, .count = 1});
+    EXPECT_EQ(run_and_code([] { (void)calibrate_resnet20(); }),
+              ErrorCode::kResourceExhausted)
+        << "skip " << skip;
+    EXPECT_EQ(fault_fire_count("quantize.calibrate_alloc"), 1);
+    fault_disarm_all();
+    expect_same_table(calibrate_resnet20(), reference);
+  }
+  set_num_threads(prev_threads);
+  set_arena_config(prev_arenas);
 }
 
 TEST_F(FaultTest, RunAllocFailureLeavesSessionReusable) {
@@ -635,6 +698,16 @@ TEST(EnvDriven, AmbientFaultSurfacesTypedAndRecovers) {
     EXPECT_EQ(Tensor::max_abs_diff(recovered.run_clean(),
                                    recovered.run_clean()),
               0.0);
+  } else if (point == "quantize.calibrate_alloc") {
+    bool threw = false;
+    try {
+      (void)calibrate_resnet20();
+    } catch (const Error& e) {
+      threw = true;
+      EXPECT_EQ(e.code(), ErrorCode::kResourceExhausted);
+    }
+    EXPECT_TRUE(threw);
+    expect_same_table(calibrate_resnet20(), calibrate_resnet20());
   } else if (point == "exec.run_alloc") {
     Serving s;
     bool threw = false;

@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/alloc_guard.h"
+#include "common/check.h"
+#include "common/deadline.h"
 #include "common/env.h"
 #include "common/parallel.h"
 
@@ -329,6 +335,216 @@ TEST_F(ParallelTest, ExceptionsPropagateToCaller) {
     });
     EXPECT_EQ(sum.load(), 64);
   }
+}
+
+// ------------------------------------------------------------ job regions --
+
+TEST_F(ParallelTest, JobsRunExactlyOnce) {
+  for (const int nt : {1, 2, 4, 7}) {
+    set_num_threads(nt);
+    for (const int intra_op : {1, 0}) {
+      set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = intra_op});
+      for (const std::int64_t n : {0, 1, 2, 5, 100}) {
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+        parallel_jobs(n, [&](std::int64_t j) {
+          EXPECT_TRUE(in_parallel_region());
+          hits[static_cast<std::size_t>(j)].fetch_add(1);
+        });
+        for (std::int64_t j = 0; j < n; ++j) {
+          ASSERT_EQ(hits[static_cast<std::size_t>(j)].load(), 1)
+              << "nt=" << nt << " intra_op=" << intra_op << " n=" << n
+              << " job " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ParallelTest, JobWidthIsTheArenaCapacityCappedByThreads) {
+  struct Case {
+    int threads, inter_op, intra_op, width;
+  };
+  // 0 = the field's default (inter_op kMaxArenas, intra_op num_threads()).
+  const Case cases[] = {
+      {4, 0, 1, 4},  // the int8 fleet: width-1 replicas, jobs on all four
+      {2, 0, 0, 2},  // the fp32 latency session: same as region_width()
+      {4, 2, 1, 2}, {4, 1, 1, 1}, {4, 1, 3, 3}, {4, 2, 3, 4},
+      {3, 1, 2, 2}, {1, 0, 4, 1}, {7, 3, 2, 6},
+  };
+  for (const Case& c : cases) {
+    set_num_threads(c.threads);
+    set_arena_config(
+        ArenaConfig{.inter_op = c.inter_op, .intra_op = c.intra_op});
+    const ArenaConfig cfg = arena_config();
+    EXPECT_EQ(job_width(), c.width)
+        << "threads=" << c.threads << " inter_op=" << cfg.inter_op
+        << " intra_op=" << cfg.intra_op;
+    EXPECT_EQ(job_width(), std::min(c.threads, cfg.inter_op * cfg.intra_op));
+    // Never more jobs in flight than the width.
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    parallel_jobs(4 * c.width + 3, [&](std::int64_t) {
+      const int now = running.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      running.fetch_sub(1);
+    });
+    EXPECT_LE(peak.load(), c.width) << "threads=" << c.threads;
+    EXPECT_GE(peak.load(), 1);
+  }
+}
+
+TEST_F(ParallelTest, JobsRunInlineAtWidthOneAndInsideARegion) {
+  set_num_threads(4);
+  set_arena_config(ArenaConfig{.inter_op = 1, .intra_op = 1});
+  ASSERT_EQ(job_width(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::int64_t> order;
+  const ParallelStats before = parallel_stats();
+  parallel_jobs(6, [&](std::int64_t j) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_TRUE(in_parallel_region());
+    EXPECT_EQ(job_width(), 1);
+    // A job runs serially: its parallel loops are one inline chunk.
+    int chunks = 0;
+    parallel_for(0, 1'000, 1, [&](std::int64_t, std::int64_t) { ++chunks; });
+    EXPECT_EQ(chunks, 1);
+    order.push_back(j);
+  });
+  EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_FALSE(in_parallel_region());
+  const ParallelStats after = parallel_stats();
+  EXPECT_EQ(after.pool_regions, before.pool_regions);
+  EXPECT_EQ(after.inline_regions, before.inline_regions + 1);
+
+  // Inside a region, jobs run inline on the chunk's own thread, in order,
+  // and the chunk is still inside its region afterwards.
+  set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = 4});
+  std::atomic<int> bad{0};
+  parallel_for(0, 4, 1, [&](std::int64_t, std::int64_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    EXPECT_EQ(job_width(), 1);
+    std::int64_t next = 0;
+    parallel_jobs(5, [&](std::int64_t j) {
+      if (std::this_thread::get_id() != self || j != next++) {
+        bad.fetch_add(1);
+      }
+    });
+    if (next != 5 || !in_parallel_region()) {
+      bad.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST_F(ParallelTest, JobExceptionIsRethrownAndStopsFurtherJobs) {
+  set_num_threads(4);
+  // Width 1: jobs run in order, so nothing after the throwing job starts.
+  set_arena_config(ArenaConfig{.inter_op = 1, .intra_op = 1});
+  std::vector<std::int64_t> started;
+  EXPECT_THROW(parallel_jobs(10,
+                             [&](std::int64_t j) {
+                               started.push_back(j);
+                               if (j == 3) {
+                                 throw Boom{};
+                               }
+                             }),
+               Boom);
+  EXPECT_EQ(started, (std::vector<std::int64_t>{0, 1, 2, 3}));
+
+  // Width 4: the caller's job 0 throws at once while the workers' jobs
+  // sleep, so only the jobs already handed out may still run — not the
+  // other 60.
+  set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = 1});
+  ASSERT_EQ(job_width(), 4);
+  constexpr std::int64_t kJobs = 64;
+  std::atomic<int> begun{0};
+  EXPECT_THROW(parallel_jobs(kJobs,
+                             [&](std::int64_t j) {
+                               begun.fetch_add(1);
+                               if (j == 0) {
+                                 throw Boom{};
+                               }
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(10));
+                             }),
+               Boom);
+  EXPECT_GE(begun.load(), 1);
+  EXPECT_LE(begun.load(), 8);
+
+  // The pool stays usable.
+  std::atomic<std::int64_t> sum{0};
+  parallel_jobs(kJobs, [&](std::int64_t j) { sum.fetch_add(j); });
+  EXPECT_EQ(sum.load(), kJobs * (kJobs - 1) / 2);
+}
+
+TEST_F(ParallelTest, JobsCarryTheCallersDeadlineAndAllocGuard) {
+  set_num_threads(4);
+  set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = 1});
+  ASSERT_EQ(job_width(), 4);
+  constexpr std::int64_t kJobs = 16;
+  const auto slow_job = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  };
+  {
+    const DeadlineScope scope(Deadline::after(60.0));
+    const Deadline* armed = detail::active_deadline();
+    ASSERT_NE(armed, nullptr);
+    std::atomic<int> missing{0};
+    parallel_jobs(kJobs, [&](std::int64_t) {
+      if (detail::active_deadline() != armed) {
+        missing.fetch_add(1);
+      }
+      slow_job();
+    });
+    EXPECT_EQ(missing.load(), 0);
+  }
+  {
+    const DeadlineScope scope(Deadline::after(0.0));
+    try {
+      parallel_jobs(kJobs, [&](std::int64_t) {
+        slow_job();
+        deadline_poll("job");
+      });
+      ADD_FAILURE() << "an expired deadline must stop the jobs";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+    }
+  }
+  EXPECT_EQ(detail::active_deadline(), nullptr);
+
+  const bool guard_was_on = alloc_guard_enabled();
+  set_alloc_guard(true);
+  {
+    std::atomic<int> unguarded{0};
+    std::atomic<int> denied{0};
+    {
+      DenyAllocGuard guard("parallel_jobs test");
+      parallel_jobs(kJobs, [&](std::int64_t) {
+        if (!(detail::t_alloc_guard.depth > 0 &&
+              detail::t_alloc_guard.bypass == 0)) {
+          unguarded.fetch_add(1);
+        }
+        slow_job();
+      });
+      try {
+        parallel_jobs(kJobs, [&](std::int64_t) {
+          slow_job();
+          std::vector<int> hidden(64);  // must be denied on every thread
+          hidden[0] = 1;
+        });
+      } catch (const Error& e) {
+        if (e.code() == ErrorCode::kInternal) {
+          denied.fetch_add(1);
+        }
+      }
+    }
+    EXPECT_EQ(unguarded.load(), 0);
+    EXPECT_EQ(denied.load(), 1);
+  }
+  set_alloc_guard(guard_was_on);
 }
 
 }  // namespace

@@ -13,7 +13,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <optional>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/alloc_guard.h"
@@ -311,6 +315,53 @@ TEST(Quantize, PercentileObserverShrugsOffOutliersDeterministically) {
   EXPECT_EQ(pct.params().zero_point, again.params().zero_point);
 }
 
+// Per-sample records merged in sample order must leave the observers
+// exactly as observing every sample in turn: the percentile replay with a
+// small cap (so thinning happens between and inside replays) and counts
+// that are not multiples of 4096, the min/max merge with an unseen side.
+TEST(Quantize, ObserverMergeEqualsDirectObservation) {
+  Rng rng(7030);
+  const std::int64_t counts[] = {100, 5000, 12345, 1, 8193, 4096 * 3 + 7,
+                                 40000, 4095};
+  for (const std::int64_t cap : {16, 64, 1000}) {
+    for (const double pct : {0.9, 0.999, 1.0}) {
+      PercentileObserver direct(pct, cap);
+      PercentileObserver replayed(pct, cap);
+      MinMaxObserver mm_direct;
+      MinMaxObserver mm_merged;
+      mm_merged.merge(MinMaxObserver{});  // unseen: a no-op
+      for (const std::int64_t count : counts) {
+        std::vector<float> x(static_cast<std::size_t>(count));
+        for (float& v : x) {
+          v = rng.uniform() * 8.0f - 3.0f;
+        }
+        direct.observe(x.data(), count);
+        replayed.replay(PercentileObserver::subsample(x.data(), count));
+        mm_direct.observe(x.data(), count);
+        MinMaxObserver sample;
+        sample.observe(x.data(), count);
+        mm_merged.merge(sample);
+        const std::string where = "cap=" + std::to_string(cap) +
+                                  " pct=" + std::to_string(pct) +
+                                  " count=" + std::to_string(count);
+        EXPECT_EQ(replayed.params().scale, direct.params().scale) << where;
+        EXPECT_EQ(replayed.params().zero_point, direct.params().zero_point)
+            << where;
+        EXPECT_EQ(mm_merged.lo(), mm_direct.lo()) << where;
+        EXPECT_EQ(mm_merged.hi(), mm_direct.hi()) << where;
+      }
+    }
+  }
+  // The subsample keeps every max(1, count/4096)-th value from the first.
+  std::vector<float> ramp(12345);
+  std::iota(ramp.begin(), ramp.end(), 0.0f);
+  const std::vector<float> sub = PercentileObserver::subsample(
+      ramp.data(), static_cast<std::int64_t>(ramp.size()));
+  ASSERT_EQ(sub.size(), std::size_t{4115});  // ceil(12345 / 3)
+  EXPECT_EQ(sub[1], 3.0f);
+  EXPECT_EQ(sub.back(), 12342.0f);
+}
+
 // The documented single-GEMM error bound, per output channel i:
 //   |ŷ − y| ≤ (s_x/2)·Σ_k|w(i,k)| + (s_w_i/2)·max_j Σ_k|x(k,j)| + K·s_x·s_w_i/4
 // evaluated on the true fp32 weight matrix and patch matrix.
@@ -508,18 +559,20 @@ TEST(Quantize, CalibrationCoversEveryConvAndIsDeterministic) {
             quant_fingerprint(shifted.layers[0]));
 }
 
-// A small chain of 3×3 convolutions; decisions (one per decomposable conv)
-// decompose conv1 and conv2 at `ranks1` / `ranks2` and keep conv0 dense.
-ModelSpec tucker_tiny_model() {
+// A small chain of 3×3 convolutions on hw × hw images; decisions (one per
+// decomposable conv) decompose conv1 and conv2 at `ranks1` / `ranks2` and
+// keep conv0 dense.
+ModelSpec tucker_tiny_model(std::int64_t hw = 12) {
   ModelSpec model;
   model.name = "tucker-tiny";
   model.layers.push_back(
-      LayerSpec::make_conv("conv0", ConvShape::same(3, 8, 12, 3)));
+      LayerSpec::make_conv("conv0", ConvShape::same(3, 8, hw, 3)));
   model.layers.push_back(
-      LayerSpec::make_conv("conv1", ConvShape::same(8, 8, 12, 3)));
-  model.layers.push_back(LayerSpec::make_elementwise("relu", 8.0 * 12 * 12));
+      LayerSpec::make_conv("conv1", ConvShape::same(8, 8, hw, 3)));
+  model.layers.push_back(LayerSpec::make_elementwise(
+      "relu", 8.0 * static_cast<double>(hw * hw)));
   model.layers.push_back(
-      LayerSpec::make_conv("conv2", ConvShape::same(8, 6, 12, 3)));
+      LayerSpec::make_conv("conv2", ConvShape::same(8, 6, hw, 3)));
   return model;
 }
 
@@ -624,6 +677,84 @@ TEST(Quantize, CalibrationFactorsFeedTheCompileBitwise) {
       serve_requests(model, weights, decisions, swapped);
   EXPECT_GT(Tensor::max_abs_diff(reference[0], poisoned[0]), 0.0);
   ::unsetenv("TDC_INT8");
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Calibration fans its decompositions and samples out as jobs; the table,
+// factors included, must not depend on how many threads ran them, on the
+// arena split, or on how the samples fall into waves. 40×40 images give
+// 12800-value conv inputs, so the percentile subsample strides by 3, and
+// 17 samples outgrow the percentile cap, so the merge order decides which
+// values thinning keeps.
+TEST(Quantize, CalibrationIsBitwiseAcrossThreadsWidthsAndSamples) {
+  const ModelSpec model = tucker_tiny_model(40);
+  const auto weights = random_model_weights(model, 7031);
+  const auto decisions = tucker_tiny_decisions(model, {4, 4}, {4, 3});
+  const int saved_threads = num_threads();
+  const ArenaConfig saved_arenas = arena_config();
+  for (const CalibMethod method :
+       {CalibMethod::kMinMax, CalibMethod::kPercentile}) {
+    for (const std::int64_t samples : {1, 3, 4, 5, 9, 17}) {
+      CalibrationOptions opts;
+      opts.method = method;
+      opts.samples = samples;
+      std::optional<QuantTable> reference;
+      for (const int nt : {1, 4}) {
+        for (const int intra_op : {1, 0}) {
+          set_num_threads(nt);
+          set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = intra_op});
+          const QuantTable table =
+              calibrate_quant(make_a100(), model, weights, decisions, opts);
+          if (!reference) {
+            reference = table;
+            continue;
+          }
+          const std::string where =
+              std::string(method == CalibMethod::kMinMax ? "minmax"
+                                                         : "percentile") +
+              " samples=" + std::to_string(samples) +
+              " threads=" + std::to_string(nt) +
+              " intra_op=" + std::to_string(intra_op);
+          ASSERT_EQ(table.layers.size(), reference->layers.size());
+          for (std::size_t i = 0; i < table.layers.size(); ++i) {
+            const LayerQuant& a = table.layers[i];
+            const LayerQuant& b = reference->layers[i];
+            EXPECT_EQ(quant_fingerprint(a), quant_fingerprint(b))
+                << where << " layer " << i;
+            ASSERT_EQ(a.factors == nullptr, b.factors == nullptr) << where;
+            if (a.factors != nullptr) {
+              EXPECT_TRUE(same_bytes(a.factors->u1, b.factors->u1)) << where;
+              EXPECT_TRUE(same_bytes(a.factors->u2, b.factors->u2)) << where;
+              EXPECT_TRUE(same_bytes(a.factors->core, b.factors->core))
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  set_num_threads(saved_threads);
+  set_arena_config(saved_arenas);
+}
+
+// The dense fp32 reference calibration drives is private: it never enters
+// the process-wide PlanCache.
+TEST(Quantize, CalibrationLeavesThePlanCacheAlone) {
+  const ModelSpec model = tucker_tiny_model();
+  const auto weights = random_model_weights(model, 7032);
+  const auto decisions = tucker_tiny_decisions(model, {4, 4}, {4, 3});
+  CalibrationOptions opts;
+  opts.samples = 2;
+  const PlanCache::Stats before = PlanCache::instance().stats();
+  (void)calibrate_quant(make_a100(), model, weights, decisions, opts);
+  const PlanCache::Stats after = PlanCache::instance().stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST(Quantize, MismatchedCalibrationFactorsAreIgnored) {
