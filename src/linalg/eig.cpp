@@ -5,6 +5,10 @@
 #include <limits>
 #include <numeric>
 
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -15,14 +19,57 @@ namespace {
 
 constexpr double kEps = std::numeric_limits<double>::epsilon();
 
-// Every parallel loop in this file assigns each output element to exactly one
-// chunk and accumulates it with a serial, index-ordered inner loop, so the
-// result is bit-identical for any thread count / chunk partition — the same
-// determinism contract the exec plans advertise.
+// Everything here runs serially except the reflector back-transform, whose
+// parallel loop gives each vector to exactly one chunk and computes it in a
+// fixed order. Every result is therefore bit-identical for any thread count
+// / chunk partition — the same determinism contract the exec plans
+// advertise.
 
-/// Symmetrize the lower triangle of `a` into a dense row-major double buffer.
-/// Gram matrices square the condition number, so all solver internals stay in
-/// double precision and only the final eigenvectors round to float.
+/// Partial sums per dot product (see dot()).
+constexpr std::int64_t kLanes = 8;
+
+double fold(const double (&acc)[kLanes]) {
+  return ((acc[0] + acc[4]) + (acc[2] + acc[6])) +
+         ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+}
+
+/// Σ x[i]·y[i] over [0, len). Lane l sums the indices ≡ l (mod kLanes) in
+/// ascending order and the lanes fold in a fixed tree: independent partial
+/// sums instead of one serial add chain, in an order this source fixes. The
+/// AVX2 path keeps the lanes in two 4-wide registers and fuses each
+/// multiply-add; the portable path is the same loop in scalar code, so a
+/// native and a generic build differ only in that rounding, and neither
+/// result depends on threads.
+double dot(const double* x, const double* y, std::int64_t len) {
+  double acc[kLanes] = {};
+  std::int64_t i = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  __m256d lo = _mm256_setzero_pd();
+  __m256d hi = _mm256_setzero_pd();
+  for (; i + kLanes <= len; i += kLanes) {
+    lo = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i), lo);
+    hi = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 4),
+                         _mm256_loadu_pd(y + i + 4), hi);
+  }
+  _mm256_storeu_pd(acc, lo);
+  _mm256_storeu_pd(acc + 4, hi);
+#else
+  for (; i + kLanes <= len; i += kLanes) {
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+      acc[l] += x[i + l] * y[i + l];
+    }
+  }
+#endif
+  for (std::int64_t l = 0; i < len; ++i, ++l) {
+    acc[l] += x[i] * y[i];
+  }
+  return fold(acc);
+}
+
+/// Symmetrize the lower triangle of `a` into a dense row-major double buffer
+/// (the Jacobi kernel's input). Gram matrices square the condition number,
+/// so all solver internals stay in double precision and only the final
+/// eigenvectors round to float.
 std::vector<double> load_symmetric(const Tensor& a) {
   const std::int64_t n = a.dim(0);
   std::vector<double> m(static_cast<std::size_t>(n * n));
@@ -35,138 +82,253 @@ std::vector<double> load_symmetric(const Tensor& a) {
   return m;
 }
 
+/// The lower triangle of a symmetric matrix in double precision, stored
+/// column-major: A(i, j), i >= j, at m[j·n + i], so column j runs
+/// contiguously from its diagonal down (LAPACK's lower storage); nothing
+/// above the diagonal is ever read. The entries are scaled by 2^scale, the
+/// power of two that puts the largest one in [1, 2). Power-of-two scaling is
+/// exact, so the solver sees the same problem at a magnitude where no square
+/// in the reduction or the QL rotations overflows or underflows, and the
+/// results map back exactly: eigenvalues × 2^−scale, vectors as they are.
+struct LowerMatrix {
+  std::int64_t n = 0;
+  int scale = 0;
+  std::vector<double> m;
+};
+
+/// Reads entry(i, j) for j <= i only.
+template <class Entry>
+LowerMatrix load_lower(std::int64_t n, const Entry& entry) {
+  double largest = 0.0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j <= i; ++j) {
+      largest = std::max(largest, std::abs(entry(i, j)));
+    }
+  }
+  LowerMatrix a;
+  a.n = n;
+  if (largest > 0.0 && std::isfinite(largest)) {
+    a.scale = std::clamp(-std::ilogb(largest), -1000, 1000);
+  }
+  const double factor = std::ldexp(1.0, a.scale);
+  a.m.assign(static_cast<std::size_t>(n * n), 0.0);
+  // Column by column: strided reads, contiguous writes (the cheaper way
+  // round for a transposing copy).
+  for (std::int64_t j = 0; j < n; ++j) {
+    for (std::int64_t i = j; i < n; ++i) {
+      a.m[static_cast<std::size_t>(j * n + i)] = factor * entry(i, j);
+    }
+  }
+  return a;
+}
+
+LowerMatrix load_lower(const Tensor& a) {
+  const std::int64_t n = a.dim(0);
+  const float* p = a.raw();
+  return load_lower(n, [&](std::int64_t i, std::int64_t j) {
+    return static_cast<double>(p[i * n + j]);
+  });
+}
+
+/// Eigenvalues back from the LowerMatrix scaling.
+void unscale(std::vector<double>& values, int scale) {
+  for (double& v : values) {
+    v = std::ldexp(v, -scale);
+  }
+}
+
 /// Householder reduction A = Q·T·Q^T with Q = H_0·H_1·…·H_{n-3}. The
-/// reflectors are kept (row r of `u` holds the vector of H_r, supported on
-/// indices r+1…n-1) so callers can back-transform however many tridiagonal
+/// reflectors are kept (the reduced LowerMatrix storage itself: column r
+/// below the diagonal holds the vector of H_r, supported on indices
+/// r+1…n-1) so callers can back-transform however many tridiagonal
 /// eigenvectors they actually need.
 struct Tridiagonal {
   std::int64_t n = 0;
+  int scale = 0;            ///< LowerMatrix::scale of the input
   std::vector<double> d;    ///< diagonal of T, size n
   std::vector<double> e;    ///< sub-diagonal, e[i] couples i and i+1, size n-1
   std::vector<double> u;    ///< reflector r at u[r*n + i], i in (r, n)
   std::vector<double> tau;  ///< H_r = I - tau[r]·u_r·u_r^T, size max(n-2, 0)
 };
 
-Tridiagonal tridiagonalize(std::vector<double> m, std::int64_t n) {
-  Tridiagonal t;
-  t.n = n;
-  t.d.resize(static_cast<std::size_t>(n));
-  t.e.assign(static_cast<std::size_t>(std::max<std::int64_t>(n - 1, 0)), 0.0);
-  t.u.assign(static_cast<std::size_t>(n * n), 0.0);
-  t.tau.assign(static_cast<std::size_t>(std::max<std::int64_t>(n - 2, 0)),
-               0.0);
-
-  std::vector<double> p(static_cast<std::size_t>(n));
-  std::vector<double> w(static_cast<std::size_t>(n));
-  for (std::int64_t k = 0; k + 2 < n; ++k) {
-    double* uk = t.u.data() + k * n;
-    const double x0 = m[static_cast<std::size_t>((k + 1) * n + k)];
-    double tail2 = 0.0;  // energy strictly below the sub-diagonal
-    for (std::int64_t i = k + 2; i < n; ++i) {
-      const double x = m[static_cast<std::size_t>(i * n + k)];
-      tail2 += x * x;
-    }
-    t.d[static_cast<std::size_t>(k)] = m[static_cast<std::size_t>(k * n + k)];
-    if (tail2 == 0.0) {
-      // Column already tridiagonal; no reflector.
-      t.e[static_cast<std::size_t>(k)] = x0;
-      continue;
-    }
-    const double sigma = std::sqrt(x0 * x0 + tail2);
-    const double alpha = (x0 >= 0.0) ? -sigma : sigma;
-    uk[k + 1] = x0 - alpha;
-    for (std::int64_t i = k + 2; i < n; ++i) {
-      uk[i] = m[static_cast<std::size_t>(i * n + k)];
-    }
-    // ‖u‖² = 2σ(σ + |x0|) = 2(σ² − α·x0); α·x0 ≤ 0 keeps it safely positive.
-    const double tau = 2.0 / (2.0 * (sigma * sigma - alpha * x0));
-    t.e[static_cast<std::size_t>(k)] = alpha;
-    t.tau[static_cast<std::size_t>(k)] = tau;
-
-    // p = τ·A22·u over the trailing block; one row per element, fixed-order
-    // inner accumulation. Four rows share each u[j] load and run four
-    // independent add chains (one row's chain alone is latency-bound);
-    // every row still sums its own products in ascending j, so the result
-    // does not depend on how rows are grouped or chunked.
-    parallel_for(k + 1, n, 8, [&](std::int64_t b, std::int64_t e_) {
-      std::int64_t i = b;
-      for (; i + 4 <= e_; i += 4) {
-        const double* r0 = m.data() + i * n;
-        const double* r1 = r0 + n;
-        const double* r2 = r1 + n;
-        const double* r3 = r2 + n;
-        double a0 = 0.0;
-        double a1 = 0.0;
-        double a2 = 0.0;
-        double a3 = 0.0;
-        for (std::int64_t j = k + 1; j < n; ++j) {
-          const double uj = uk[j];
-          a0 += r0[j] * uj;
-          a1 += r1[j] * uj;
-          a2 += r2[j] * uj;
-          a3 += r3[j] * uj;
-        }
-        p[static_cast<std::size_t>(i)] = tau * a0;
-        p[static_cast<std::size_t>(i + 1)] = tau * a1;
-        p[static_cast<std::size_t>(i + 2)] = tau * a2;
-        p[static_cast<std::size_t>(i + 3)] = tau * a3;
-      }
-      for (; i < e_; ++i) {
-        const double* row = m.data() + i * n;
-        double acc = 0.0;
-        for (std::int64_t j = k + 1; j < n; ++j) {
-          acc += row[j] * uk[j];
-        }
-        p[static_cast<std::size_t>(i)] = tau * acc;
-      }
-    });
-    double upk = 0.0;
-    for (std::int64_t i = k + 1; i < n; ++i) {
-      upk += uk[i] * p[static_cast<std::size_t>(i)];
-    }
-    const double kk = 0.5 * tau * upk;
-    for (std::int64_t i = k + 1; i < n; ++i) {
-      w[static_cast<std::size_t>(i)] = p[static_cast<std::size_t>(i)] -
-                                       kk * uk[i];
-    }
-    // A22 ← A22 − u·w^T − w·u^T, full trailing square so the buffer stays
-    // symmetric and the next matvec reads contiguous rows.
-    parallel_for(k + 1, n, 8, [&](std::int64_t b, std::int64_t e_) {
-      for (std::int64_t i = b; i < e_; ++i) {
-        double* row = m.data() + i * n;
-        const double ui = uk[i];
-        const double wi = w[static_cast<std::size_t>(i)];
-        for (std::int64_t j = k + 1; j < n; ++j) {
-          row[j] -= ui * w[static_cast<std::size_t>(j)] + wi * uk[j];
-        }
-      }
-    });
+/// One column of the reduction's sweep over the trailing triangle: column j
+/// (`c`, rows j..n-1 of the column-major lower storage).
+///   kUpdate: applies the previous step's pending rank-2 update
+///            A ← A − u·w^T − w·u^T to the column;
+///   kMatvec: then adds the column's share of s = A·v for the new reflector
+///            v — the dot product of the column with v into s[j], and the
+///            column times v[j] into s[i > j] (A is symmetric, so column j
+///            below the diagonal is also row j right of it).
+/// Every s[i] gets its terms in ascending column order, whatever the ISA.
+template <bool kUpdate, bool kMatvec>
+void sweep_column(double* c, std::int64_t j, std::int64_t n, const double* u,
+                  const double* w, const double* v, double* s) {
+  const double uj = kUpdate ? u[j] : 0.0;
+  const double wj = kUpdate ? w[j] : 0.0;
+  const double vj = kMatvec ? v[j] : 0.0;
+  double diag = c[j];
+  if constexpr (kUpdate) {
+    diag -= u[j] * wj + w[j] * uj;
+    c[j] = diag;
   }
-  if (n >= 2) {
-    t.d[static_cast<std::size_t>(n - 2)] =
-        m[static_cast<std::size_t>((n - 2) * n + (n - 2))];
-    t.e[static_cast<std::size_t>(n - 2)] =
-        m[static_cast<std::size_t>((n - 1) * n + (n - 2))];
+  // Lane l of the column's dot product takes rows j+1+l, j+1+l+kLanes, …
+  double acc[kLanes] = {};
+  std::int64_t i = j + 1;
+#if defined(__AVX2__) && defined(__FMA__)
+  const __m256d vuj = _mm256_set1_pd(uj);
+  const __m256d vwj = _mm256_set1_pd(wj);
+  const __m256d vvj = _mm256_set1_pd(vj);
+  __m256d lanes[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+  for (; i + kLanes <= n; i += kLanes) {
+    for (int h = 0; h < 2; ++h) {
+      const std::int64_t r = i + 4 * h;
+      __m256d x = _mm256_loadu_pd(c + r);
+      if constexpr (kUpdate) {
+        const __m256d uw = _mm256_fmadd_pd(
+            _mm256_loadu_pd(u + r), vwj,
+            _mm256_mul_pd(_mm256_loadu_pd(w + r), vuj));
+        x = _mm256_sub_pd(x, uw);
+        _mm256_storeu_pd(c + r, x);
+      }
+      if constexpr (kMatvec) {
+        lanes[h] = _mm256_fmadd_pd(x, _mm256_loadu_pd(v + r), lanes[h]);
+        _mm256_storeu_pd(s + r,
+                         _mm256_fmadd_pd(x, vvj, _mm256_loadu_pd(s + r)));
+      }
+    }
   }
-  t.d[static_cast<std::size_t>(n - 1)] =
-      m[static_cast<std::size_t>((n - 1) * n + (n - 1))];
-  return t;
+  _mm256_storeu_pd(acc, lanes[0]);
+  _mm256_storeu_pd(acc + 4, lanes[1]);
+#else
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+      double x = c[i + l];
+      if constexpr (kUpdate) {
+        x -= u[i + l] * wj + w[i + l] * uj;
+        c[i + l] = x;
+      }
+      if constexpr (kMatvec) {
+        acc[l] += x * v[i + l];
+        s[i + l] += x * vj;
+      }
+    }
+  }
+#endif
+  for (std::int64_t l = 0; i < n; ++i, ++l) {
+    double x = c[i];
+    if constexpr (kUpdate) {
+      x -= u[i] * wj + w[i] * uj;
+      c[i] = x;
+    }
+    if constexpr (kMatvec) {
+      acc[l] += x * v[i];
+      s[i] += x * vj;
+    }
+  }
+  if constexpr (kMatvec) {
+    s[j] += diag * vj + fold(acc);
+  }
 }
 
-struct Rotation {
-  std::int64_t i;
-  double c;
-  double s;
-};
+/// Lower-triangle Householder tridiagonalization (LAPACK dsytd2, 'L'), one
+/// pass over the trailing triangle per step. Step k first applies step
+/// k−1's pending update to column k, builds reflector k from the updated
+/// column, then sweeps columns k+1…n−1 once: each gets step k−1's update
+/// and, in the same loop, adds its share of the matvec s = A22·u_k that
+/// step k's own update needs. The textbook order makes two passes over the
+/// full square per step (matvec, then update).
+Tridiagonal tridiagonalize(LowerMatrix a) {
+  const std::int64_t n = a.n;
+  Tridiagonal t;
+  t.n = n;
+  t.scale = a.scale;
+  t.d.assign(static_cast<std::size_t>(n), 0.0);
+  t.e.assign(static_cast<std::size_t>(std::max<std::int64_t>(n - 1, 0)), 0.0);
+  t.tau.assign(static_cast<std::size_t>(std::max<std::int64_t>(n - 2, 0)),
+               0.0);
+  double* m = a.m.data();
+  std::vector<double> s(static_cast<std::size_t>(n));
+  std::vector<double> w(static_cast<std::size_t>(n));
+  // The reflector whose update (u, w) is still pending: column k−1 of m
+  // below its diagonal, or null when step k−1 needed none.
+  const double* u = nullptr;
+  for (std::int64_t k = 0; k + 2 < n; ++k) {
+    double* ck = m + k * n;
+    if (u != nullptr) {
+      sweep_column<true, false>(ck, k, n, u, w.data(), nullptr, nullptr);
+    }
+    t.d[static_cast<std::size_t>(k)] = ck[k];
+    const double x0 = ck[k + 1];
+    const double tail2 = dot(ck + k + 2, ck + k + 2, n - k - 2);
+    const double* v = nullptr;
+    if (tail2 < std::numeric_limits<double>::min()) {
+      // Column already tridiagonal (a tail below the smallest normal double
+      // is negligible next to the scaled matrix's O(1) entries); no
+      // reflector.
+      t.e[static_cast<std::size_t>(k)] = x0;
+    } else {
+      const double sigma = std::sqrt(x0 * x0 + tail2);
+      const double alpha = (x0 >= 0.0) ? -sigma : sigma;
+      // u_k overwrites the column below the diagonal: its tail already is
+      // the column's tail. ‖u‖² = 2(σ² − α·x0); α·x0 ≤ 0 keeps it positive.
+      ck[k + 1] = x0 - alpha;
+      t.e[static_cast<std::size_t>(k)] = alpha;
+      t.tau[static_cast<std::size_t>(k)] = 1.0 / (sigma * sigma - alpha * x0);
+      v = ck;
+      std::fill(s.begin() + k + 1, s.end(), 0.0);
+    }
+    for (std::int64_t j = k + 1; j < n; ++j) {
+      double* cj = m + j * n;
+      if (u != nullptr && v != nullptr) {
+        sweep_column<true, true>(cj, j, n, u, w.data(), v, s.data());
+      } else if (u != nullptr) {
+        sweep_column<true, false>(cj, j, n, u, w.data(), nullptr, nullptr);
+      } else if (v != nullptr) {
+        sweep_column<false, true>(cj, j, n, nullptr, nullptr, v, s.data());
+      }
+    }
+    if (v != nullptr) {
+      // p = τ·s, w = p − (τ/2)(u_k·p)·u_k: the pending update of step k.
+      const double tau = t.tau[static_cast<std::size_t>(k)];
+      for (std::int64_t i = k + 1; i < n; ++i) {
+        s[static_cast<std::size_t>(i)] *= tau;
+      }
+      const double kk =
+          0.5 * tau * dot(v + k + 1, s.data() + k + 1, n - k - 1);
+      for (std::int64_t i = k + 1; i < n; ++i) {
+        w[static_cast<std::size_t>(i)] = s[static_cast<std::size_t>(i)] -
+                                         kk * v[i];
+      }
+    }
+    u = v;
+  }
+  if (u != nullptr) {
+    for (std::int64_t j = n - 2; j < n; ++j) {
+      sweep_column<true, false>(m + j * n, j, n, u, w.data(), nullptr,
+                                nullptr);
+    }
+  }
+  if (n >= 2) {
+    t.d[static_cast<std::size_t>(n - 2)] = m[(n - 2) * n + (n - 2)];
+    t.e[static_cast<std::size_t>(n - 2)] = m[(n - 2) * n + (n - 1)];
+  }
+  t.d[static_cast<std::size_t>(n - 1)] = m[(n - 1) * n + (n - 1)];
+  t.u = std::move(a.m);
+  return t;
+}
 
 /// Implicit-shift QL on (d, e). When `w` is non-null it is a row-major
 /// [n, ncomp] matrix holding one tracked eigenvector per *row* (the
 /// transpose of the textbook Z): a rotation on tridiagonal indices (i, i+1)
 /// mixes two contiguous rows, so the update vectorizes along the component
-/// axis and parallelizes over component chunks. Every chunk replays the
-/// whole rotation batch of a QL step in recorded order, and an element is
-/// only ever combined with its same-component neighbor, so the chunking
-/// never changes a single result bit.
+/// axis. It runs serially, applied as each rotation is formed, so the
+/// vector updates overlap the latency-bound scalar recurrence; a parallel
+/// region per QL step costs more in wake-ups than the step's rotations take.
+/// The rotations take sqrt(f² + g²) without std::hypot's rescaling: the
+/// LowerMatrix scaling bounds f and g by a small multiple of n, so no
+/// square overflows and squares underflow only for |f|, |g| < 1e-154, far
+/// below T's O(1) scale; the shift's ratio g stays below 1/(2ε), since a
+/// smaller e[l] would have deflated.
 void tridiag_ql(std::vector<double>& d, std::vector<double>& ein,
                 std::int64_t n, double* w, std::int64_t ncomp) {
   if (n <= 1) {
@@ -174,7 +336,6 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& ein,
   }
   std::vector<double> e(static_cast<std::size_t>(n), 0.0);
   std::copy(ein.begin(), ein.end(), e.begin());
-  std::vector<Rotation> rots;
 
   for (std::int64_t l = 0; l < n; ++l) {
     int iter = 0;
@@ -194,18 +355,17 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& ein,
       double g = (d[static_cast<std::size_t>(l + 1)] -
                   d[static_cast<std::size_t>(l)]) /
                  (2.0 * e[static_cast<std::size_t>(l)]);
-      double r = std::hypot(g, 1.0);
+      double r = std::sqrt(g * g + 1.0);
       g = d[static_cast<std::size_t>(m)] - d[static_cast<std::size_t>(l)] +
           e[static_cast<std::size_t>(l)] / (g + std::copysign(r, g));
       double s = 1.0;
       double c = 1.0;
       double p = 0.0;
-      rots.clear();
       bool underflow = false;
       for (std::int64_t i = m - 1; i >= l; --i) {
         double f = s * e[static_cast<std::size_t>(i)];
         const double b = c * e[static_cast<std::size_t>(i)];
-        r = std::hypot(f, g);
+        r = std::sqrt(f * f + g * g);
         e[static_cast<std::size_t>(i + 1)] = r;
         if (r == 0.0) {
           d[static_cast<std::size_t>(i + 1)] -= p;
@@ -221,21 +381,14 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& ein,
         d[static_cast<std::size_t>(i + 1)] = g + p;
         g = c * r - b;
         if (w != nullptr) {
-          rots.push_back({i, c, s});
-        }
-      }
-      if (w != nullptr && !rots.empty()) {
-        parallel_for(0, ncomp, 64, [&](std::int64_t jb, std::int64_t je) {
-          for (const Rotation& rot : rots) {
-            double* wi = w + rot.i * ncomp;
-            double* wi1 = wi + ncomp;
-            for (std::int64_t j = jb; j < je; ++j) {
-              const double f = wi1[j];
-              wi1[j] = rot.s * wi[j] + rot.c * f;
-              wi[j] = rot.c * wi[j] - rot.s * f;
-            }
+          double* wi = w + i * ncomp;
+          double* wi1 = wi + ncomp;
+          for (std::int64_t j = 0; j < ncomp; ++j) {
+            const double x = wi1[j];
+            wi1[j] = s * wi[j] + c * x;
+            wi[j] = c * wi[j] - s * x;
           }
-        });
+        }
       }
       if (underflow) {
         continue;
@@ -247,34 +400,38 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& ein,
   }
 }
 
+/// Vectors per block of apply_reflectors: 8 vectors of n <= 512 doubles
+/// (32 KiB) stay in L1 while every reflector streams past them once.
+constexpr std::int64_t kReflectorBlock = 8;
+
 /// V = Q·Z with Q = H_0·…·H_{n-3}, on the transposed layout: `w` is
 /// row-major [nvec, n] with one eigenvector per row. H_r acts on the
 /// component axis, so per vector it is a contiguous dot product plus a
 /// contiguous axpy against the stored reflector. Vectors are independent —
-/// the loop parallelizes over vector chunks (reflectors outermost inside a
-/// chunk so u_r is reused across the chunk's rows), and each vector's
-/// arithmetic never depends on the chunking.
+/// the loop parallelizes over vector chunks and walks each chunk in blocks
+/// of kReflectorBlock vectors, reflectors outermost inside a block — and
+/// each vector's arithmetic never depends on the chunking or the blocking.
 void apply_reflectors(const Tridiagonal& t, double* w, std::int64_t nvec) {
   const std::int64_t n = t.n;
   if (n < 3) {
     return;
   }
-  parallel_for(0, nvec, 8, [&](std::int64_t vb, std::int64_t ve) {
-    for (std::int64_t r = n - 3; r >= 0; --r) {
-      const double tau = t.tau[static_cast<std::size_t>(r)];
-      if (tau == 0.0) {
-        continue;
-      }
-      const double* ur = t.u.data() + r * n;
-      for (std::int64_t v = vb; v < ve; ++v) {
-        double* wv = w + v * n;
-        double dot = 0.0;
-        for (std::int64_t c = r + 1; c < n; ++c) {
-          dot += ur[c] * wv[c];
+  parallel_for(0, nvec, kReflectorBlock, [&](std::int64_t vb, std::int64_t ve) {
+    for (std::int64_t b0 = vb; b0 < ve; b0 += kReflectorBlock) {
+      const std::int64_t b1 = std::min(b0 + kReflectorBlock, ve);
+      for (std::int64_t r = n - 3; r >= 0; --r) {
+        const double tau = t.tau[static_cast<std::size_t>(r)];
+        if (tau == 0.0) {
+          continue;
         }
-        dot *= tau;
-        for (std::int64_t c = r + 1; c < n; ++c) {
-          wv[c] -= dot * ur[c];
+        const double* ur = t.u.data() + r * n + r + 1;
+        const std::int64_t len = n - r - 1;
+        for (std::int64_t v = b0; v < b1; ++v) {
+          double* wv = w + v * n + r + 1;
+          const double f = tau * dot(ur, wv, len);
+          for (std::int64_t c = 0; c < len; ++c) {
+            wv[c] -= f * ur[c];
+          }
         }
       }
     }
@@ -514,12 +671,58 @@ void check_square(const Tensor& a) {
                 "eig_symmetric expects a square matrix");
 }
 
+LowerMatrix load_lower(std::span<const double> a, std::int64_t n) {
+  TDC_CHECK_MSG(n >= 1 && static_cast<std::int64_t>(a.size()) == n * n,
+                "eig_symmetric expects a square n×n matrix");
+  return load_lower(n, [&](std::int64_t i, std::int64_t j) {
+    return a[static_cast<std::size_t>(i * n + j)];
+  });
+}
+
+/// Leading k eigenpairs through the tridiagonal pipeline.
+EigResult topk_tridiagonal(LowerMatrix a, std::int64_t k) {
+  const std::int64_t n = a.n;
+  TDC_CHECK_MSG(k >= 1 && k <= n, "eig_symmetric_topk: k out of range");
+  const Tridiagonal t = tridiagonalize(std::move(a));
+  // Eigenvalues via a vector-free QL pass on a copy; the original (d, e)
+  // stay intact for the inverse-iteration solves.
+  std::vector<double> dv = t.d;
+  std::vector<double> ev = t.e;
+  tridiag_ql(dv, ev, n, nullptr, 0);
+  std::sort(dv.begin(), dv.end(), std::greater<double>());
+  dv.resize(static_cast<std::size_t>(k));
+
+  std::vector<double> w = tridiag_topk_vectors(t.d, t.e, n, dv, k);
+  apply_reflectors(t, w.data(), k);
+
+  EigResult result;
+  unscale(dv, t.scale);
+  result.values = std::move(dv);
+  result.vectors = Tensor({n, k});
+  for (std::int64_t col = 0; col < k; ++col) {
+    const double* wv = w.data() + col * n;
+    for (std::int64_t row = 0; row < n; ++row) {
+      result.vectors(row, col) = static_cast<float>(wv[row]);
+    }
+  }
+  return result;
+}
+
+/// All eigenvalues (descending) through the tridiagonal pipeline.
+std::vector<double> values_tridiagonal(LowerMatrix a) {
+  Tridiagonal t = tridiagonalize(std::move(a));
+  tridiag_ql(t.d, t.e, t.n, nullptr, 0);
+  std::sort(t.d.begin(), t.d.end(), std::greater<double>());
+  unscale(t.d, t.scale);
+  return t.d;
+}
+
 }  // namespace
 
 EigResult eig_symmetric_ql(const Tensor& a) {
   check_square(a);
   const std::int64_t n = a.dim(0);
-  Tridiagonal t = tridiagonalize(load_symmetric(a), n);
+  Tridiagonal t = tridiagonalize(load_lower(a));
   // W starts as the identity in the tridiagonal basis (one tracked vector
   // per row), picks up the QL rotations, then the reflector back-transform
   // maps it to the original basis — V = Q·Z_tri.
@@ -529,7 +732,9 @@ EigResult eig_symmetric_ql(const Tensor& a) {
   }
   tridiag_ql(t.d, t.e, n, w.data(), n);
   apply_reflectors(t, w.data(), n);
-  return finalize(t.d, w, n, descending_order(t.d), n);
+  EigResult result = finalize(t.d, w, n, descending_order(t.d), n);
+  unscale(result.values, t.scale);
+  return result;
 }
 
 EigResult eig_symmetric(const Tensor& a) {
@@ -556,41 +761,25 @@ EigResult eig_symmetric_topk(const Tensor& a, std::int64_t k) {
     }
     return result;
   }
+  return topk_tridiagonal(load_lower(a), k);
+}
 
-  Tridiagonal t = tridiagonalize(load_symmetric(a), n);
-  // Eigenvalues via a vector-free QL pass on a copy; the original (d, e)
-  // stay intact for the inverse-iteration solves.
-  std::vector<double> dv = t.d;
-  std::vector<double> ev = t.e;
-  tridiag_ql(dv, ev, n, nullptr, 0);
-  std::sort(dv.begin(), dv.end(), std::greater<double>());
-  dv.resize(static_cast<std::size_t>(k));
-
-  std::vector<double> w = tridiag_topk_vectors(t.d, t.e, n, dv, k);
-  apply_reflectors(t, w.data(), k);
-
-  EigResult result;
-  result.values = std::move(dv);
-  result.vectors = Tensor({n, k});
-  for (std::int64_t col = 0; col < k; ++col) {
-    const double* wv = w.data() + col * n;
-    for (std::int64_t row = 0; row < n; ++row) {
-      result.vectors(row, col) = static_cast<float>(wv[row]);
-    }
-  }
-  return result;
+EigResult eig_symmetric_topk(std::span<const double> a, std::int64_t n,
+                             std::int64_t k) {
+  return topk_tridiagonal(load_lower(a, n), k);
 }
 
 std::vector<double> eig_symmetric_values(const Tensor& a) {
   check_square(a);
-  const std::int64_t n = a.dim(0);
-  if (n <= kEigJacobiFallbackDim) {
+  if (a.dim(0) <= kEigJacobiFallbackDim) {
     return eig_symmetric_jacobi(a).values;
   }
-  Tridiagonal t = tridiagonalize(load_symmetric(a), n);
-  tridiag_ql(t.d, t.e, n, nullptr, 0);
-  std::sort(t.d.begin(), t.d.end(), std::greater<double>());
-  return t.d;
+  return values_tridiagonal(load_lower(a));
+}
+
+std::vector<double> eig_symmetric_values(std::span<const double> a,
+                                         std::int64_t n) {
+  return values_tridiagonal(load_lower(a, n));
 }
 
 EigResult eig_symmetric_jacobi(const Tensor& a, int max_sweeps, double tol) {

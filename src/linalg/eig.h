@@ -9,29 +9,49 @@
 //
 // Two solvers back that route:
 //   * eig_symmetric / eig_symmetric_topk / eig_symmetric_values — the
-//     production path: Householder tridiagonalization followed by
-//     implicit-shift QL on the tridiagonal form. The O(n³) stages (the
-//     trailing-block updates, the QL rotation accumulation, the reflector
-//     back-transform) run through the shared parallel runtime with
-//     fixed-order per-element reductions, so the output stays
-//     bit-identical across thread counts — the same invariant every exec
-//     plan guarantees. At the sizes this repo decomposes (n <= 512) the
-//     split buys no speed: on a 4-vCPU Xeon host eig_symmetric_topk(n=512,
-//     k=128) takes 79 ms at 1 thread, 73 ms at 2 and 79 ms at 4, and
-//     smaller n gets slower with more threads (n=128: 2.1 ms at 1 thread,
-//     4.3 ms at 4). A build therefore parallelises across layers instead
-//     (tucker_decompose_all, tucker/tucker.h), one serial solve per
-//     worker. The top-k
-//     variant computes only the leading eigenvectors (tridiagonal inverse
-//     iteration + a k-column back-transform), which is what
-//     tucker_decompose actually consumes.
+//     production path. Every entry reads only the lower triangle (the Gram
+//     route computes nothing else; svd.h) into double precision, scaled by
+//     the power of two that brings its largest entry to [1, 2) — exact, and
+//     it keeps every square inside the double range. Then:
+//       1. a one-pass lower-triangle Householder tridiagonalization (LAPACK
+//          dsytd2): each step's rank-2 update and the next step's matvec
+//          share one sweep over the trailing triangle;
+//       2. implicit-shift QL on the tridiagonal form, its rotations taking
+//          sqrt(f² + g²) directly: on the scaled matrix no square
+//          overflows, so std::hypot's rescaling is not needed;
+//       3. for eig_symmetric_topk, inverse iteration on the tridiagonal
+//          form for the k kept vectors only, and a k-vector back-transform
+//          through the stored reflectors.
+//     The dot products of steps 1 and 3 sum in 8 fixed lanes (AVX2 with
+//     FMA when the build targets it, the same lanes in plain C++
+//     otherwise). Only the back-transform runs through the shared parallel
+//     runtime, split over vectors with each vector computed by one chunk in
+//     a fixed order; the reduction, QL (the full solver applies each
+//     rotation to its n vectors as it forms it) and inverse iteration run
+//     serially. The output is therefore bit-identical for any thread count
+//     or intra-op width — the same invariant every exec plan guarantees.
+//     Threads buy nothing inside one solve at n <= 512, so a build
+//     parallelises across layers (tucker_decompose_all, tucker/tucker.h),
+//     one serial solve per job.
+//     At n = 512, k = 96 (a 512×4608 unfolding, the ResNet-18 layer-4 case)
+//     on one thread of a 4-vCPU Xeon host: reduction 12–16 ms (~40 ms for
+//     the two-pass, full-square one), QL eigenvalues 7.5–8 ms (~10–12 with
+//     std::hypot on every rotation), inverse iteration ~3 ms, back-transform
+//     5–8 ms (~10–13 with serial dot products): eig_symmetric_topk 28–31 ms
+//     against 58–66. The full eig_symmetric_ql, which also applies every QL
+//     rotation to n vectors and back-transforms all n, takes ~100–120 ms at
+//     any thread count (190–220 ms at 1 thread and ~300 ms at 4 when a
+//     parallel region replayed each QL step's rotations), ≥50× faster than
+//     Jacobi; bench_eig enforces a 20× floor.
 //   * eig_symmetric_jacobi — the original serial cyclic-Jacobi kernel,
 //     retained as the small-n fallback (eig_symmetric dispatches to it for
 //     n <= kEigJacobiFallbackDim, where O(n³)·sweeps is negligible and its
 //     simplicity wins) and as the independent oracle of the test suite.
+//     It too reads only the lower triangle.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -52,9 +72,10 @@ struct EigResult {
 inline constexpr std::int64_t kEigJacobiFallbackDim = 32;
 
 /// Eigendecomposition of a symmetric matrix (only the lower triangle is
-/// read). Tridiagonal QL for n > kEigJacobiFallbackDim, Jacobi at or below.
-/// Deterministic: bit-identical results for any TDC_NUM_THREADS.
-/// Throws if `a` is not square.
+/// read: whatever lies above the diagonal, NaN included, never changes a
+/// bit of the result). Tridiagonal QL for n > kEigJacobiFallbackDim, Jacobi
+/// at or below. Deterministic: bit-identical results for any
+/// TDC_NUM_THREADS. Throws if `a` is not square.
 EigResult eig_symmetric(const Tensor& a);
 
 /// The leading `k` eigenpairs only (descending): tridiagonalization, QL for
@@ -69,6 +90,16 @@ EigResult eig_symmetric_topk(const Tensor& a, std::int64_t k);
 /// All eigenvalues in descending order, no eigenvectors (the latent-rank
 /// scan needs nothing else). Same dispatch and determinism as eig_symmetric.
 std::vector<double> eig_symmetric_values(const Tensor& a);
+
+/// Double-precision entries of the tridiagonal pipeline, at any n >= 1 (no
+/// Jacobi dispatch): `a` is the row-major n×n matrix, of which only the
+/// lower triangle is read. eig_symmetric_topk / eig_symmetric_values above
+/// n = kEigJacobiFallbackDim are these on the widened float matrix; the
+/// overloads serve inputs whose magnitudes a float cannot hold.
+EigResult eig_symmetric_topk(std::span<const double> a, std::int64_t n,
+                             std::int64_t k);
+std::vector<double> eig_symmetric_values(std::span<const double> a,
+                                         std::int64_t n);
 
 /// The tridiagonal-QL pipeline at any n (no Jacobi dispatch) — exposed so
 /// the test suite can pit it against the Jacobi oracle on small matrices.

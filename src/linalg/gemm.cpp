@@ -1,6 +1,7 @@
 #include "linalg/gemm.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -209,6 +210,7 @@ struct GemmArgs {
   float alpha, beta;
   const float* prepacked_a;
   std::int64_t pm;
+  bool lower = false;  // square C; only tiles touching its lower triangle
 };
 
 // One chunk of a GEMM region: C rows [i0, i1) × columns [j0, j1), edges on
@@ -216,12 +218,20 @@ struct GemmArgs {
 // (jc, pc, ic) blocks the whole-matrix walk would, restricted to its
 // rectangle, packing the B slivers it consumes into this thread's buffer.
 // Every C tile therefore receives the same micro-kernel calls, over the same
-// packed bytes and in the same pc order, whichever chunk owns it.
+// packed bytes and in the same pc order, whichever chunk owns it. With
+// `g.lower` the walk skips every tile whose columns all lie above its rows
+// (and never packs the B slivers only those tiles read); the tiles it keeps
+// get exactly the calls above.
 TDC_RUN_PATH void gemm_chunk(const GemmArgs& g, std::int64_t i0,
                              std::int64_t i1, std::int64_t j0,
                              std::int64_t j1) {
   scale_c(i1 - i0, j1 - j0, g.c + i0 * g.ldc + j0, g.ldc, g.beta);
-  if (g.k == 0 || g.alpha == 0.0f) {
+  if (g.lower) {
+    // Through the NR sliver holding column i1 − 1: cutting inside it would
+    // turn its tiles ragged and change their rounding.
+    j1 = std::min(j1, detail::divup(i1, kNr) * kNr);
+  }
+  if (g.k == 0 || g.alpha == 0.0f || i1 <= i0 || j1 <= j0) {
     return;
   }
   thread_local std::vector<float> bbuf;
@@ -244,6 +254,13 @@ TDC_RUN_PATH void gemm_chunk(const GemmArgs& g, std::int64_t i0,
       pack_b(kc, nc, g.b + pc * g.b_rs + jc * g.b_cs, g.b_rs, g.b_cs, bpack);
       for (std::int64_t ic = i0; ic < i1; ic += kMc) {
         const std::int64_t mc = std::min<std::int64_t>(kMc, i1 - ic);
+        // Columns this row panel needs: all of the band, or with `lower`
+        // only those left of its last row.
+        const std::int64_t nc_live =
+            g.lower ? std::min(nc, ic + mc - jc) : nc;
+        if (nc_live <= 0) {
+          continue;
+        }
         const float* apanel;
         if (g.prepacked_a != nullptr) {
           apanel = g.prepacked_a + g.pm * pc + ic * kc;
@@ -252,10 +269,16 @@ TDC_RUN_PATH void gemm_chunk(const GemmArgs& g, std::int64_t i0,
                  apack);
           apanel = apack;
         }
-        for (std::int64_t jr = 0; jr < nc; jr += kNr) {
+        for (std::int64_t jr = 0; jr < nc_live; jr += kNr) {
           const std::int64_t nr = std::min<std::int64_t>(kNr, nc - jr);
           const float* bp = bpack + (jr / kNr) * kc * kNr;
-          for (std::int64_t ir = 0; ir < mc; ir += kMr) {
+          // With `lower`, start at the row sliver holding column jc + jr's
+          // diagonal entry: the slivers above it lie wholly above the
+          // diagonal.
+          const std::int64_t ir0 =
+              g.lower ? std::max<std::int64_t>(jc + jr - ic, 0) / kMr * kMr
+                      : 0;
+          for (std::int64_t ir = ir0; ir < mc; ir += kMr) {
             const std::int64_t mr = std::min<std::int64_t>(kMr, mc - ir);
             const float* ap = apanel + (ir / kMr) * kc * kMr;
             float* ctile = g.c + (ic + ir) * g.ldc + jc + jr;
@@ -290,7 +313,7 @@ TDC_RUN_PATH void gemm_packed(std::int64_t m, std::int64_t n,
                  const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, std::int64_t b_cs,
                  float* cp, std::int64_t ldc, float alpha, float beta,
-                 const float* prepacked_a = nullptr) {
+                 const float* prepacked_a = nullptr, bool lower = false) {
   if (m == 0 || n == 0) {
     return;
   }
@@ -298,18 +321,34 @@ TDC_RUN_PATH void gemm_packed(std::int64_t m, std::int64_t n,
                    .a = a, .a_rs = a_rs, .a_cs = a_cs,
                    .b = b, .b_rs = b_rs, .b_cs = b_cs,
                    .c = cp, .ldc = ldc, .alpha = alpha, .beta = beta,
-                   .prepacked_a = prepacked_a, .pm = packed_a_rows(m)};
-  const TileSplit split = split_tiles(m, n, k, region_width());
+                   .prepacked_a = prepacked_a, .pm = packed_a_rows(m),
+                   .lower = lower};
   const std::int64_t row_slivers = detail::divup(m, kMr);
   const std::int64_t col_slivers = detail::divup(n, kNr);
+  // A lower-triangle call splits by rows only, with band edges spaced like
+  // sqrt(r / rows) so that every band holds an equal share of the triangle.
+  const TileSplit split =
+      lower ? TileSplit{.rows = std::clamp<std::int64_t>(
+                            m * m * std::max<std::int64_t>(k, 1) / 2 /
+                                kMinChunkMacs,
+                            1, std::min<std::int64_t>(region_width(),
+                                                      row_slivers)),
+                        .cols = 1}
+            : split_tiles(m, n, k, region_width());
+  const auto row_edge = [&](std::int64_t r) {
+    return lower ? static_cast<std::int64_t>(std::llround(
+                       static_cast<double>(row_slivers) *
+                       std::sqrt(static_cast<double>(r) /
+                                 static_cast<double>(split.rows))))
+                 : r * row_slivers / split.rows;
+  };
   parallel_for(0, split.rows * split.cols, 1,
                [&](std::int64_t c0, std::int64_t c1) {
     for (std::int64_t chunk = c0; chunk < c1; ++chunk) {
       const std::int64_t r = chunk / split.cols;
       const std::int64_t q = chunk % split.cols;
-      const std::int64_t i0 = r * row_slivers / split.rows * kMr;
-      const std::int64_t i1 =
-          std::min(m, (r + 1) * row_slivers / split.rows * kMr);
+      const std::int64_t i0 = row_edge(r) * kMr;
+      const std::int64_t i1 = std::min(m, row_edge(r + 1) * kMr);
       const std::int64_t j0 = q * col_slivers / split.cols * kNr;
       const std::int64_t j1 =
           std::min(n, (q + 1) * col_slivers / split.cols * kNr);
@@ -357,6 +396,14 @@ void gemm_strided(std::int64_t m, std::int64_t n, std::int64_t k,
                   const float* b, std::int64_t b_rs, std::int64_t b_cs,
                   float* c, std::int64_t ldc, float alpha, float beta) {
   gemm_packed(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, alpha, beta);
+}
+
+void gemm_strided_lower(std::int64_t m, std::int64_t k, const float* a,
+                        std::int64_t a_rs, std::int64_t a_cs, const float* b,
+                        std::int64_t b_rs, std::int64_t b_cs, float* c,
+                        std::int64_t ldc, float alpha, float beta) {
+  gemm_packed(m, m, k, a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, alpha, beta,
+              /*prepacked_a=*/nullptr, /*lower=*/true);
 }
 
 PackedGemmA pack_gemm_a(std::int64_t m, std::int64_t k, const float* a,

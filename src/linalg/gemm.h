@@ -59,6 +59,20 @@ void gemm_strided(std::int64_t m, std::int64_t n, std::int64_t k,
                   float* c, std::int64_t ldc, float alpha = 1.0f,
                   float beta = 0.0f);
 
+/// The lower triangle of the square gemm_strided product (M = N = m):
+/// the same packed walk, minus every MR×NR tile that lies wholly above the
+/// diagonal. Entries on and below the diagonal are bitwise those
+/// gemm_strided writes; entries above it are unspecified (the tiles that
+/// straddle the diagonal fill some, beta scales the rest). A Gram matrix
+/// A·A^T for a symmetric consumer that reads one triangle costs about half
+/// the full product this way. The region splits C into row bands of equal
+/// triangle area; like every split, it never changes a result bit.
+void gemm_strided_lower(std::int64_t m, std::int64_t k, const float* a,
+                        std::int64_t a_rs, std::int64_t a_cs, const float* b,
+                        std::int64_t b_rs, std::int64_t b_cs, float* c,
+                        std::int64_t ldc, float alpha = 1.0f,
+                        float beta = 0.0f);
+
 /// A-operand panels packed once into the micro-kernel's sliver format.
 ///
 /// Packing the left operand is the per-call cost the plan/execute API hoists

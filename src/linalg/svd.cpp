@@ -17,11 +17,14 @@ std::int64_t matrix_cols(const Tensor& a) {
   return a.numel() / a.dim(0);
 }
 
-/// Gram matrix G = A·A^T (m×m) through the packed engine GEMM.
+/// Lower triangle of the Gram matrix G = A·A^T (m×m) through the packed
+/// engine GEMM; the eigensolvers read nothing else (eig.h), so the tiles
+/// above the diagonal are never computed.
 Tensor gram(const Tensor& a) {
   const std::int64_t m = a.dim(0);
+  const std::int64_t k = matrix_cols(a);
   Tensor g({m, m});
-  gemm_bt(m, m, matrix_cols(a), a.data(), a.data(), g.data());
+  gemm_strided_lower(m, k, a.raw(), k, 1, a.raw(), 1, k, g.raw(), m);
   return g;
 }
 

@@ -13,6 +13,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -230,6 +233,147 @@ TEST(EigTopk, ClusteredEigenvaluesSpanTheRightEigenspace) {
         EXPECT_NEAR(got, want, 1e-4) << i << "," << j;
       }
     }
+  }
+}
+
+/// eig_symmetric_ql, eig_symmetric_topk and eig_symmetric_values (n above
+/// the Jacobi fallback, so all three take the tridiagonal pipeline) against
+/// the Jacobi oracle: eigenvalues at the suite's relative tolerance,
+/// eigenvectors by residual and orthogonality.
+void expect_pipeline_matches_jacobi(const Tensor& a, const std::string& what) {
+  const std::int64_t n = a.dim(0);
+  const std::int64_t k = n / 2;
+  const EigResult oracle = eig_symmetric_jacobi(a);
+  const EigResult full = eig_symmetric_ql(a);
+  const EigResult top = eig_symmetric_topk(a, k);
+  const std::vector<double> vals = eig_symmetric_values(a);
+  ASSERT_EQ(vals.size(), static_cast<std::size_t>(n)) << what;
+  const double tol = 1e-6 * matrix_inf_norm(a) * static_cast<double>(n);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto at = static_cast<std::size_t>(i);
+    EXPECT_NEAR(full.values[at], oracle.values[at], tol) << what << " i=" << i;
+    EXPECT_NEAR(vals[at], oracle.values[at], tol) << what << " i=" << i;
+    if (i < k) {
+      EXPECT_NEAR(top.values[at], oracle.values[at], tol)
+          << what << " i=" << i;
+    }
+  }
+  EXPECT_LT(orthogonality_error(full.vectors), 1e-5) << what;
+  EXPECT_LT(worst_residual(a, full), 1e-6) << what;
+  EXPECT_LT(orthogonality_error(top.vectors), 1e-5) << what;
+  EXPECT_LT(worst_residual(a, top), 1e-6) << what;
+}
+
+TEST(EigQl, EdgeShapesMatchJacobiOracle) {
+  // Just above the Jacobi fallback: the reduction's 8-lane groups and
+  // their remainders at the smallest sizes the pipeline ever sees.
+  for (const std::int64_t n : {kEigJacobiFallbackDim + 1,
+                               kEigJacobiFallbackDim + 2}) {
+    const auto seed = static_cast<std::uint64_t>(n);
+    expect_pipeline_matches_jacobi(random_spd(n, 2100 + seed),
+                                   "spd n=" + std::to_string(n));
+    expect_pipeline_matches_jacobi(random_symmetric(n, 2200 + seed),
+                                   "indefinite n=" + std::to_string(n));
+  }
+
+  // Diagonal: every column is already tridiagonal, so no step builds a
+  // reflector. The values repeat, so the vectors come from clusters.
+  const std::int64_t n = 40;
+  Tensor diag({n, n});
+  for (std::int64_t i = 0; i < n; ++i) {
+    diag(i, i) = static_cast<float>(i % 7) - 3.0f;
+  }
+  expect_pipeline_matches_jacobi(diag, "diagonal");
+
+  // Block-diagonal: the steps at each block's last two columns find a zero
+  // tail and skip the reflector, between steps that build one — including
+  // a 1×1 block and a zero block.
+  Tensor blocks({n, n});
+  const Tensor b0 = random_spd(17, 2301);
+  const Tensor b1 = random_symmetric(12, 2302);
+  for (std::int64_t i = 0; i < 17; ++i) {
+    for (std::int64_t j = 0; j < 17; ++j) {
+      blocks(i, j) = b0(i, j) / 17.0f;
+    }
+  }
+  blocks(17, 17) = 2.5f;
+  for (std::int64_t i = 0; i < 12; ++i) {
+    for (std::int64_t j = 0; j < 12; ++j) {
+      blocks(18 + i, 18 + j) = b1(i, j);
+    }
+  }
+  expect_pipeline_matches_jacobi(blocks, "block-diagonal");
+}
+
+TEST(EigQl, ExtremeScaleGramsMatchJacobiOracle) {
+  // Entries near 1e±150 square to near the ends of the double range: an
+  // unguarded reduction or QL rotation overflows to inf or flushes to
+  // zero. The double-precision entries must return the oracle's spectrum
+  // scaled, and the same eigenvectors.
+  for (const std::int64_t n : {33, 64, 128}) {
+    const Tensor gram = random_spd(n, 2400 + static_cast<std::uint64_t>(n));
+    const EigResult oracle = eig_symmetric_jacobi(gram);
+    const double tol = 1e-6 * matrix_inf_norm(gram) * static_cast<double>(n);
+    const std::int64_t k = n / 4;
+    for (const double scale : {1e150, 1e-150}) {
+      std::vector<double> scaled(static_cast<std::size_t>(n * n));
+      for (std::int64_t i = 0; i < n * n; ++i) {
+        scaled[static_cast<std::size_t>(i)] =
+            static_cast<double>(gram[i]) * scale;
+      }
+      const std::vector<double> vals = eig_symmetric_values(scaled, n);
+      EigResult top = eig_symmetric_topk(scaled, n, k);
+      ASSERT_EQ(vals.size(), static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i) {
+        const auto at = static_cast<std::size_t>(i);
+        EXPECT_NEAR(vals[at] / scale, oracle.values[at], tol)
+            << "n=" << n << " scale=" << scale << " i=" << i;
+        if (i < k) {
+          EXPECT_NEAR(top.values[at] / scale, oracle.values[at], tol)
+              << "n=" << n << " scale=" << scale << " i=" << i;
+        }
+      }
+      for (double& v : top.values) {
+        v /= scale;
+      }
+      EXPECT_LT(orthogonality_error(top.vectors), 1e-5)
+          << "n=" << n << " scale=" << scale;
+      EXPECT_LT(worst_residual(gram, top), 1e-6)
+          << "n=" << n << " scale=" << scale;
+    }
+  }
+}
+
+TEST(Eig, ReadsOnlyTheLowerTriangle) {
+  // The Gram route computes only the lower triangle (svd.cpp), so whatever
+  // sits above the diagonal must never reach the result: NaN there has to
+  // leave every output bit as it is on the clean matrix.
+  for (const std::int64_t n : {33, 64, 257, 512}) {
+    const Tensor clean =
+        random_symmetric(n, 2500 + static_cast<std::uint64_t>(n));
+    Tensor dirty = clean;
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t j = i + 1; j < n; ++j) {
+        dirty(i, j) = std::numeric_limits<float>::quiet_NaN();
+      }
+    }
+    const std::int64_t k = std::min<std::int64_t>(n, 48);
+    const EigResult full = eig_symmetric(clean);
+    const EigResult full_dirty = eig_symmetric(dirty);
+    EXPECT_EQ(full_dirty.values, full.values) << "n=" << n;
+    EXPECT_EQ(std::memcmp(full_dirty.vectors.raw(), full.vectors.raw(),
+                          sizeof(float) * static_cast<std::size_t>(n * n)),
+              0)
+        << "n=" << n;
+    const EigResult top = eig_symmetric_topk(clean, k);
+    const EigResult top_dirty = eig_symmetric_topk(dirty, k);
+    EXPECT_EQ(top_dirty.values, top.values) << "n=" << n;
+    EXPECT_EQ(std::memcmp(top_dirty.vectors.raw(), top.vectors.raw(),
+                          sizeof(float) * static_cast<std::size_t>(n * k)),
+              0)
+        << "n=" << n;
+    EXPECT_EQ(eig_symmetric_values(dirty), eig_symmetric_values(clean))
+        << "n=" << n;
   }
 }
 

@@ -331,6 +331,51 @@ TEST_F(GemmSplitTest, BitwiseAcrossThreadsAndArenaWidths) {
   }
 }
 
+// gemm_strided_lower is the full product minus the tiles above the
+// diagonal: on and below it every entry must be bitwise gemm_strided's, at
+// every split. Sizes cross the MR, NR, MC and NC (1024) edges, and K the KC
+// edge; A·A^T through the transposed B strides is the Gram the SVD builds.
+TEST_F(GemmSplitTest, LowerTriangleMatchesFullProductBitwise) {
+  Rng rng(9150);
+  constexpr float kAlpha = 0.75f;
+  constexpr float kBeta = 0.5f;
+  for (const auto& [m, k] : {std::pair<std::int64_t, std::int64_t>{1, 3},
+                             {7, 260},
+                             {33, 17},
+                             {130, 300},
+                             {257, 40},
+                             {1030, 5}}) {
+    const std::int64_t ldc = m + 3;
+    const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
+    const auto c0 = random_vec(static_cast<std::size_t>(m * ldc), rng);
+    configure(1, 1);
+    std::vector<float> full = c0;
+    gemm_strided(m, m, k, a.data(), k, 1, a.data(), 1, k, full.data(), ldc,
+                 kAlpha, kBeta);
+    for (const int threads : {1, 2, 4}) {
+      for (const int intra_op : {1, 2, 0}) {
+        configure(threads, intra_op);
+        std::vector<float> lower = c0;
+        gemm_strided_lower(m, k, a.data(), k, 1, a.data(), 1, k, lower.data(),
+                           ldc, kAlpha, kBeta);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j <= i; ++j) {
+            const auto at = static_cast<std::size_t>(i * ldc + j);
+            ASSERT_EQ(lower[at], full[at])
+                << "m=" << m << " k=" << k << " (" << i << ", " << j
+                << ") threads=" << threads << " intra_op=" << intra_op;
+          }
+          // The ldc padding stays untouched.
+          for (std::int64_t j = m; j < ldc; ++j) {
+            const auto at = static_cast<std::size_t>(i * ldc + j);
+            ASSERT_EQ(lower[at], c0[at]) << "m=" << m << " row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(GemmSplitTest, WarmSplitCallAllocatesNothing) {
   const bool saved_guard = alloc_guard_enabled();
   configure(4, 0);

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/fault.h"
 #include "common/parallel.h"
+#include "linalg/eig.h"
 #include "linalg/gemm.h"
 #include "tensor/unfold.h"
 #include "tucker/flops.h"
@@ -143,6 +144,55 @@ TEST(Tucker, ReconstructMatchesEquationOne) {
           }
           EXPECT_NEAR(k(c, n, r, s), expected, 1e-5);
         }
+      }
+    }
+  }
+}
+
+/// All eigenvectors of a mode unfolding's Gram matrix from the Jacobi
+/// oracle, descending: column i is the i-th left singular vector the slow
+/// solver would hand tucker_decompose.
+Tensor jacobi_left_vectors(const Tensor& unfolding) {
+  const std::int64_t m = unfolding.dim(0);
+  const std::int64_t cols = unfolding.numel() / m;
+  Tensor gram({m, m});
+  gemm_bt(m, m, cols, unfolding.data(), unfolding.data(), gram.data());
+  return eig_symmetric_jacobi(gram).vectors;
+}
+
+Tensor leading_columns(const Tensor& v, std::int64_t k) {
+  Tensor out({v.dim(0), k});
+  for (std::int64_t i = 0; i < v.dim(0); ++i) {
+    for (std::int64_t j = 0; j < k; ++j) {
+      out(i, j) = v(i, j);
+    }
+  }
+  return out;
+}
+
+TEST(Tucker, ProjectionErrorMatchesJacobiFactors) {
+  // Same approximation, faster solver: the production eigensolver's factors
+  // must truncate a kernel as well as factors from the Jacobi oracle.
+  const std::int64_t sizes[] = {64, 128, 256};
+  for (const std::int64_t c : sizes) {
+    for (const std::int64_t n : sizes) {
+      Rng rng(static_cast<std::uint64_t>(1000 * c + n));
+      const Tensor kernel = Tensor::random_normal({c, n, 3, 3}, rng);
+      const Tensor v1 = jacobi_left_vectors(kernel);
+      const Tensor v2 = jacobi_left_vectors(unfold_mode(kernel, 1));
+      for (const TuckerRanks ranks : {TuckerRanks{c / 8, n / 2},
+                                      TuckerRanks{c / 2, n / 4},
+                                      TuckerRanks{3 * c / 4, 3 * n / 4}}) {
+        TuckerFactors f;
+        f.u1 = leading_columns(v1, ranks.d1);
+        f.u2 = leading_columns(v2, ranks.d2);
+        f.core = mode_product(mode_product(kernel, f.u1, 0), f.u2, 1);
+        const double oracle =
+            Tensor::rel_error(tucker_reconstruct(f), kernel);
+        EXPECT_NEAR(tucker_projection_error(kernel, ranks), oracle,
+                    1e-5 * oracle)
+            << c << "x" << n << " ranks (" << ranks.d1 << ", " << ranks.d2
+            << ")";
       }
     }
   }
