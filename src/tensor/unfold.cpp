@@ -44,8 +44,11 @@ Tensor unfold_mode(const Tensor& t, int mode) {
   Tensor out({s.extent, s.outer * s.inner});
   const float* src = t.raw();
   float* dst = out.raw();
-  for (std::int64_t o = 0; o < s.outer; ++o) {
-    for (std::int64_t r = 0; r < s.extent; ++r) {
+  // Destination order: the writes stream, the strided side is the reads
+  // (about twice as fast for a CNRS kernel's mode 1, where inner = R·S is
+  // a handful of floats).
+  for (std::int64_t r = 0; r < s.extent; ++r) {
+    for (std::int64_t o = 0; o < s.outer; ++o) {
       std::copy_n(src + (o * s.extent + r) * s.inner, s.inner,
                   dst + (r * s.outer + o) * s.inner);
     }

@@ -1,11 +1,13 @@
 // Decomposition-accuracy suite for the symmetric eigensolvers (linalg/eig.h).
 //
-// The tridiagonal-QL production solver is checked three ways: against
+// The tridiagonal-QL production solver is checked four ways: against
 // basis-independent invariants (orthogonality, residuals, reconstruction,
 // descending order) on random SPD and indefinite matrices up to n = 512,
 // against the retained cyclic-Jacobi kernel as an independent oracle at
-// sizes where Jacobi is still cheap, and for the exec-layer determinism
-// contract — bit-identical output for any TDC_NUM_THREADS. Eigenvector
+// sizes where Jacobi is still cheap (edge shapes and 1e±150 scales
+// included), for the exec-layer determinism contract — bit-identical
+// output for any TDC_NUM_THREADS — and for the lower-triangle contract:
+// nothing above the diagonal changes a bit of the result. Eigenvector
 // comparisons are deliberately subspace-based (residual ‖Av − λv‖ and
 // cluster projectors), never column-by-column: any orthonormal basis of a
 // repeated eigenvalue's eigenspace is a correct answer.
@@ -379,8 +381,9 @@ TEST(Eig, ReadsOnlyTheLowerTriangle) {
 
 TEST(Eig, DeterministicAcrossThreadCounts) {
   const int saved = num_threads();
-  // Odd sizes just above the Jacobi fallback put the tridiagonal matvec's
-  // 4-row groups, its row remainder and the chunk edges at every offset.
+  // Odd sizes just above the Jacobi fallback put the reduction's 8-lane
+  // groups, their remainders and the back-transform's chunk edges at every
+  // offset.
   for (const std::int64_t n : {33, 35, 37, 101, 256}) {
     const Tensor a = random_spd(n, 77);
     const std::int64_t k = std::min<std::int64_t>(64, n);
