@@ -30,9 +30,9 @@
 //     rotation to its n vectors as it forms it) and inverse iteration run
 //     serially. The output is therefore bit-identical for any thread count
 //     or intra-op width — the same invariant every exec plan guarantees.
-//     Threads buy nothing inside one solve at n <= 512, so a build
-//     parallelises across layers (tucker_decompose_all, tucker/tucker.h),
-//     one serial solve per job.
+//     A solve thus runs essentially single-threaded, and a build
+//     parallelises across layers instead (tucker_decompose_all,
+//     tucker/tucker.h), one serial solve per job.
 //     At n = 512, k = 96 (a 512×4608 unfolding, the ResNet-18 layer-4 case)
 //     on one thread of a 4-vCPU Xeon host: reduction 12–16 ms (~40 ms for
 //     the two-pass, full-square one), QL eigenvalues 7.5–8 ms (~10–12 with

@@ -12,10 +12,9 @@
 // unfolding (a ResNet-18 layer-4 kernel) at k = 96 on one thread of a
 // 4-vCPU Xeon host, the Gram takes 19–21 ms (~36 ms for the full product)
 // and the top-k eigensolve 28–31 ms (58–66 ms before; eig.h has the
-// phases). Deterministic is not the same as scalable: at the
-// Gram sizes of a CNN (n <= 512) the eigensolve gains nothing from more
-// threads, so concurrency pays across matrices — one whole SVD per worker,
-// as tucker_decompose_all runs them — not inside one.
+// phases). Deterministic is not the same as scalable: the eigensolve runs
+// essentially single-threaded, so concurrency pays across matrices — one
+// whole SVD per worker, as tucker_decompose_all runs them — not inside one.
 #pragma once
 
 #include <vector>
