@@ -5,10 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
-
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -36,30 +32,20 @@ double fold(const double (&acc)[kLanes]) {
 /// Σ x[i]·y[i] over [0, len). Lane l sums the indices ≡ l (mod kLanes) in
 /// ascending order and the lanes fold in a fixed tree: independent partial
 /// sums instead of one serial add chain, in an order this source fixes. The
-/// AVX2 path keeps the lanes in two 4-wide registers and fuses each
-/// multiply-add; the portable path is the same loop in scalar code, so a
-/// native and a generic build differ only in that rounding, and neither
-/// result depends on threads.
+/// compiler maps the lanes onto vector registers (two 4-wide AVX2 ones with
+/// FMA in the native build); a hand-written intrinsic copy of this loop and
+/// of sweep_column's measured no faster and produced the same bits, so
+/// there is one portable implementation. Whether the build fuses each
+/// multiply-add is the only difference between a native and a generic
+/// build, and no result depends on threads.
 double dot(const double* x, const double* y, std::int64_t len) {
   double acc[kLanes] = {};
   std::int64_t i = 0;
-#if defined(__AVX2__) && defined(__FMA__)
-  __m256d lo = _mm256_setzero_pd();
-  __m256d hi = _mm256_setzero_pd();
-  for (; i + kLanes <= len; i += kLanes) {
-    lo = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i), lo);
-    hi = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 4),
-                         _mm256_loadu_pd(y + i + 4), hi);
-  }
-  _mm256_storeu_pd(acc, lo);
-  _mm256_storeu_pd(acc + 4, hi);
-#else
   for (; i + kLanes <= len; i += kLanes) {
     for (std::int64_t l = 0; l < kLanes; ++l) {
       acc[l] += x[i + l] * y[i + l];
     }
   }
-#endif
   for (std::int64_t l = 0; i < len; ++i, ++l) {
     acc[l] += x[i] * y[i];
   }
@@ -159,10 +145,13 @@ struct Tridiagonal {
 ///            v — the dot product of the column with v into s[j], and the
 ///            column times v[j] into s[i > j] (A is symmetric, so column j
 ///            below the diagonal is also row j right of it).
-/// Every s[i] gets its terms in ascending column order, whatever the ISA.
+/// Every s[i] gets its terms in ascending column order. The pointers never
+/// alias (distinct columns of the matrix, distinct work vectors); saying so
+/// lets the compiler vectorize the row loop without overlap checks.
 template <bool kUpdate, bool kMatvec>
-void sweep_column(double* c, std::int64_t j, std::int64_t n, const double* u,
-                  const double* w, const double* v, double* s) {
+void sweep_column(double* __restrict c, std::int64_t j, std::int64_t n,
+                  const double* __restrict u, const double* __restrict w,
+                  const double* __restrict v, double* __restrict s) {
   const double uj = kUpdate ? u[j] : 0.0;
   const double wj = kUpdate ? w[j] : 0.0;
   const double vj = kMatvec ? v[j] : 0.0;
@@ -174,32 +163,6 @@ void sweep_column(double* c, std::int64_t j, std::int64_t n, const double* u,
   // Lane l of the column's dot product takes rows j+1+l, j+1+l+kLanes, …
   double acc[kLanes] = {};
   std::int64_t i = j + 1;
-#if defined(__AVX2__) && defined(__FMA__)
-  const __m256d vuj = _mm256_set1_pd(uj);
-  const __m256d vwj = _mm256_set1_pd(wj);
-  const __m256d vvj = _mm256_set1_pd(vj);
-  __m256d lanes[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
-  for (; i + kLanes <= n; i += kLanes) {
-    for (int h = 0; h < 2; ++h) {
-      const std::int64_t r = i + 4 * h;
-      __m256d x = _mm256_loadu_pd(c + r);
-      if constexpr (kUpdate) {
-        const __m256d uw = _mm256_fmadd_pd(
-            _mm256_loadu_pd(u + r), vwj,
-            _mm256_mul_pd(_mm256_loadu_pd(w + r), vuj));
-        x = _mm256_sub_pd(x, uw);
-        _mm256_storeu_pd(c + r, x);
-      }
-      if constexpr (kMatvec) {
-        lanes[h] = _mm256_fmadd_pd(x, _mm256_loadu_pd(v + r), lanes[h]);
-        _mm256_storeu_pd(s + r,
-                         _mm256_fmadd_pd(x, vvj, _mm256_loadu_pd(s + r)));
-      }
-    }
-  }
-  _mm256_storeu_pd(acc, lanes[0]);
-  _mm256_storeu_pd(acc + 4, lanes[1]);
-#else
   for (; i + kLanes <= n; i += kLanes) {
     for (std::int64_t l = 0; l < kLanes; ++l) {
       double x = c[i + l];
@@ -213,7 +176,6 @@ void sweep_column(double* c, std::int64_t j, std::int64_t n, const double* u,
       }
     }
   }
-#endif
   for (std::int64_t l = 0; i < n; ++i, ++l) {
     double x = c[i];
     if constexpr (kUpdate) {
@@ -317,7 +279,7 @@ Tridiagonal tridiagonalize(LowerMatrix a) {
   return t;
 }
 
-/// Implicit-shift QL on (d, e). When `w` is non-null it is a row-major
+/// Implicit-shift QL on (d, e), tracking eigenvectors: `w` is a row-major
 /// [n, ncomp] matrix holding one tracked eigenvector per *row* (the
 /// transpose of the textbook Z): a rotation on tridiagonal indices (i, i+1)
 /// mixes two contiguous rows, so the update vectorizes along the component
@@ -326,9 +288,17 @@ Tridiagonal tridiagonalize(LowerMatrix a) {
 /// region per QL step costs more in wake-ups than the step's rotations take.
 /// The rotations take sqrt(f² + g²) without std::hypot's rescaling: the
 /// LowerMatrix scaling bounds f and g by a small multiple of n, so no
-/// square overflows and squares underflow only for |f|, |g| < 1e-154, far
-/// below T's O(1) scale; the shift's ratio g stays below 1/(2ε), since a
-/// smaller e[l] would have deflated.
+/// square overflows, and the shift's ratio g stays below 1/(2ε), since a
+/// smaller e[l] would have deflated. Squares lose precision only below the
+/// smallest normal double, |f|, |g| < 1e-154 — a block that small beside
+/// T's O(1) scale, which a float input cannot produce but a double one
+/// can: a root below kSafeRoot is retaken with std::hypot, so the rotation
+/// stays orthogonal there too.
+/// At or above this root the larger of f², g² is at least (smallest normal
+/// double)/ε², so a subnormal smaller square is below ε² of it and cannot
+/// change sqrt(f² + g²); below it the sum may have lost precision.
+constexpr double kSafeRoot = 1e-138;
+
 void tridiag_ql(std::vector<double>& d, std::vector<double>& ein,
                 std::int64_t n, double* w, std::int64_t ncomp) {
   if (n <= 1) {
@@ -366,6 +336,9 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& ein,
         double f = s * e[static_cast<std::size_t>(i)];
         const double b = c * e[static_cast<std::size_t>(i)];
         r = std::sqrt(f * f + g * g);
+        if (r < kSafeRoot) {
+          r = std::hypot(f, g);
+        }
         e[static_cast<std::size_t>(i + 1)] = r;
         if (r == 0.0) {
           d[static_cast<std::size_t>(i + 1)] -= p;
@@ -380,14 +353,12 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& ein,
         p = s * r;
         d[static_cast<std::size_t>(i + 1)] = g + p;
         g = c * r - b;
-        if (w != nullptr) {
-          double* wi = w + i * ncomp;
-          double* wi1 = wi + ncomp;
-          for (std::int64_t j = 0; j < ncomp; ++j) {
-            const double x = wi1[j];
-            wi1[j] = s * wi[j] + c * x;
-            wi[j] = c * wi[j] - s * x;
-          }
+        double* wi = w + i * ncomp;
+        double* wi1 = wi + ncomp;
+        for (std::int64_t j = 0; j < ncomp; ++j) {
+          const double x = wi1[j];
+          wi1[j] = s * wi[j] + c * x;
+          wi[j] = c * wi[j] - s * x;
         }
       }
       if (underflow) {
@@ -397,6 +368,79 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& ein,
       e[static_cast<std::size_t>(l)] = g;
       e[static_cast<std::size_t>(m)] = 0.0;
     } while (m != l);
+  }
+}
+
+/// Eigenvalues of (d, e) into `d`, unordered, by the root-free QL of Pal,
+/// Walker and Kahan (LAPACK dsterf's QL branch): the iteration carries the
+/// squared off-diagonals and the squared rotation parameters, so a step
+/// costs two divisions per index and no square root (the rotation form
+/// above takes a sqrt and two divisions). It is the same implicit-shift QL
+/// with the same deflation test, |e[m]| <= ε(|d[m]| + |d[m+1]|), taken in
+/// squares. An e² of zero always passes it, so every e² inside a block is
+/// positive and so is every p + e² the inner loop divides by. No square
+/// overflows on the scaled matrix (see tridiag_ql); subnormal ones cost
+/// precision only in blocks some 1e-150 below T's scale, where it is
+/// absolute error of that size.
+void tridiag_values(std::vector<double>& d, const std::vector<double>& e,
+                    std::int64_t n) {
+  if (n <= 1) {
+    return;
+  }
+  constexpr double kEps2 = kEps * kEps;
+  std::vector<double> e2(static_cast<std::size_t>(n), 0.0);
+  for (std::int64_t i = 0; i + 1 < n; ++i) {
+    const double x = e[static_cast<std::size_t>(i)];
+    e2[static_cast<std::size_t>(i)] = x * x;
+  }
+  for (std::int64_t l = 0; l < n; ++l) {
+    int iter = 0;
+    for (;;) {
+      std::int64_t m = l;
+      for (; m + 1 < n; ++m) {
+        const double dd = std::abs(d[static_cast<std::size_t>(m)]) +
+                          std::abs(d[static_cast<std::size_t>(m + 1)]);
+        const double em = e2[static_cast<std::size_t>(m)];
+        if (em <= kEps2 * dd * dd) {
+          break;
+        }
+      }
+      if (m + 1 < n) {
+        // Split for good: the block's sweeps move d[m], which must not
+        // reopen the test.
+        e2[static_cast<std::size_t>(m)] = 0.0;
+      }
+      if (m == l) {
+        break;
+      }
+      TDC_CHECK_MSG(++iter <= 50, "tridiagonal QL failed to converge");
+      const double p0 = d[static_cast<std::size_t>(l)];
+      const double rte = std::sqrt(e2[static_cast<std::size_t>(l)]);
+      double sigma = (d[static_cast<std::size_t>(l + 1)] - p0) / (2.0 * rte);
+      const double r0 = std::sqrt(sigma * sigma + 1.0);
+      sigma = p0 - rte / (sigma + std::copysign(r0, sigma));
+      double c = 1.0;
+      double s = 0.0;
+      double gamma = d[static_cast<std::size_t>(m)] - sigma;
+      double p = gamma * gamma;
+      for (std::int64_t i = m - 1; i >= l; --i) {
+        const double bb = e2[static_cast<std::size_t>(i)];
+        const double r = p + bb;
+        if (i != m - 1) {
+          e2[static_cast<std::size_t>(i + 1)] = s * r;
+        }
+        const double oldc = c;
+        c = p / r;
+        s = bb / r;
+        const double oldgam = gamma;
+        const double alpha = d[static_cast<std::size_t>(i)];
+        gamma = c * (alpha - sigma) - s * oldgam;
+        d[static_cast<std::size_t>(i + 1)] = oldgam + (alpha - gamma);
+        p = (c != 0.0) ? (gamma * gamma) / c : oldc * bb;
+      }
+      e2[static_cast<std::size_t>(l)] = s * p;
+      d[static_cast<std::size_t>(l)] = sigma + gamma;
+    }
   }
 }
 
@@ -687,8 +731,7 @@ EigResult topk_tridiagonal(LowerMatrix a, std::int64_t k) {
   // Eigenvalues via a vector-free QL pass on a copy; the original (d, e)
   // stay intact for the inverse-iteration solves.
   std::vector<double> dv = t.d;
-  std::vector<double> ev = t.e;
-  tridiag_ql(dv, ev, n, nullptr, 0);
+  tridiag_values(dv, t.e, n);
   std::sort(dv.begin(), dv.end(), std::greater<double>());
   dv.resize(static_cast<std::size_t>(k));
 
@@ -711,21 +754,19 @@ EigResult topk_tridiagonal(LowerMatrix a, std::int64_t k) {
 /// All eigenvalues (descending) through the tridiagonal pipeline.
 std::vector<double> values_tridiagonal(LowerMatrix a) {
   Tridiagonal t = tridiagonalize(std::move(a));
-  tridiag_ql(t.d, t.e, t.n, nullptr, 0);
+  tridiag_values(t.d, t.e, t.n);
   std::sort(t.d.begin(), t.d.end(), std::greater<double>());
   unscale(t.d, t.scale);
   return t.d;
 }
 
-}  // namespace
-
-EigResult eig_symmetric_ql(const Tensor& a) {
-  check_square(a);
-  const std::int64_t n = a.dim(0);
-  Tridiagonal t = tridiagonalize(load_lower(a));
-  // W starts as the identity in the tridiagonal basis (one tracked vector
-  // per row), picks up the QL rotations, then the reflector back-transform
-  // maps it to the original basis — V = Q·Z_tri.
+/// All eigenpairs through the tridiagonal pipeline. W starts as the
+/// identity in the tridiagonal basis (one tracked vector per row), picks up
+/// the QL rotations, then the reflector back-transform maps it to the
+/// original basis — V = Q·Z_tri.
+EigResult full_tridiagonal(LowerMatrix a) {
+  const std::int64_t n = a.n;
+  Tridiagonal t = tridiagonalize(std::move(a));
   std::vector<double> w(static_cast<std::size_t>(n * n), 0.0);
   for (std::int64_t i = 0; i < n; ++i) {
     w[static_cast<std::size_t>(i * n + i)] = 1.0;
@@ -735,6 +776,20 @@ EigResult eig_symmetric_ql(const Tensor& a) {
   EigResult result = finalize(t.d, w, n, descending_order(t.d), n);
   unscale(result.values, t.scale);
   return result;
+}
+
+}  // namespace
+
+EigResult eig_symmetric_ql(const Tensor& a) {
+  check_square(a);
+  return full_tridiagonal(load_lower(a));
+}
+
+EigResult eig_symmetric_ql(std::span<const double> a, std::int64_t n,
+                           std::int64_t k) {
+  LowerMatrix lower = load_lower(a, n);
+  return k == n ? full_tridiagonal(std::move(lower))
+                : topk_tridiagonal(std::move(lower), k);
 }
 
 EigResult eig_symmetric(const Tensor& a) {
@@ -764,22 +819,12 @@ EigResult eig_symmetric_topk(const Tensor& a, std::int64_t k) {
   return topk_tridiagonal(load_lower(a), k);
 }
 
-EigResult eig_symmetric_topk(std::span<const double> a, std::int64_t n,
-                             std::int64_t k) {
-  return topk_tridiagonal(load_lower(a, n), k);
-}
-
 std::vector<double> eig_symmetric_values(const Tensor& a) {
   check_square(a);
   if (a.dim(0) <= kEigJacobiFallbackDim) {
     return eig_symmetric_jacobi(a).values;
   }
   return values_tridiagonal(load_lower(a));
-}
-
-std::vector<double> eig_symmetric_values(std::span<const double> a,
-                                         std::int64_t n) {
-  return values_tridiagonal(load_lower(a, n));
 }
 
 EigResult eig_symmetric_jacobi(const Tensor& a, int max_sweeps, double tol) {

@@ -22,9 +22,11 @@
 //       3. for eig_symmetric_topk, inverse iteration on the tridiagonal
 //          form for the k kept vectors only, and a k-vector back-transform
 //          through the stored reflectors.
-//     The dot products of steps 1 and 3 sum in 8 fixed lanes (AVX2 with
-//     FMA when the build targets it, the same lanes in plain C++
-//     otherwise). Only the back-transform runs through the shared parallel
+//     The dot products of steps 1 and 3 sum in 8 fixed lanes, written in
+//     plain C++ that the compiler vectorizes (AVX2 with FMA in the native
+//     build: on n = 512, k = 96 an intrinsic copy gave the same bits and
+//     ran within noise of it, 18 of 30 interleaved runs faster on the
+//     reduction and 14 of 30 on the back-transform). Only the back-transform runs through the shared parallel
 //     runtime, split over vectors with each vector computed by one chunk in
 //     a fixed order; the reduction, QL (the full solver applies each
 //     rotation to its n vectors as it forms it) and inverse iteration run
@@ -91,19 +93,18 @@ EigResult eig_symmetric_topk(const Tensor& a, std::int64_t k);
 /// scan needs nothing else). Same dispatch and determinism as eig_symmetric.
 std::vector<double> eig_symmetric_values(const Tensor& a);
 
-/// Double-precision entries of the tridiagonal pipeline, at any n >= 1 (no
-/// Jacobi dispatch): `a` is the row-major n×n matrix, of which only the
-/// lower triangle is read. eig_symmetric_topk / eig_symmetric_values above
-/// n = kEigJacobiFallbackDim are these on the widened float matrix; the
-/// overloads serve inputs whose magnitudes a float cannot hold.
-EigResult eig_symmetric_topk(std::span<const double> a, std::int64_t n,
-                             std::int64_t k);
-std::vector<double> eig_symmetric_values(std::span<const double> a,
-                                         std::int64_t n);
-
 /// The tridiagonal-QL pipeline at any n (no Jacobi dispatch) — exposed so
 /// the test suite can pit it against the Jacobi oracle on small matrices.
 EigResult eig_symmetric_ql(const Tensor& a);
+
+/// The same pipeline on the row-major n×n double matrix `a` (lower
+/// triangle read), so the tests can feed magnitudes a float cannot hold
+/// (Grams scaled by 1e±150) through the reduction and both QL variants:
+/// k = n runs eig_symmetric_ql's full solver, 1 <= k < n
+/// eig_symmetric_topk's path (values-only QL, inverse iteration) for the
+/// leading k pairs. Nothing else calls it.
+EigResult eig_symmetric_ql(std::span<const double> a, std::int64_t n,
+                           std::int64_t k);
 
 /// The original serial cyclic-Jacobi kernel: simple, robust, O(n³)·sweeps.
 /// Small-n fallback of eig_symmetric and the oracle of tests/test_eig.cpp.

@@ -35,9 +35,20 @@ TuckerFactors tucker_decompose(const Tensor& kernel_cnrs, TuckerRanks ranks) {
   // Mode-0 (input channel) and mode-1 (output channel) unfoldings; paper
   // modes 1 and 2 in 1-based numbering. The SVD reads the kernel itself as
   // its mode-0 unfolding [C, N·R·S] (CNRS storage already is that matrix),
-  // so only mode 1 is unfolded into a copy.
-  f.u1 = leading_left_singular_vectors(kernel_cnrs, ranks.d1);
-  f.u2 = leading_left_singular_vectors(unfold_mode(kernel_cnrs, 1), ranks.d2);
+  // so only mode 1 is unfolded into a copy. The two SVDs are independent
+  // and their eigensolves run serially (linalg/eig.h), so they run as two
+  // jobs: a lone decomposition overlaps them on two threads, while inside
+  // tucker_decompose_all's jobs they run inline, one after the other. A
+  // job's result never depends on where it runs, so the factors are the
+  // same bits either way.
+  parallel_jobs(2, [&](std::int64_t mode) {
+    if (mode == 0) {
+      f.u1 = leading_left_singular_vectors(kernel_cnrs, ranks.d1);
+    } else {
+      f.u2 = leading_left_singular_vectors(unfold_mode(kernel_cnrs, 1),
+                                           ranks.d2);
+    }
+  });
 
   // Core = K ×_0 U1^T ×_1 U2^T. mode_product contracts with A as [in, out],
   // so passing U1 ([C, D1]) directly gives Σ_c K(c,...)·U1(c,d1).

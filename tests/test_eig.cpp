@@ -310,39 +310,72 @@ TEST(EigQl, EdgeShapesMatchJacobiOracle) {
 TEST(EigQl, ExtremeScaleGramsMatchJacobiOracle) {
   // Entries near 1e±150 square to near the ends of the double range: an
   // unguarded reduction or QL rotation overflows to inf or flushes to
-  // zero. The double-precision entries must return the oracle's spectrum
-  // scaled, and the same eigenvectors.
+  // zero. The double-precision entry must return the oracle's spectrum
+  // scaled, and the same eigenvectors — through the full solver (k = n)
+  // and through the top-k path with its root-free values pass.
   for (const std::int64_t n : {33, 64, 128}) {
     const Tensor gram = random_spd(n, 2400 + static_cast<std::uint64_t>(n));
     const EigResult oracle = eig_symmetric_jacobi(gram);
     const double tol = 1e-6 * matrix_inf_norm(gram) * static_cast<double>(n);
-    const std::int64_t k = n / 4;
     for (const double scale : {1e150, 1e-150}) {
       std::vector<double> scaled(static_cast<std::size_t>(n * n));
       for (std::int64_t i = 0; i < n * n; ++i) {
         scaled[static_cast<std::size_t>(i)] =
             static_cast<double>(gram[i]) * scale;
       }
-      const std::vector<double> vals = eig_symmetric_values(scaled, n);
-      EigResult top = eig_symmetric_topk(scaled, n, k);
-      ASSERT_EQ(vals.size(), static_cast<std::size_t>(n));
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto at = static_cast<std::size_t>(i);
-        EXPECT_NEAR(vals[at] / scale, oracle.values[at], tol)
-            << "n=" << n << " scale=" << scale << " i=" << i;
-        if (i < k) {
-          EXPECT_NEAR(top.values[at] / scale, oracle.values[at], tol)
-              << "n=" << n << " scale=" << scale << " i=" << i;
+      for (const std::int64_t k : {n, n / 4}) {
+        EigResult ql = eig_symmetric_ql(scaled, n, k);
+        ASSERT_EQ(ql.values.size(), static_cast<std::size_t>(k));
+        for (std::int64_t i = 0; i < k; ++i) {
+          const auto at = static_cast<std::size_t>(i);
+          EXPECT_NEAR(ql.values[at] / scale, oracle.values[at], tol)
+              << "n=" << n << " k=" << k << " scale=" << scale << " i=" << i;
         }
+        for (double& v : ql.values) {
+          v /= scale;
+        }
+        EXPECT_LT(orthogonality_error(ql.vectors), 1e-5)
+            << "n=" << n << " k=" << k << " scale=" << scale;
+        EXPECT_LT(worst_residual(gram, ql), 1e-6)
+            << "n=" << n << " k=" << k << " scale=" << scale;
       }
-      for (double& v : top.values) {
-        v /= scale;
-      }
-      EXPECT_LT(orthogonality_error(top.vectors), 1e-5)
-          << "n=" << n << " scale=" << scale;
-      EXPECT_LT(worst_residual(gram, top), 1e-6)
-          << "n=" << n << " scale=" << scale;
     }
+  }
+}
+
+TEST(EigQl, SubnormalSquaresKeepRotationsOrthogonal) {
+  // An O(1) block beside a block of entries near 1e-158: the small block's
+  // QL rotations square to below the smallest normal double. Both QL
+  // variants must return the large block's spectrum, the small block's
+  // eigenvalues as (numerically) zero, and orthonormal vectors — a plain
+  // sqrt(f² + g²) over subnormal squares leaves the full solver's
+  // rotations far from orthogonal.
+  constexpr std::int64_t kHalf = 24;
+  constexpr std::int64_t n = 2 * kHalf;
+  const Tensor big = random_spd(kHalf, 2600);
+  const Tensor small = random_spd(kHalf, 2601);
+  std::vector<double> a(static_cast<std::size_t>(n * n), 0.0);
+  Tensor embedded({n, n});  // the matrix as a float holds it: tiny block 0
+  for (std::int64_t i = 0; i < kHalf; ++i) {
+    for (std::int64_t j = 0; j < kHalf; ++j) {
+      a[static_cast<std::size_t>(i * n + j)] = big(i, j);
+      a[static_cast<std::size_t>((kHalf + i) * n + kHalf + j)] =
+          1e-158 * static_cast<double>(small(i, j));
+      embedded(i, j) = big(i, j);
+    }
+  }
+  const EigResult oracle = eig_symmetric_jacobi(big);
+  const double tol = 1e-6 * matrix_inf_norm(big) * static_cast<double>(n);
+  for (const std::int64_t k : {n, kHalf / 2}) {
+    const EigResult ql = eig_symmetric_ql(a, n, k);
+    ASSERT_EQ(ql.values.size(), static_cast<std::size_t>(k));
+    for (std::int64_t i = 0; i < k; ++i) {
+      const auto at = static_cast<std::size_t>(i);
+      const double want = i < kHalf ? oracle.values[at] : 0.0;
+      EXPECT_NEAR(ql.values[at], want, tol) << "k=" << k << " i=" << i;
+    }
+    EXPECT_LT(orthogonality_error(ql.vectors), 1e-5) << "k=" << k;
+    EXPECT_LT(worst_residual(embedded, ql), 1e-6) << "k=" << k;
   }
 }
 

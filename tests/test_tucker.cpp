@@ -260,6 +260,31 @@ TEST_F(DecomposeAllTest, MatchesPerKernelDecompositionBitwise) {
   }
 }
 
+TEST_F(DecomposeAllTest, LoneDecompositionIsBitwiseAcrossThreadsAndWidths) {
+  // A lone tucker_decompose runs its two modes' SVDs as concurrent jobs
+  // when the width allows: the factors must be the one-thread bits.
+  set_num_threads(1);
+  std::vector<TuckerFactors> serial;
+  for (std::size_t i = 0; i < kernels_.size(); ++i) {
+    serial.push_back(tucker_decompose(kernels_[i], ranks_[i]));
+  }
+  for (const int threads : {2, 4}) {
+    for (const int intra_op : {1, 2, 0}) {
+      set_num_threads(threads);
+      set_arena_config({.inter_op = 0, .intra_op = intra_op});
+      for (std::size_t i = 0; i < kernels_.size(); ++i) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + ", intra_op " +
+                     std::to_string(intra_op) + ", kernel " +
+                     std::to_string(i));
+        const TuckerFactors f = tucker_decompose(kernels_[i], ranks_[i]);
+        expect_bitwise(f.u1, serial[i].u1);
+        expect_bitwise(f.u2, serial[i].u2);
+        expect_bitwise(f.core, serial[i].core);
+      }
+    }
+  }
+}
+
 TEST_F(DecomposeAllTest, EmptyInventoryDecomposesNothing) {
   EXPECT_TRUE(tucker_decompose_all({}, {}).empty());
 }

@@ -116,6 +116,49 @@ TEST(ModeProduct, MatchesUnfoldGemmFold) {
   EXPECT_LT(Tensor::max_abs_diff(direct, expected), 1e-5);
 }
 
+TEST(ModeProduct, OneGemmIsBitwiseThePerSlabGemms) {
+  // mode_product runs one GEMM over the unfolding; each output entry must
+  // still be exactly what a GEMM over its own [in, inner] slab gives
+  // (the same products in the same K order), whatever the tile edges.
+  struct Case {
+    std::vector<std::int64_t> dims;
+    int mode;
+    std::int64_t out;
+  };
+  const std::vector<Case> cases = {{{96, 512, 3, 3}, 1, 96},
+                                   {{5, 33, 7}, 1, 19},
+                                   {{4, 6, 9, 2}, 2, 5},
+                                   {{16, 64, 3, 3}, 1, 17},
+                                   {{3, 40, 1}, 1, 40}};
+  Rng rng(29);
+  for (const Case& c : cases) {
+    const Tensor t = Tensor::random_uniform(c.dims, rng);
+    const std::int64_t in = c.dims[static_cast<std::size_t>(c.mode)];
+    const Tensor a = Tensor::random_uniform({in, c.out}, rng);
+    const Tensor direct = mode_product(t, a, c.mode);
+    std::int64_t outer = 1;
+    std::int64_t inner = 1;
+    for (std::size_t i = 0; i < c.dims.size(); ++i) {
+      if (static_cast<int>(i) < c.mode) {
+        outer *= c.dims[i];
+      } else if (static_cast<int>(i) > c.mode) {
+        inner *= c.dims[i];
+      }
+    }
+    Tensor expected(direct.dims());
+    for (std::int64_t o = 0; o < outer; ++o) {
+      gemm_strided(c.out, inner, in, a.raw(), 1, c.out,
+                   t.raw() + o * in * inner, inner, 1,
+                   expected.raw() + o * c.out * inner, inner);
+    }
+    EXPECT_EQ(std::memcmp(direct.raw(), expected.raw(),
+                          sizeof(float) *
+                              static_cast<std::size_t>(expected.numel())),
+              0)
+        << "dims[1]=" << c.dims[1] << " mode=" << c.mode;
+  }
+}
+
 TEST(ModeProduct, IdentityMatrixIsNoop) {
   Rng rng(27);
   const Tensor t = Tensor::random_uniform({2, 3, 4}, rng);
