@@ -16,35 +16,41 @@
 //       1. a one-pass lower-triangle Householder tridiagonalization (LAPACK
 //          dsytd2): each step's rank-2 update and the next step's matvec
 //          share one sweep over the trailing triangle;
-//       2. implicit-shift QL on the tridiagonal form, its rotations taking
-//          sqrt(f² + g²) directly: on the scaled matrix no square
-//          overflows, so std::hypot's rescaling is not needed;
+//       2. implicit-shift QL on the tridiagonal form. The full solver's
+//          rotations take sqrt(f² + g²) directly: on the scaled matrix no
+//          square overflows, so std::hypot's rescaling is needed only for
+//          a root below 1e-138, where the squares may be subnormal (a
+//          block some 1e-150 below the matrix's scale; only a double input
+//          can hold one). The eigenvalues-only pass (eig_symmetric_values,
+//          and the eigenvalues of eig_symmetric_topk) is the root-free QL
+//          of Pal, Walker and Kahan (LAPACK dsterf): no square root per
+//          rotation at all;
 //       3. for eig_symmetric_topk, inverse iteration on the tridiagonal
 //          form for the k kept vectors only, and a k-vector back-transform
 //          through the stored reflectors.
 //     The dot products of steps 1 and 3 sum in 8 fixed lanes, written in
 //     plain C++ that the compiler vectorizes (AVX2 with FMA in the native
-//     build: on n = 512, k = 96 an intrinsic copy gave the same bits and
-//     ran within noise of it, 18 of 30 interleaved runs faster on the
-//     reduction and 14 of 30 on the back-transform). Only the back-transform runs through the shared parallel
+//     build). Only the back-transform runs through the shared parallel
 //     runtime, split over vectors with each vector computed by one chunk in
 //     a fixed order; the reduction, QL (the full solver applies each
 //     rotation to its n vectors as it forms it) and inverse iteration run
-//     serially. The output is therefore bit-identical for any thread count
-//     or intra-op width — the same invariant every exec plan guarantees.
-//     A solve thus runs essentially single-threaded, and a build
-//     parallelises across layers instead (tucker_decompose_all,
-//     tucker/tucker.h), one serial solve per job.
+//     serially. The
+//     output is therefore bit-identical for any thread count or intra-op
+//     width — the same invariant every exec plan guarantees. A solve thus
+//     runs essentially single-threaded: a build parallelises across layers
+//     instead (tucker_decompose_all, tucker/tucker.h), one serial solve
+//     per job, and a lone tucker_decompose overlaps its two modes' solves.
 //     At n = 512, k = 96 (a 512×4608 unfolding, the ResNet-18 layer-4 case)
 //     on one thread of a 4-vCPU Xeon host: reduction 12–16 ms (~40 ms for
-//     the two-pass, full-square one), QL eigenvalues 7.5–8 ms (~10–12 with
-//     std::hypot on every rotation), inverse iteration ~3 ms, back-transform
-//     5–8 ms (~10–13 with serial dot products): eig_symmetric_topk 28–31 ms
-//     against 58–66. The full eig_symmetric_ql, which also applies every QL
-//     rotation to n vectors and back-transforms all n, takes ~100–120 ms at
-//     any thread count (190–220 ms at 1 thread and ~300 ms at 4 when a
-//     parallel region replayed each QL step's rotations), ≥50× faster than
-//     Jacobi; bench_eig enforces a 20× floor.
+//     the two-pass, full-square one), eigenvalues 6.2–6.6 ms root-free
+//     (7.8–8.2 with a sqrt per rotation, ~10–12 with std::hypot on every
+//     one), inverse iteration ~3 ms, back-transform 5–8 ms (~10–13 with
+//     serial dot products): eig_symmetric_topk 28–31 ms against 58–66. The
+//     full eig_symmetric_ql, which also applies every QL rotation to n
+//     vectors and back-transforms all n, takes ~100–120 ms at any thread
+//     count (190–220 ms at 1 thread and ~300 ms at 4 when a parallel region
+//     replayed each QL step's rotations), ≥50× faster than Jacobi;
+//     bench_eig enforces a 20× floor.
 //   * eig_symmetric_jacobi — the original serial cyclic-Jacobi kernel,
 //     retained as the small-n fallback (eig_symmetric dispatches to it for
 //     n <= kEigJacobiFallbackDim, where O(n³)·sweeps is negligible and its

@@ -14,7 +14,8 @@
 // and the top-k eigensolve 28–31 ms (58–66 ms before; eig.h has the
 // phases). Deterministic is not the same as scalable: the eigensolve runs
 // essentially single-threaded, so concurrency pays across matrices — one
-// whole SVD per worker, as tucker_decompose_all runs them — not inside one.
+// whole SVD per worker, as tucker_decompose_all runs them, or a lone
+// tucker_decompose its two modes' SVDs — not inside one.
 #pragma once
 
 #include <vector>

@@ -24,7 +24,8 @@ Tensor fold_mode(const Tensor& m, int mode, std::vector<std::int64_t> dims);
 
 /// Mode-k tensor-times-matrix product: (T ×_k A)(..., j, ...) =
 /// Σ_i T(..., i, ...) · A(i, j), where i runs over dims[mode] and A is
-/// [dims[mode], J]. The result has dims[mode] replaced by J.
+/// [dims[mode], J]. The result has dims[mode] replaced by J. One packed
+/// GEMM over the mode unfolding (a copy unless mode 0), folded back.
 Tensor mode_product(const Tensor& t, const Tensor& a, int mode);
 
 }  // namespace tdc

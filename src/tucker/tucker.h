@@ -34,6 +34,9 @@ struct TuckerFactors {
 /// Truncated HOSVD of a CNRS kernel tensor at the given channel ranks:
 /// U1 = leading D1 left singular vectors of the mode-C unfolding, U2 likewise
 /// for mode-N, Core = K ×_C U1^T ×_N U2^T. Requires 1 <= d1 <= C, 1 <= d2 <= N.
+/// The two modes' SVDs run as two parallel_jobs jobs, so a lone call takes
+/// up to two threads (inline, one after the other, inside a region or a
+/// job); the factors are the same bits at any thread count or width.
 TuckerFactors tucker_decompose(const Tensor& kernel_cnrs, TuckerRanks ranks);
 
 /// tucker_decompose(*kernels[i], ranks[i]) for every i, one parallel_jobs
