@@ -78,6 +78,13 @@ Tensor im2col(const Tensor& x, const ConvShape& shape);
 
 /// im2col into a caller-provided [C·R·S, H'·W'] buffer (every element is
 /// written); `x` is a flat [C, H, W] image.
+///
+/// Both element types share one walk: each (c, r, s) patch row computes
+/// once the output-column range [w0, w1) whose taps fall inside the image,
+/// copies it as one span at stride 1 (a branch-free strided gather
+/// otherwise), and fills the columns on either side and the rows outside
+/// the image with the pad value. The bytes equal a per-element
+/// bounds-checked select.
 void im2col_into(const float* x, const ConvShape& shape, float* cols);
 
 /// Quantized-domain im2col for the int8 serving path: same patch-row

@@ -6,9 +6,19 @@
 
 namespace tdc {
 
-void im2col_into(const float* x, const ConvShape& shape, float* cols) {
+namespace {
+
+// One patch-matrix walk for both element types. For each (c, r, s) row the
+// input columns it reads are iw = o_w·stride_w + (s − pad_w), which lie
+// inside the image exactly for o_w in [w0, w1); that range is computed once
+// per row, so the inner loop is a plain span copy (stride 1) or a
+// branch-free strided gather, and `pad_value` fills the borders on either
+// side and the rows whose ih falls outside the image.
+template <typename T>
+void im2col_walk(const T* x, const ConvShape& shape, T* cols, T pad_value) {
   const std::int64_t oh = shape.out_h();
   const std::int64_t ow = shape.out_w();
+  const std::int64_t sw = shape.stride_w;
 
   // Each (c, r, s) patch row is independent; parallelize over the flattened
   // row index.
@@ -18,55 +28,51 @@ void im2col_into(const float* x, const ConvShape& shape, float* cols) {
       const std::int64_t c = row / (shape.r * shape.s);
       const std::int64_t r = (row / shape.s) % shape.r;
       const std::int64_t s = row % shape.s;
-      const float* plane = x + c * shape.h * shape.w;
-      float* out_row = cols + row * oh * ow;
+      const std::int64_t off = s - shape.pad_w;
+      // 0 ≤ o_w·sw + off < w  ⇔  o_w ∈ [⌈−off/sw⌉, ⌈(w − off)/sw⌉).
+      const std::int64_t w0 =
+          std::min(off >= 0 ? 0 : detail::divup(-off, sw), ow);
+      const std::int64_t w1 = std::clamp(
+          off >= shape.w ? 0 : detail::divup(shape.w - off, sw), w0, ow);
+      const T* plane = x + c * shape.h * shape.w;
+      T* out_row = cols + row * oh * ow;
       for (std::int64_t o_h = 0; o_h < oh; ++o_h) {
         const std::int64_t ih = o_h * shape.stride_h - shape.pad_h + r;
-        float* out = out_row + o_h * ow;
+        T* out = out_row + o_h * ow;
         if (ih < 0 || ih >= shape.h) {
-          std::fill(out, out + ow, 0.0f);
+          std::fill(out, out + ow, pad_value);
           continue;
         }
-        const float* in_row = plane + ih * shape.w;
-        for (std::int64_t o_w = 0; o_w < ow; ++o_w) {
-          const std::int64_t iw = o_w * shape.stride_w - shape.pad_w + s;
-          out[o_w] = (iw >= 0 && iw < shape.w) ? in_row[iw] : 0.0f;
+        std::fill(out, out + w0, pad_value);
+        const T* in = plane + ih * shape.w;
+        if (sw == 1 && w0 < w1) {
+          std::copy(in + (w0 + off), in + (w1 + off), out + w0);
+        } else if (sw == 2) {
+          // A constant stride lets the compiler vectorize the gather with
+          // loads and shuffles (the 7×7/2 stem, strided cores).
+          for (std::int64_t o_w = w0; o_w < w1; ++o_w) {
+            out[o_w] = in[o_w * 2 + off];
+          }
+        } else {
+          for (std::int64_t o_w = w0; o_w < w1; ++o_w) {
+            out[o_w] = in[o_w * sw + off];
+          }
         }
+        std::fill(out + w1, out + ow, pad_value);
       }
     }
   });
 }
 
+}  // namespace
+
+void im2col_into(const float* x, const ConvShape& shape, float* cols) {
+  im2col_walk(x, shape, cols, 0.0f);
+}
+
 void im2col_u8_into(const std::uint8_t* x, const ConvShape& shape,
                     std::uint8_t* cols, std::uint8_t pad_value) {
-  const std::int64_t oh = shape.out_h();
-  const std::int64_t ow = shape.out_w();
-
-  // Mirrors the fp32 walk above; border taps carry the activation zero
-  // point instead of 0.0f so they dequantize to the fp32 path's zeros.
-  parallel_for(0, shape.c * shape.r * shape.s, 1,
-               [&](std::int64_t row0, std::int64_t row1) {
-    for (std::int64_t row = row0; row < row1; ++row) {
-      const std::int64_t c = row / (shape.r * shape.s);
-      const std::int64_t r = (row / shape.s) % shape.r;
-      const std::int64_t s = row % shape.s;
-      const std::uint8_t* plane = x + c * shape.h * shape.w;
-      std::uint8_t* out_row = cols + row * oh * ow;
-      for (std::int64_t o_h = 0; o_h < oh; ++o_h) {
-        const std::int64_t ih = o_h * shape.stride_h - shape.pad_h + r;
-        std::uint8_t* out = out_row + o_h * ow;
-        if (ih < 0 || ih >= shape.h) {
-          std::fill(out, out + ow, pad_value);
-          continue;
-        }
-        const std::uint8_t* in_row = plane + ih * shape.w;
-        for (std::int64_t o_w = 0; o_w < ow; ++o_w) {
-          const std::int64_t iw = o_w * shape.stride_w - shape.pad_w + s;
-          out[o_w] = (iw >= 0 && iw < shape.w) ? in_row[iw] : pad_value;
-        }
-      }
-    }
-  });
+  im2col_walk(x, shape, cols, pad_value);
 }
 
 Tensor im2col(const Tensor& x, const ConvShape& shape) {

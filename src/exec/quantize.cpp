@@ -5,6 +5,10 @@
 #include <new>
 #include <utility>
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 #include "common/check.h"
 #include "common/env.h"
 #include "common/fault.h"
@@ -53,10 +57,46 @@ void quantize_u8(const float* x, std::int64_t count, const QuantParams& qp,
                  std::uint8_t* out) {
   const float inv = 1.0f / qp.scale;
   const std::int32_t zp = qp.zero_point;
+  // Saturation (quantize.h): x·inv is clamped to ±kSat in float so the
+  // int32 conversion is always defined. The scalar clamp keeps p as the
+  // first operand of each compare, as _mm256_max_ps/_mm256_min_ps do, so
+  // NaN lands on −kSat (→ 0) on both paths.
+  constexpr float kSat = 256.0f;
   parallel_for(0, count, 4096, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
+    std::int64_t i = i0;
+#if defined(__AVX2__)
+    const __m256 vinv = _mm256_set1_ps(inv);
+    const __m256 vlo = _mm256_set1_ps(-kSat);
+    const __m256 vhi = _mm256_set1_ps(kSat);
+    const __m256i vzp = _mm256_set1_epi32(zp);
+    const __m256i v127 = _mm256_set1_epi8(127);
+    // packs/packus interleave the four 8-lane vectors per 128-bit half;
+    // this dword permute restores element order.
+    const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    auto lanes = [&](const float* p) {
+      __m256 v = _mm256_mul_ps(_mm256_loadu_ps(p), vinv);
+      v = _mm256_min_ps(_mm256_max_ps(v, vlo), vhi);
+      // cvtps_epi32 rounds to nearest even under the default MXCSR, as
+      // std::nearbyintf does under the default fenv.
+      return _mm256_add_epi32(_mm256_cvtps_epi32(v), vzp);
+    };
+    for (; i + 32 <= i1; i += 32) {
+      // Lanes hold [−256, 383]: packs_epi32 is exact, packus_epi16 floors
+      // at 0, min_epu8 caps at 127.
+      const __m256i q01 = _mm256_packs_epi32(lanes(x + i), lanes(x + i + 8));
+      const __m256i q23 =
+          _mm256_packs_epi32(lanes(x + i + 16), lanes(x + i + 24));
+      const __m256i q = _mm256_min_epu8(_mm256_packus_epi16(q01, q23), v127);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                          _mm256_permutevar8x32_epi32(q, order));
+    }
+#endif
+    for (; i < i1; ++i) {
+      float p = x[i] * inv;
+      p = p > -kSat ? p : -kSat;
+      p = p < kSat ? p : kSat;
       const std::int32_t q =
-          static_cast<std::int32_t>(std::nearbyintf(x[i] * inv)) + zp;
+          static_cast<std::int32_t>(std::nearbyintf(p)) + zp;
       out[i] = static_cast<std::uint8_t>(std::clamp(q, 0, 127));
     }
   });

@@ -44,6 +44,17 @@ QuantParams choose_quant_params(float lo, float hi);
 
 /// Quantizes `count` floats into the 7-bit activation domain. Deterministic
 /// and allocation-free (run-path safe); round-to-nearest-even.
+///
+/// AVX2 builds run 32 elements per step — mul_ps, clamp, cvtps_epi32 (RNE
+/// under the default MXCSR), add the zero point, packs/packus and a lane
+/// permute into one 32-byte store — and finish the tail with the scalar
+/// std::nearbyintf loop, which generic builds run throughout; the two give
+/// identical bytes. Saturation: x/scale is clamped to ±256 in float before
+/// the int32 conversion, so inputs beyond the int32 range saturate instead
+/// of hitting an undefined cast — large positive values and +inf give 127,
+/// large negative values and −inf give 0, and NaN gives 0 on both paths.
+/// In-range outputs are unaffected: every |x/scale| ≥ 256 clamps to 0 or
+/// 127 for any zero point in [0, 127].
 void quantize_u8(const float* x, std::int64_t count, const QuantParams& qp,
                  std::uint8_t* out);
 

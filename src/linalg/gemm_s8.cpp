@@ -163,12 +163,43 @@ void micro_kernel_s8(std::int64_t quads, const std::int8_t* ap,
 
 // Packs B(pc0+0..kc, jc0+0..nc) into NR-column, k-quad-interleaved slivers,
 // zero-padded in both directions (padding contributes 0·w = 0 exactly).
+// On AVX2 builds a full sliver's full quads transpose 4 rows × 16 columns
+// in registers: unpack{lo,hi}_epi8 pairs rows (k, k+1) and (k+2, k+3), and
+// unpack{lo,hi}_epi16 of those pairs yields each column's 4-byte quad in
+// column order. Ragged slivers and a final quad past kc take the scalar
+// loop, which writes the same bytes.
 void pack_b_u8(std::int64_t kc, std::int64_t nc, const std::uint8_t* b,
                std::int64_t ldb, std::uint8_t* dst) {
   const std::int64_t pkc = quadup(kc);
   for (std::int64_t j0 = 0; j0 < nc; j0 += kNr) {
     const std::int64_t cols = std::min<std::int64_t>(kNr, nc - j0);
-    for (std::int64_t kq = 0; kq < pkc; kq += kKq) {
+    std::int64_t kq = 0;
+#if defined(__AVX2__)
+    if (cols == kNr) {
+      for (; kq + kKq <= kc; kq += kKq) {
+        const std::uint8_t* src = b + kq * ldb + j0;
+        auto row = [&](std::int64_t t) {
+          return _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(src + t * ldb));
+        };
+        const __m128i r0 = row(0);
+        const __m128i r1 = row(1);
+        const __m128i r2 = row(2);
+        const __m128i r3 = row(3);
+        const __m128i lo01 = _mm_unpacklo_epi8(r0, r1);  // columns 0–7
+        const __m128i hi01 = _mm_unpackhi_epi8(r0, r1);  // columns 8–15
+        const __m128i lo23 = _mm_unpacklo_epi8(r2, r3);
+        const __m128i hi23 = _mm_unpackhi_epi8(r2, r3);
+        auto* out = reinterpret_cast<__m128i*>(dst);
+        _mm_storeu_si128(out + 0, _mm_unpacklo_epi16(lo01, lo23));
+        _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(lo01, lo23));
+        _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(hi01, hi23));
+        _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(hi01, hi23));
+        dst += kNr * kKq;
+      }
+    }
+#endif
+    for (; kq < pkc; kq += kKq) {
       for (std::int64_t j = 0; j < kNr; ++j) {
         if (j < cols) {
           const std::uint8_t* col = b + kq * ldb + j0 + j;
@@ -358,7 +389,6 @@ void requantize_rows(const std::int32_t* acc, std::int64_t m, std::int64_t n,
       const __m256i vzp = _mm256_set1_epi32(zero_point);
       const __m256i vlo = _mm256_set1_epi32(q_lo);
       const __m256i vhi = _mm256_set1_epi32(q_hi);
-      alignas(32) std::int32_t tmp[8];
       for (; j + 8 <= n; j += 8) {
         const __m256 prod = _mm256_mul_ps(
             _mm256_cvtepi32_ps(_mm256_loadu_si256(
@@ -366,10 +396,13 @@ void requantize_rows(const std::int32_t* acc, std::int64_t m, std::int64_t n,
             vm);
         __m256i q = _mm256_add_epi32(_mm256_cvtps_epi32(prod), vzp);
         q = _mm256_min_epi32(_mm256_max_epi32(q, vlo), vhi);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), q);
-        for (int t = 0; t < 8; ++t) {
-          orow[j + t] = static_cast<Out>(tmp[t]);
-        }
+        // q already lies in [q_lo, q_hi] ⊆ [−128, 127], so both signed
+        // packs are exact and the low 8 bytes are the 8 outputs in order,
+        // for int8 and (7-bit) uint8 alike.
+        const __m128i q16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                            _mm256_extracti128_si256(q, 1));
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(orow + j),
+                         _mm_packs_epi16(q16, q16));
       }
 #endif
       for (; j < n; ++j) {

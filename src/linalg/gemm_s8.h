@@ -27,7 +27,10 @@
 // A slivers store the matching 4-byte weight quads per row for a single
 // vpbroadcastd. K is zero-padded to a multiple of 4 in both packs (padding
 // contributes 0·0 terms, so it never perturbs the sum or the zero-point
-// correction).
+// correction). On AVX2 builds the B pack transposes each full 16-column
+// sliver 4 k-rows at a time in registers (unpack{lo,hi}_epi8 then
+// unpack{lo,hi}_epi16); ragged slivers and a final quad past k take the
+// scalar loop, which generic builds run throughout, with identical bytes.
 //
 // Zero-point handling: for asymmetric activations x_q = x/s_x + zp, the
 // driver computes Σ x_q·w_q − zp · Σ w_q using per-row weight sums captured
@@ -95,7 +98,9 @@ void gemm_prepacked_s8u8(const PackedGemmAS8& a, std::int64_t n,
 // target domain. Round-to-nearest-even is exact-by-construction on both
 // paths: the AVX2 epilogue uses _mm256_cvtps_epi32 (RNE under the default
 // MXCSR) and the scalar one std::nearbyintf (RNE under the default
-// fenv), over the identical float product. Allocation-free, deterministic.
+// fenv), over the identical float product. The AVX2 body stores 8 outputs
+// per step through two signed packs (exact, as q is already clamped) and a
+// scalar loop finishes each row. Allocation-free, deterministic.
 
 /// Saturating int8 requantization: q clamped to [-128, 127].
 void requantize_s8(const std::int32_t* acc, std::int64_t m, std::int64_t n,

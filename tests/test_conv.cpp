@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "common/check.h"
 #include "conv/conv.h"
@@ -95,6 +98,86 @@ TEST(Im2col, PatchLayout) {
   EXPECT_FLOAT_EQ(cols(1, 0), 1.0f);
   EXPECT_FLOAT_EQ(cols(2, 0), 3.0f);
   EXPECT_FLOAT_EQ(cols(3, 0), 4.0f);
+}
+
+// Both im2col element types against a per-element oracle, bitwise: the
+// walk's per-row valid-column range must reproduce the bounds-checked
+// select for every stride, pad (including pads at least as wide as the
+// image, which leave whole rows of padding), filter and width. A guard
+// tail behind the patch matrix catches writes past its end.
+template <typename T>
+void expect_im2col_matches_oracle(const ConvShape& shape, T pad_value) {
+  const std::int64_t oh = shape.out_h();
+  const std::int64_t ow = shape.out_w();
+  const std::int64_t rows = shape.c * shape.r * shape.s;
+  std::vector<T> x(static_cast<std::size_t>(shape.c * shape.h * shape.w));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<T>(1 + (i * 37) % 120);  // never the pad value
+  }
+  const T guard = static_cast<T>(123);
+  constexpr std::int64_t kTail = 64;
+  std::vector<T> cols(static_cast<std::size_t>(rows * oh * ow + kTail),
+                      guard);
+  if constexpr (std::is_same_v<T, float>) {
+    im2col_into(x.data(), shape, cols.data());
+  } else {
+    im2col_u8_into(x.data(), shape, cols.data(), pad_value);
+  }
+  for (std::int64_t row = 0; row < rows; ++row) {
+    const std::int64_t c = row / (shape.r * shape.s);
+    const std::int64_t r = (row / shape.s) % shape.r;
+    const std::int64_t s = row % shape.s;
+    for (std::int64_t o_h = 0; o_h < oh; ++o_h) {
+      for (std::int64_t o_w = 0; o_w < ow; ++o_w) {
+        const std::int64_t ih = o_h * shape.stride_h - shape.pad_h + r;
+        const std::int64_t iw = o_w * shape.stride_w - shape.pad_w + s;
+        const T want =
+            ih >= 0 && ih < shape.h && iw >= 0 && iw < shape.w
+                ? x[static_cast<std::size_t>((c * shape.h + ih) * shape.w +
+                                             iw)]
+                : pad_value;
+        ASSERT_EQ(cols[static_cast<std::size_t>((row * oh + o_h) * ow +
+                                                o_w)],
+                  want)
+            << shape.to_string() << " row=" << row << " o_h=" << o_h
+            << " o_w=" << o_w;
+      }
+    }
+  }
+  for (std::int64_t i = 0; i < kTail; ++i) {
+    ASSERT_EQ(cols[static_cast<std::size_t>(rows * oh * ow + i)], guard)
+        << shape.to_string();
+  }
+}
+
+TEST(Im2col, BothTypesMatchPerElementOracle) {
+  int checked = 0;
+  for (const std::int64_t stride : {1, 2, 3}) {
+    for (const std::int64_t pad : {0, 1, 2, 3}) {
+      for (const std::int64_t k : {1, 3, 7}) {
+        for (const std::int64_t w : {1, 5, 16}) {
+          ConvShape shape;
+          shape.c = 2;
+          shape.h = 7;
+          shape.w = w;
+          shape.r = k;
+          shape.s = k;
+          shape.pad_h = pad;
+          shape.pad_w = pad;
+          shape.stride_h = stride;
+          shape.stride_w = stride;
+          if (!shape.valid()) {
+            continue;
+          }
+          expect_im2col_matches_oracle<float>(shape, 0.0f);
+          expect_im2col_matches_oracle<std::uint8_t>(shape, 0);
+          expect_im2col_matches_oracle<std::uint8_t>(shape, 127);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 93);  // 108 combinations less 15 invalid shapes
 }
 
 struct ConvCase {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -132,6 +134,94 @@ TEST(PoolPlan, PaddedStridedMaxPoolMatchesNaiveOracle) {
       }
     }
   }
+}
+
+TEST(PoolPlan, MaxInteriorFastPathMatchesGenericLoopBitwise) {
+  // Windows wholly inside the image skip the per-output clipping and, at
+  // column strides 1 and 2, run 8 outputs per vector. Every output must
+  // equal the clipped std::max(best, v) loop bit for bit on inputs salted
+  // with NaN, ±inf and ±0: NaN taps are skipped, an all-NaN window gives
+  // −inf, and of tied ±0 the first in window order is kept. Stride 3,
+  // padded borders and widths too narrow for a vector take the generic
+  // loop and are checked alongside, at 1 and 3 threads.
+  Rng rng(704);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto bits = [](float v) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+  };
+  const int saved = num_threads();
+  int checked = 0;
+  for (const std::int64_t stride : {1, 2, 3}) {
+    for (const std::int64_t window : {1, 2, 3, 5}) {
+      for (const std::int64_t pad : {0, 1, 2}) {
+        for (const std::int64_t w : {5, 16, 29, 40}) {
+          PoolDescriptor d;
+          d.in = OpShape{2, 9, w};
+          d.window_h = d.window_w = window;
+          d.stride_h = d.stride_w = stride;
+          d.pad_h = d.pad_w = pad;
+          if (!d.valid()) {
+            continue;
+          }
+          Tensor x = Tensor::random_uniform({d.in.c, d.in.h, d.in.w}, rng,
+                                            -1.0f, 1.0f);
+          for (std::int64_t i = 0; i < x.numel(); ++i) {
+            const double u = rng.uniform();
+            if (u < 0.06) {
+              x[i] = nan;
+            } else if (u < 0.09) {
+              x[i] = -inf;
+            } else if (u < 0.11) {
+              x[i] = inf;
+            } else if (u < 0.25) {
+              x[i] = rng.uniform() < 0.5 ? 0.0f : -0.0f;
+            }
+          }
+          if (w == 16) {
+            // A whole NaN row: its windows have no ordered tap at all.
+            for (std::int64_t iw = 0; iw < w; ++iw) {
+              x(0, 4, iw) = nan;
+              x(0, 5, iw) = nan;
+            }
+          }
+          const auto plan = compile_pool_plan(d);
+          const OpShape out = plan->output_shape();
+          for (const int nt : {1, 3}) {
+            set_num_threads(nt);
+            Tensor y({out.c, out.h, out.w});
+            plan->run(x, &y, std::span<float>());
+            for (std::int64_t c = 0; c < out.c; ++c) {
+              for (std::int64_t oh = 0; oh < out.h; ++oh) {
+                for (std::int64_t ow = 0; ow < out.w; ++ow) {
+                  float best = -inf;
+                  for (std::int64_t r = 0; r < window; ++r) {
+                    for (std::int64_t s = 0; s < window; ++s) {
+                      const std::int64_t ih = oh * stride - pad + r;
+                      const std::int64_t iw = ow * stride - pad + s;
+                      if (ih >= 0 && ih < d.in.h && iw >= 0 &&
+                          iw < d.in.w) {
+                        best = std::max(best, x(c, ih, iw));
+                      }
+                    }
+                  }
+                  ASSERT_EQ(bits(y(c, oh, ow)), bits(best))
+                      << "stride=" << stride << " window=" << window
+                      << " pad=" << pad << " w=" << w << " threads=" << nt
+                      << " at " << c << "," << oh << "," << ow;
+                }
+              }
+            }
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  set_num_threads(saved);
+  EXPECT_EQ(checked, 108);  // every combination with pad < window
 }
 
 TEST(PoolPlan, AvgPoolExcludesPaddingFromTheDivisor) {

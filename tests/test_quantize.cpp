@@ -178,26 +178,171 @@ TEST(Quantize, RequantizeIsRoundToNearestEven) {
   }
 }
 
+// The quantizer's scalar formula, which the AVX2 body must reproduce bit
+// for bit on in-range inputs.
+std::uint8_t quantize_formula(float x, const QuantParams& qp) {
+  const std::int32_t q =
+      static_cast<std::int32_t>(std::nearbyintf(x * (1.0f / qp.scale))) +
+      qp.zero_point;
+  return static_cast<std::uint8_t>(std::clamp(q, 0, 127));
+}
+
+TEST(Quantize, VectorBodyMatchesScalarFormulaAtEveryLengthAndOffset) {
+  const int saved = num_threads();
+  Rng rng(7010);
+  QuantParams qp;
+  qp.scale = 0.0625f;  // exact inverse 16, so the ties below are exact
+  qp.zero_point = 37;
+  std::vector<float> src(80);
+  for (auto& v : src) {
+    v = static_cast<float>((rng.uniform() - 0.3) * 8.0);
+  }
+  // Products landing exactly on .5 (ties go to even), signed zeros, and
+  // both ends of the clamp.
+  src[3] = 2.5f / 16.0f;
+  src[5] = -0.5f / 16.0f;
+  src[11] = 3.5f / 16.0f;
+  src[20] = -0.0f;
+  src[21] = 0.0f;
+  src[33] = -1.5f / 16.0f;
+  src[40] = 9.0f;
+  src[41] = -9.0f;
+  constexpr std::uint8_t kGuardByte = 0xAB;
+  for (std::int64_t offset = 0; offset < 4; ++offset) {
+    for (std::int64_t len = 0; len <= 70; ++len) {
+      std::vector<std::uint8_t> got(static_cast<std::size_t>(len + 8),
+                                    kGuardByte);
+      quantize_u8(src.data() + offset, len, qp, got.data() + offset);
+      for (std::int64_t i = 0; i < len + 8; ++i) {
+        const std::uint8_t want =
+            i >= offset && i < offset + len
+                ? quantize_formula(src[static_cast<std::size_t>(i)], qp)
+                : kGuardByte;
+        ASSERT_EQ(got[static_cast<std::size_t>(i)], want)
+            << "offset=" << offset << " len=" << len << " i=" << i;
+      }
+    }
+  }
+  // Threaded chunks start at arbitrary, unaligned element indices.
+  const Tensor big = Tensor::random_uniform({10001}, rng, -5.0f, 5.0f);
+  for (const int nt : {1, 3}) {
+    set_num_threads(nt);
+    std::vector<std::uint8_t> got(static_cast<std::size_t>(big.numel()));
+    quantize_u8(big.raw(), big.numel(), qp, got.data());
+    for (std::int64_t i = 0; i < big.numel(); ++i) {
+      ASSERT_EQ(got[static_cast<std::size_t>(i)], quantize_formula(big[i], qp))
+          << "threads=" << nt << " i=" << i;
+    }
+  }
+  set_num_threads(saved);
+}
+
+TEST(Quantize, SaturatesBeyondInt32Range) {
+  // x / scale past the int32 range once reached an undefined float→int32
+  // cast (scalar) or cvtps_epi32's INT_MIN (AVX2), and came out 0 for
+  // large positive inputs. Both paths now saturate; NaN maps to 0.
+  QuantParams qp;
+  qp.scale = 0.01f;
+  qp.zero_point = 10;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float wild[] = {1e8f, inf, nan, -1e8f, -inf, 3e38f, -3e38f, 2.6f,
+                        -2.6f};
+  const std::uint8_t want[] = {127, 127, 0, 0, 0, 127, 0, 127, 0};
+  constexpr std::size_t kWild = sizeof(wild) / sizeof(wild[0]);
+  for (std::size_t v = 0; v < kWild; ++v) {
+    // Alone (the scalar tail) and at every slot of a 64-element run (the
+    // AVX2 body), beside in-range values that must not move.
+    std::uint8_t q = 99;
+    quantize_u8(&wild[v], 1, qp, &q);
+    EXPECT_EQ(q, want[v]) << "value " << wild[v];
+    for (std::size_t slot = 0; slot < 64; ++slot) {
+      std::vector<float> x(64, 0.5f);  // 0.5 / 0.01 + 10 = 60
+      x[slot] = wild[v];
+      std::vector<std::uint8_t> out(64, 99);
+      quantize_u8(x.data(), 64, qp, out.data());
+      for (std::size_t i = 0; i < 64; ++i) {
+        ASSERT_EQ(out[i], i == slot ? want[v] : 60)
+            << "value " << wild[v] << " slot " << slot << " i " << i;
+      }
+    }
+  }
+}
+
+TEST(Quantize, RequantizeVectorTailsMatchScalarFormula) {
+  // Rows of n mod 32 ≠ 0 (and n mod 8 ≠ 0) with ldc, ldo > n: the 8-wide
+  // pack-and-store body and the scalar tail must both equal the formula,
+  // and nothing past column n of an output row may be written.
+  Rng rng(7011);
+  constexpr std::int64_t m = 3;
+  const float mult[m] = {0.000775f, 0.0013f, 0.00041f};
+  constexpr std::uint8_t kGuardByte = 0xC5;
+  for (const std::int64_t n : {1, 7, 8, 9, 11, 31, 33, 47, 70}) {
+    const std::int64_t ldc = n + 5;
+    const std::int64_t ldo = n + 3;
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(m * ldc));
+    for (auto& v : acc) {
+      v = static_cast<std::int32_t>(
+          std::lround((rng.uniform() - 0.5) * 400000.0));
+    }
+    std::vector<std::int8_t> s8(static_cast<std::size_t>(m * ldo),
+                                static_cast<std::int8_t>(kGuardByte));
+    std::vector<std::uint8_t> u8(static_cast<std::size_t>(m * ldo),
+                                 kGuardByte);
+    requantize_s8(acc.data(), m, n, ldc, mult, 3, s8.data(), ldo);
+    requantize_u8(acc.data(), m, n, ldc, mult, 60, u8.data(), ldo);
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < ldo; ++j) {
+        const std::size_t o = static_cast<std::size_t>(i * ldo + j);
+        if (j >= n) {
+          ASSERT_EQ(static_cast<std::uint8_t>(s8[o]), kGuardByte);
+          ASSERT_EQ(u8[o], kGuardByte);
+          continue;
+        }
+        const float prod =
+            static_cast<float>(acc[static_cast<std::size_t>(i * ldc + j)]) *
+            mult[i];
+        const std::int32_t r = static_cast<std::int32_t>(std::nearbyintf(prod));
+        ASSERT_EQ(s8[o], std::clamp(r + 3, -128, 127))
+            << "n=" << n << " i=" << i << " j=" << j;
+        ASSERT_EQ(u8[o], std::clamp(r + 60, 0, 127))
+            << "n=" << n << " i=" << i << " j=" << j;
+      }
+    }
+  }
+}
+
 TEST(Quantize, Int8GemmMatchesNaiveIntegerReferenceExactly) {
   const int saved = num_threads();
   Rng rng(7003);
   struct Case {
     std::int64_t m, k, n;
     std::int32_t zp;
+    std::int64_t ldb;
   };
   // Ragged edges in every dimension, a k beyond one cache band, and both
-  // zero and nonzero activation zero points.
-  const Case cases[] = {
-      {6, 4, 16, 0}, {7, 9, 17, 11}, {13, 300, 33, 127}, {1, 1, 1, 64}};
+  // zero and nonzero activation zero points. The stem-like last case has
+  // k mod 4 = 3 (a padded final quad after the vector-packed ones), n past
+  // one 1024-column band (a second band ending in a ragged sliver), and
+  // ldb > n, whose unused columns hold bytes outside the 7-bit domain so
+  // that reading one would show.
+  const Case cases[] = {{6, 4, 16, 0, 16},
+                        {7, 9, 17, 11, 17},
+                        {13, 300, 33, 127, 33},
+                        {1, 1, 1, 64, 1},
+                        {5, 147, 1100, 23, 1111}};
   for (const Case& c : cases) {
     std::vector<std::int8_t> a(static_cast<std::size_t>(c.m * c.k));
-    std::vector<std::uint8_t> b(static_cast<std::size_t>(c.k * c.n));
+    std::vector<std::uint8_t> b(static_cast<std::size_t>(c.k * c.ldb), 255);
     for (auto& v : a) {
       v = static_cast<std::int8_t>(
           std::lround((rng.uniform() - 0.5) * 254.0));
     }
-    for (auto& v : b) {
-      v = static_cast<std::uint8_t>(std::lround(rng.uniform() * 127.0));
+    for (std::int64_t kk = 0; kk < c.k; ++kk) {
+      for (std::int64_t j = 0; j < c.n; ++j) {
+        b[static_cast<std::size_t>(kk * c.ldb + j)] =
+            static_cast<std::uint8_t>(std::lround(rng.uniform() * 127.0));
+      }
     }
     const PackedGemmAS8 packed = pack_gemm_a_s8(c.m, c.k, a.data(), c.k, 1);
     EXPECT_EQ(packed.rows(), c.m);
@@ -211,7 +356,7 @@ TEST(Quantize, Int8GemmMatchesNaiveIntegerReferenceExactly) {
           sum += static_cast<std::int64_t>(a[static_cast<std::size_t>(
                      i * c.k + kk)]) *
                  (static_cast<std::int64_t>(
-                      b[static_cast<std::size_t>(kk * c.n + j)]) -
+                      b[static_cast<std::size_t>(kk * c.ldb + j)]) -
                   c.zp);
         }
         want[static_cast<std::size_t>(i * c.n + j)] =
@@ -223,7 +368,8 @@ TEST(Quantize, Int8GemmMatchesNaiveIntegerReferenceExactly) {
       set_num_threads(nt);
       std::vector<std::int32_t> got(static_cast<std::size_t>(c.m * c.n),
                                     -777);
-      gemm_prepacked_s8u8(packed, c.n, b.data(), c.n, c.zp, got.data(), c.n);
+      gemm_prepacked_s8u8(packed, c.n, b.data(), c.ldb, c.zp, got.data(),
+                          c.n);
       EXPECT_EQ(got, want) << "m=" << c.m << " k=" << c.k << " n=" << c.n
                            << " zp=" << c.zp << " threads=" << nt;
     }
