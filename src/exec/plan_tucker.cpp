@@ -12,6 +12,22 @@
 //    pointwise commits straight into the output. All intermediates live in
 //    band-sized workspace. Numerically identical to the staged pipeline
 //    with the im2col core.
+//
+//    Band-parallel execution: one run opens one region of the shared
+//    runtime and gives each thread a contiguous run of whole bands, which it
+//    streams end to end (slab, patches, core GEMM, stage 3) through its own
+//    band workspace, every GEMM inline — the paper's one-tile-per-block
+//    shape, instead of splitting each small GEMM of each band across the
+//    threads. The region is min(region_width(), band slots the workspace
+//    holds, output rows) wide; the band count is rounded up to a multiple
+//    of that and the row tile shrinks to match, so every thread gets an
+//    equal share. The workspace holds one band slot per thread at compile
+//    time (a compile-time constant like the batch slots; a narrower
+//    workspace narrows the region). At width 1 — fleet lanes, run_batched
+//    image slots, nested calls — or with one slot, the bands run serially
+//    and each GEMM splits over the region itself. Every output element is
+//    the same GEMM chain whatever the band height, so results are bitwise
+//    independent of width, slots and row tile.
 //  * kStaged — materializes Z1/Z2 in workspace and runs the middle
 //    convolution through a nested ConvPlan, so every core algorithm
 //    (reference, im2col, Winograd, FFT, TDC core, auto) composes with the
@@ -55,41 +71,73 @@ class FusedTuckerPlanImpl final : public ConvPlan {
                              1);
     row_tile_ = row_tile > 0 ? std::min(row_tile, shape.out_h())
                              : auto_row_tile(core_, shape.out_h());
+    const std::int64_t ow = shape.out_w();
+    slab_floats_ = ranks_.d1 * slab_rows(row_tile_) * shape.w;
+    cols_floats_ = crs * row_tile_ * ow;
+    band_floats_ = slab_floats_ + cols_floats_ + ranks_.d2 * row_tile_ * ow;
+    // One band workspace per thread at compile, at most one per output row.
+    band_slots_ = compile_batch_slots(shape.out_h());
   }
 
   bool decomposed() const override { return true; }
 
   std::int64_t workspace_bytes() const override {
-    const std::int64_t ow = shape_.out_w();
-    const std::int64_t slab_h = (row_tile_ - 1) * core_.stride_h + core_.r;
-    const std::int64_t crs = ranks_.d1 * core_.r * core_.s;
-    const std::int64_t floats = ranks_.d1 * slab_h * shape_.w +  // Z1 slab
-                                crs * row_tile_ * ow +           // patch matrix
-                                ranks_.d2 * row_tile_ * ow;      // Z2 band
-    return floats * static_cast<std::int64_t>(sizeof(float));
+    return band_slots_ * band_floats_ *
+           static_cast<std::int64_t>(sizeof(float));
   }
 
  protected:
   void run_image(const float* x, float* y,
                  std::span<float> workspace) const override {
     const std::int64_t oh = shape_.out_h();
+    const std::int64_t slots = std::min<std::int64_t>(
+        {region_width(),
+         static_cast<std::int64_t>(workspace.size()) / band_floats_, oh});
+    if (slots <= 1) {
+      run_bands(x, y, 0, oh, row_tile_, workspace.data());
+      return;
+    }
+    // Whole bands per thread: each chunk streams a contiguous run of row
+    // bands through its own band workspace, and every GEMM inside runs
+    // inline. The band count is rounded up to a multiple of the slots and
+    // the tile shrinks to match, so every slot gets an equal share of rows.
+    const std::int64_t tile = detail::divup(
+        oh, detail::divup(detail::divup(oh, row_tile_), slots) * slots);
+    const std::int64_t bands = detail::divup(oh, tile);
+    const std::int64_t chunks = std::min(slots, bands);
+    detail::run_chunked(chunks, [&](std::int64_t chunk) {
+      const std::int64_t b0 = chunk * bands / chunks;
+      const std::int64_t b1 = (chunk + 1) * bands / chunks;
+      run_bands(x, y, b0 * tile, std::min(oh, b1 * tile), tile,
+                workspace.data() + chunk * band_floats_);
+    });
+  }
+
+ private:
+  // Input rows the core convolution reads for `band_oh` output rows.
+  std::int64_t slab_rows(std::int64_t band_oh) const {
+    return (band_oh - 1) * core_.stride_h + core_.r;
+  }
+
+  // Output rows [oh_begin, oh_end) in bands of `tile` rows, all three
+  // stages per band, through one band workspace.
+  void run_bands(const float* x, float* y, std::int64_t oh_begin,
+                 std::int64_t oh_end, std::int64_t tile, float* ws) const {
+    const std::int64_t oh = shape_.out_h();
     const std::int64_t ow = shape_.out_w();
     const std::int64_t w = shape_.w;
-    const std::int64_t crs = ranks_.d1 * core_.r * core_.s;
-    const std::int64_t slab_h_max = (row_tile_ - 1) * core_.stride_h + core_.r;
+    float* z1_slab = ws;
+    float* cols = z1_slab + slab_floats_;
+    float* z2_band = cols + cols_floats_;
 
-    float* z1_slab = workspace.data();
-    float* cols = z1_slab + ranks_.d1 * slab_h_max * w;
-    float* z2_band = cols + crs * row_tile_ * ow;
-
-    for (std::int64_t oh0 = 0; oh0 < oh; oh0 += row_tile_) {
-      const std::int64_t band_oh = std::min(row_tile_, oh - oh0);
+    for (std::int64_t oh0 = oh_begin; oh0 < oh_end; oh0 += tile) {
+      const std::int64_t band_oh = std::min(tile, oh_end - oh0);
       const std::int64_t hw_band = band_oh * ow;
       // Input rows the core convolution touches for this band; rows outside
       // [0, H) are the zero padding of the core stage, and the stage-1
       // pointwise maps zero rows to zero rows.
       const std::int64_t ih0 = oh0 * core_.stride_h - core_.pad_h;
-      const std::int64_t slab_h = (band_oh - 1) * core_.stride_h + core_.r;
+      const std::int64_t slab_h = slab_rows(band_oh);
       const std::int64_t slab_hw = slab_h * w;
       const std::int64_t valid_lo = std::max<std::int64_t>(ih0, 0);
       const std::int64_t valid_hi = std::min(ih0 + slab_h, shape_.h);
@@ -111,27 +159,13 @@ class FusedTuckerPlanImpl final : public ConvPlan {
                        /*b_cs=*/1, /*c=*/z1_slab + pad_lo, /*ldc=*/slab_hw);
       }
 
-      // Patch matrix of the band (im2col over the slab; pad_h is already
-      // folded into the slab's zero rows, pad_w is applied here). Rows are
-      // independent copies, so they split across the region's width.
-      parallel_for(0, crs, 1, [&](std::int64_t row0, std::int64_t row1) {
-        for (std::int64_t row = row0; row < row1; ++row) {
-          const std::int64_t d1 = row / (core_.r * core_.s);
-          const std::int64_t r = (row / core_.s) % core_.r;
-          const std::int64_t s = row % core_.s;
-          const float* plane = z1_slab + d1 * slab_hw;
-          float* out_row = cols + row * hw_band;
-          for (std::int64_t b_h = 0; b_h < band_oh; ++b_h) {
-            const std::int64_t lh = b_h * core_.stride_h + r;
-            const float* in_row = plane + lh * w;
-            float* out = out_row + b_h * ow;
-            for (std::int64_t o_w = 0; o_w < ow; ++o_w) {
-              const std::int64_t iw = o_w * core_.stride_w - core_.pad_w + s;
-              out[o_w] = (iw >= 0 && iw < w) ? in_row[iw] : 0.0f;
-            }
-          }
-        }
-      });
+      // Patch matrix of the band: im2col over the slab as a D1-channel
+      // image of slab_h rows. pad_h is already folded into the slab's zero
+      // rows; pad_w is applied here.
+      ConvShape band = core_;
+      band.h = slab_h;
+      band.pad_h = 0;
+      im2col_into(z1_slab, band, cols);
 
       // Core stage: Z2[D2, band] = Wcore[D2, D1·R·S] · cols.
       gemm_prepacked(packed_core_, hw_band, cols, hw_band, 1, z2_band,
@@ -144,13 +178,16 @@ class FusedTuckerPlanImpl final : public ConvPlan {
     }
   }
 
- private:
   TuckerRanks ranks_;
   ConvShape core_;
   PackedGemmA packed_core_;
   PackedGemmA packed_u1_;
   PackedGemmA packed_u2_;
   std::int64_t row_tile_ = 1;
+  std::int64_t slab_floats_ = 0;  // Z1 slab of a row_tile_ band
+  std::int64_t cols_floats_ = 0;  // its patch matrix
+  std::int64_t band_floats_ = 0;  // one band workspace: slab, patches, Z2
+  std::int64_t band_slots_ = 1;
 };
 
 class StagedTuckerPlanImpl final : public ConvPlan {

@@ -85,6 +85,42 @@ void micro_kernel(std::int64_t kc, const float* ap, const float* bp,
 }
 #endif
 
+#if defined(__AVX512F__) && defined(__AVX2__) && defined(__FMA__)
+// Two adjacent NR slivers at once: C[MR×2NR] += alpha · Ap·[Bp0 | Bp1], where
+// bp1 is the packed sliver right after bp0. One zmm accumulator per (row,
+// sliver) holds exactly the 16 lanes the 6×16 kernel's two ymm accumulators
+// hold, and every lane takes the same FMA chain from zero in k order and the
+// same fmadd(acc, alpha, C) epilogue, so each C entry is bitwise the one two
+// micro_kernel calls would write.
+void micro_kernel_pair(std::int64_t kc, const float* ap, const float* bp0,
+                       const float* bp1, float alpha, float* c,
+                       std::int64_t ldc) {
+  __m512 acc[kMr][2];
+  for (int r = 0; r < kMr; ++r) {
+    acc[r][0] = _mm512_setzero_ps();
+    acc[r][1] = _mm512_setzero_ps();
+  }
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const __m512 b0 = _mm512_loadu_ps(bp0 + kk * kNr);
+    const __m512 b1 = _mm512_loadu_ps(bp1 + kk * kNr);
+    for (int r = 0; r < kMr; ++r) {
+      const __m512 a = _mm512_set1_ps(ap[r]);
+      acc[r][0] = _mm512_fmadd_ps(a, b0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_ps(a, b1, acc[r][1]);
+    }
+    ap += kMr;
+  }
+  const __m512 va = _mm512_set1_ps(alpha);
+  for (int r = 0; r < kMr; ++r) {
+    float* crow = c + r * ldc;
+    _mm512_storeu_ps(crow,
+                     _mm512_fmadd_ps(acc[r][0], va, _mm512_loadu_ps(crow)));
+    _mm512_storeu_ps(crow + kNr, _mm512_fmadd_ps(acc[r][1], va,
+                                                 _mm512_loadu_ps(crow + kNr)));
+  }
+}
+#endif
+
 // Packs A(ic0+0..mc, pc0+0..kc) into MR-row slivers, zero-padding the ragged
 // final sliver. Transposition is folded into the (rs, cs) strides.
 void pack_a(std::int64_t mc, std::int64_t kc, const float* a,
@@ -109,6 +145,14 @@ void pack_b(std::int64_t kc, std::int64_t nc, const float* b,
             std::int64_t rs, std::int64_t cs, float* dst) {
   for (std::int64_t j0 = 0; j0 < nc; j0 += kNr) {
     const std::int64_t cols = std::min<std::int64_t>(kNr, nc - j0);
+    if (cols == kNr && cs == 1) {
+      // Unit-stride full sliver: each k-row is one contiguous 16-float run.
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        std::copy_n(b + kk * rs + j0, kNr, dst);
+        dst += kNr;
+      }
+      continue;
+    }
     for (std::int64_t kk = 0; kk < kc; ++kk) {
       const float* row = b + kk * rs + j0 * cs;
       std::int64_t j = 0;
@@ -269,32 +313,60 @@ TDC_RUN_PATH void gemm_chunk(const GemmArgs& g, std::int64_t i0,
                  apack);
           apanel = apack;
         }
-        for (std::int64_t jr = 0; jr < nc_live; jr += kNr) {
+        // One MR×NR tile of C: the micro-kernel straight into C when full,
+        // through a zeroed scratch tile when ragged (accumulating only the
+        // live entries).
+        const auto sliver_tile = [&](std::int64_t jr, std::int64_t ir) {
           const std::int64_t nr = std::min<std::int64_t>(kNr, nc - jr);
+          const std::int64_t mr = std::min<std::int64_t>(kMr, mc - ir);
+          const float* ap = apanel + (ir / kMr) * kc * kMr;
           const float* bp = bpack + (jr / kNr) * kc * kNr;
-          // With `lower`, start at the row sliver holding column jc + jr's
-          // diagonal entry: the slivers above it lie wholly above the
-          // diagonal.
-          const std::int64_t ir0 =
-              g.lower ? std::max<std::int64_t>(jc + jr - ic, 0) / kMr * kMr
-                      : 0;
-          for (std::int64_t ir = ir0; ir < mc; ir += kMr) {
-            const std::int64_t mr = std::min<std::int64_t>(kMr, mc - ir);
-            const float* ap = apanel + (ir / kMr) * kc * kMr;
-            float* ctile = g.c + (ic + ir) * g.ldc + jc + jr;
-            if (mr == kMr && nr == kNr) {
-              micro_kernel(kc, ap, bp, g.alpha, ctile, g.ldc);
-            } else {
-              // Ragged edge: run the kernel on a zeroed MR×NR scratch tile
-              // and accumulate only the live entries.
-              float tmp[kMr * kNr] = {};
-              micro_kernel(kc, ap, bp, g.alpha, tmp, kNr);
-              for (std::int64_t i = 0; i < mr; ++i) {
-                for (std::int64_t j = 0; j < nr; ++j) {
-                  ctile[i * g.ldc + j] += tmp[i * kNr + j];
-                }
+          float* ctile = g.c + (ic + ir) * g.ldc + jc + jr;
+          if (mr == kMr && nr == kNr) {
+            micro_kernel(kc, ap, bp, g.alpha, ctile, g.ldc);
+          } else {
+            float tmp[kMr * kNr] = {};
+            micro_kernel(kc, ap, bp, g.alpha, tmp, kNr);
+            for (std::int64_t i = 0; i < mr; ++i) {
+              for (std::int64_t j = 0; j < nr; ++j) {
+                ctile[i * g.ldc + j] += tmp[i * kNr + j];
               }
             }
+          }
+        };
+        // With `lower`, a sliver starts at the row sliver holding column
+        // jc + jr's diagonal entry: the slivers above it lie wholly above
+        // the diagonal.
+        const auto first_row = [&](std::int64_t jr) {
+          return g.lower ? std::max<std::int64_t>(jc + jr - ic, 0) / kMr * kMr
+                         : std::int64_t{0};
+        };
+        for (std::int64_t jr = 0; jr < nc_live; jr += kNr) {
+          const std::int64_t ir0 = first_row(jr);
+#if defined(__AVX512F__) && defined(__AVX2__) && defined(__FMA__)
+          // Two full, live slivers side by side: the 6×32 tile covers the
+          // full row slivers both keep; the rest take the 6×16 path.
+          if (jr + 2 * kNr <= nc && jr + kNr < nc_live) {
+            const std::int64_t ir1 = first_row(jr + kNr);
+            const float* bp = bpack + (jr / kNr) * kc * kNr;
+            for (std::int64_t ir = ir0; ir < mc; ir += kMr) {
+              if (ir >= ir1 && ir + kMr <= mc) {
+                micro_kernel_pair(kc, apanel + (ir / kMr) * kc * kMr, bp,
+                                  bp + kc * kNr, g.alpha,
+                                  g.c + (ic + ir) * g.ldc + jc + jr, g.ldc);
+                continue;
+              }
+              sliver_tile(jr, ir);
+              if (ir >= ir1) {
+                sliver_tile(jr + kNr, ir);
+              }
+            }
+            jr += kNr;
+            continue;
+          }
+#endif
+          for (std::int64_t ir = ir0; ir < mc; ir += kMr) {
+            sliver_tile(jr, ir);
           }
         }
       }

@@ -5,13 +5,30 @@
 // pipeline, and the fully-connected layers in the training substrate.
 //
 // The implementation packs A into MR-row and B into NR-column panels and
-// drives a 6×16 FMA micro-kernel (AVX2 when available, an autovectorizable
-// scalar tile otherwise). The transposed variants fold the transpose into
-// the packing strides — no operand copies are materialized.
+// drives a register-tiled micro-kernel. The transposed variants fold the
+// transpose into the packing strides — no operand copies are materialized.
+// The build's ISA picks one of three kernel tiers:
+//
+//  * AVX-512 (__AVX512F__): two adjacent full 16-column slivers of a full
+//    6-row sliver run as one 6×32 tile, 12 zmm accumulators with 2 B loads
+//    and 6 broadcasts per k; the odd last sliver and ragged rows take the
+//    6×16 ymm kernel below.
+//  * AVX2 + FMA: a 6×16 tile, 12 ymm accumulators.
+//  * Generic: a scalar 6×16 tile the compiler vectorizes as it can.
+//
+// In both FMA tiers every C entry gets one FMA chain from zero over its k's
+// in order, then C = acc·alpha + C as one fused multiply-add. The zmm tile
+// gives each lane exactly the chain and epilogue the ymm tile gives it, so
+// pairing slivers never moves a bit, and an AVX-512 build and an AVX2 build
+// agree bitwise. The generic tier need not match them: without FMA its
+// products round separately. Within any build, results are bitwise
+// reproducible at every split and thread count (below).
 //
 // Threading: each call opens one region of the shared runtime
-// (common/parallel.h) with at most region_width() chunks. Each chunk owns a
-// rectangle of C whose edges lie on the 6×16 tile grid: the grid is the one
+// (common/parallel.h) with at most region_width() chunks, or runs inline
+// when called inside another region (a fused Tucker band, a batch slot).
+// Each chunk owns a rectangle of C whose edges lie on the 6×16 tile grid
+// (pairs of its slivers take the 6×32 tile): the grid is the one
 // whose largest chunk holds the fewest tiles, so C splits by columns when N
 // has at least one 16-column sliver per thread and by 6-row slivers
 // otherwise (both when neither alone fills the width). Calls with fewer

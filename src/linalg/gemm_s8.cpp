@@ -161,6 +161,52 @@ void micro_kernel_s8(std::int64_t quads, const std::int8_t* ap,
 }
 #endif
 
+#if defined(__AVX512VNNI__) && defined(__AVX512F__)
+constexpr bool kPairTile = true;
+
+// Two adjacent NR slivers at once: C[MR×2NR] ⊕= Ap·[Bp0 | Bp1], where bp1
+// is the packed sliver right after bp0. One zmm accumulator per (row,
+// sliver) covers the 16 columns of that sliver, so each k-quad costs 2 B
+// loads, 6 broadcasts and 12 vpdpbusd. The sums are exact int32, the seed
+// and epilogue are micro_kernel_s8's, so every C entry is bitwise the one
+// two 6×16 calls would write.
+void micro_kernel_s8_pair(std::int64_t quads, const std::int8_t* ap,
+                          const std::uint8_t* bp0, const std::uint8_t* bp1,
+                          std::int32_t* c, std::int64_t ldc,
+                          const std::int32_t* row_init) {
+  __m512i acc[kMr][2];
+  for (int r = 0; r < kMr; ++r) {
+    acc[r][0] = row_init != nullptr ? _mm512_set1_epi32(row_init[r])
+                                    : _mm512_setzero_si512();
+    acc[r][1] = acc[r][0];
+  }
+  for (std::int64_t q = 0; q < quads; ++q) {
+    const __m512i b0 = _mm512_loadu_si512(bp0 + q * kNr * kKq);
+    const __m512i b1 = _mm512_loadu_si512(bp1 + q * kNr * kKq);
+    for (int r = 0; r < kMr; ++r) {
+      std::int32_t wq;
+      std::memcpy(&wq, ap + r * kKq, sizeof(wq));
+      const __m512i a = _mm512_set1_epi32(wq);
+      acc[r][0] = _mm512_dpbusd_epi32(acc[r][0], b0, a);
+      acc[r][1] = _mm512_dpbusd_epi32(acc[r][1], b1, a);
+    }
+    ap += kMr * kKq;
+  }
+  for (int r = 0; r < kMr; ++r) {
+    std::int32_t* crow = c + r * ldc;
+    for (int h = 0; h < 2; ++h) {
+      std::int32_t* dst = crow + h * kNr;
+      _mm512_storeu_si512(
+          dst, row_init != nullptr
+                   ? acc[r][h]
+                   : _mm512_add_epi32(_mm512_loadu_si512(dst), acc[r][h]));
+    }
+  }
+}
+#else
+constexpr bool kPairTile = false;
+#endif
+
 // Packs B(pc0+0..kc, jc0+0..nc) into NR-column, k-quad-interleaved slivers,
 // zero-padded in both directions (padding contributes 0·w = 0 exactly).
 // On AVX2 builds a full sliver's full quads transpose 4 rows × 16 columns
@@ -326,13 +372,35 @@ TDC_RUN_PATH void gemm_prepacked_s8u8(const PackedGemmAS8& a, std::int64_t n,
           const std::int64_t ic = p * kMc;
           const std::int64_t mc = std::min<std::int64_t>(kMc, m - ic);
           const std::int8_t* apanel = prepacked + pm * pc + ic * pkc;
-          for (std::int64_t jr = 0; jr < nc; jr += kNr) {
+          // One MR×NR tile of C through the 6×16 kernel: straight into C
+          // when full, through a scratch tile when ragged, copying (first
+          // block) or accumulating (later blocks) only the live entries.
+          const auto sliver_tile = [&](std::int64_t jr, std::int64_t ir,
+                                       std::int64_t mr, const std::int8_t* ap,
+                                       const std::int32_t* row_init) {
             const std::int64_t nr = std::min<std::int64_t>(kNr, nc - jr);
             const std::uint8_t* bp = bpack + (jr / kNr) * pkc * kNr;
+            std::int32_t* ctile = c + (ic + ir) * ldc + jc + jr;
+            if (mr == kMr && nr == kNr) {
+              micro_kernel_s8(quads, ap, bp, ctile, ldc, row_init);
+              return;
+            }
+            std::int32_t tmp[kMr * kNr] = {};
+            micro_kernel_s8(quads, ap, bp, tmp, kNr, row_init);
+            for (std::int64_t i = 0; i < mr; ++i) {
+              for (std::int64_t j = 0; j < nr; ++j) {
+                if (first_block) {
+                  ctile[i * ldc + j] = tmp[i * kNr + j];
+                } else {
+                  ctile[i * ldc + j] += tmp[i * kNr + j];
+                }
+              }
+            }
+          };
+          for (std::int64_t jr = 0; jr < nc; jr += kNr) {
+            const bool pair = kPairTile && jr + 2 * kNr <= nc;
             for (std::int64_t ir = 0; ir < mc; ir += kMr) {
               const std::int64_t mr = std::min<std::int64_t>(kMr, mc - ir);
-              const std::int8_t* ap = apanel + (ir / kMr) * pkc * kMr;
-              std::int32_t* ctile = c + (ic + ir) * ldc + jc + jr;
               std::int32_t init[kMr] = {};
               if (first_block && b_zero_point != 0) {
                 for (std::int64_t r = 0; r < mr; ++r) {
@@ -340,24 +408,25 @@ TDC_RUN_PATH void gemm_prepacked_s8u8(const PackedGemmAS8& a, std::int64_t n,
                 }
               }
               const std::int32_t* row_init = first_block ? init : nullptr;
-              if (mr == kMr && nr == kNr) {
-                micro_kernel_s8(quads, ap, bp, ctile, ldc, row_init);
-              } else {
-                // Ragged edge: run the kernel on an MR×NR scratch tile and
-                // copy (first block) or accumulate (later blocks) only the
-                // live entries.
-                std::int32_t tmp[kMr * kNr] = {};
-                micro_kernel_s8(quads, ap, bp, tmp, kNr, row_init);
-                for (std::int64_t i = 0; i < mr; ++i) {
-                  for (std::int64_t j = 0; j < nr; ++j) {
-                    if (first_block) {
-                      ctile[i * ldc + j] = tmp[i * kNr + j];
-                    } else {
-                      ctile[i * ldc + j] += tmp[i * kNr + j];
-                    }
-                  }
-                }
+              const std::int8_t* ap = apanel + (ir / kMr) * pkc * kMr;
+#if defined(__AVX512VNNI__) && defined(__AVX512F__)
+              // Two full slivers side by side take the 6×32 tile; the odd
+              // last sliver and ragged rows take the 6×16 path below.
+              if (pair && mr == kMr) {
+                const std::uint8_t* bp = bpack + (jr / kNr) * pkc * kNr;
+                micro_kernel_s8_pair(quads, ap, bp, bp + pkc * kNr,
+                                     c + (ic + ir) * ldc + jc + jr, ldc,
+                                     row_init);
+                continue;
               }
+#endif
+              for (std::int64_t js = jr; js < jr + (pair ? 2 : 1) * kNr;
+                   js += kNr) {
+                sliver_tile(js, ir, mr, ap, row_init);
+              }
+            }
+            if (pair) {
+              jr += kNr;
             }
           }
         }
@@ -373,6 +442,15 @@ namespace {
 // [q_lo, q_hi]. The AVX2 and scalar paths compute the identical float
 // product and both round under round-to-nearest-even (default MXCSR /
 // fenv), so they agree bit-for-bit.
+//
+// The product is clamped to ±kSat in float before the int32 conversion,
+// which is otherwise undefined (scalar) or INT_MIN (cvtps_epi32) past the
+// int32 range. A zero point is a value of the target domain, so |zp| ≤ 128
+// and every clamped product still saturates to the same end; in-range
+// products pass unchanged. As in quantize_u8, the product is the first
+// operand of each compare on both paths.
+constexpr float kRequantSat = 256.0f;
+
 template <typename Out>
 void requantize_rows(const std::int32_t* acc, std::int64_t m, std::int64_t n,
                      std::int64_t ldc, const float* multiplier,
@@ -389,12 +467,15 @@ void requantize_rows(const std::int32_t* acc, std::int64_t m, std::int64_t n,
       const __m256i vzp = _mm256_set1_epi32(zero_point);
       const __m256i vlo = _mm256_set1_epi32(q_lo);
       const __m256i vhi = _mm256_set1_epi32(q_hi);
+      const __m256 vsat_lo = _mm256_set1_ps(-kRequantSat);
+      const __m256 vsat_hi = _mm256_set1_ps(kRequantSat);
       for (; j + 8 <= n; j += 8) {
         const __m256 prod = _mm256_mul_ps(
             _mm256_cvtepi32_ps(_mm256_loadu_si256(
                 reinterpret_cast<const __m256i*>(arow + j))),
             vm);
-        __m256i q = _mm256_add_epi32(_mm256_cvtps_epi32(prod), vzp);
+        const __m256 sat = _mm256_min_ps(_mm256_max_ps(prod, vsat_lo), vsat_hi);
+        __m256i q = _mm256_add_epi32(_mm256_cvtps_epi32(sat), vzp);
         q = _mm256_min_epi32(_mm256_max_epi32(q, vlo), vhi);
         // q already lies in [q_lo, q_hi] ⊆ [−128, 127], so both signed
         // packs are exact and the low 8 bytes are the 8 outputs in order,
@@ -406,7 +487,9 @@ void requantize_rows(const std::int32_t* acc, std::int64_t m, std::int64_t n,
       }
 #endif
       for (; j < n; ++j) {
-        const float prod = static_cast<float>(arow[j]) * mult;
+        float prod = static_cast<float>(arow[j]) * mult;
+        prod = prod > -kRequantSat ? prod : -kRequantSat;
+        prod = prod < kRequantSat ? prod : kRequantSat;
         const std::int32_t q =
             static_cast<std::int32_t>(std::nearbyintf(prod)) + zero_point;
         orow[j] = static_cast<Out>(std::clamp(q, q_lo, q_hi));

@@ -1,13 +1,20 @@
 // Packed, register-tiled int8 GEMM — the quantized serving kernel.
 //
-// The fp32 engine (linalg/gemm.h) drives a 6×16 FMA micro-kernel; this is
-// its 8-bit sibling for the quantized serving path: signed-int8 weights
-// against unsigned-int8 activations, accumulated exactly in int32 through a
-// `_mm256_maddubs_epi16` + `_mm256_madd_epi16` micro-kernel (AVX2), a
-// single-instruction `_mm256_dpbusd_epi32` variant where AVX-512 VNNI is
-// available, or a scalar tile (generic builds). All three tiers perform the
-// identical exact integer arithmetic, so they are bit-identical to each
-// other.
+// The fp32 engine (linalg/gemm.h) drives a register-tiled FMA micro-kernel;
+// this is its 8-bit sibling for the quantized serving path: signed-int8
+// weights against unsigned-int8 activations, accumulated exactly in int32.
+// The build's ISA picks one of three kernel tiers:
+//
+//  * AVX-512 VNNI (__AVX512VNNI__): two adjacent full 16-column slivers of
+//    a full 6-row sliver run as one 6×32 tile, 12 zmm accumulators with 2 B
+//    loads, 6 broadcasts and 12 `_mm512_dpbusd_epi32` per k-quad; the odd
+//    last sliver and ragged rows take a 6×16 ymm `_mm256_dpbusd_epi32`
+//    kernel (with AVX512VL).
+//  * AVX2: a 6×16 tile, `_mm256_maddubs_epi16` + `_mm256_madd_epi16`.
+//  * Generic: a scalar 6×16 tile.
+//
+// Every tier computes the same exact integer sums, so the tiers are
+// bit-identical to each other, not just within a build.
 //
 // Quantization contract (what makes the arithmetic *exact*):
 //

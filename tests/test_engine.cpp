@@ -1,10 +1,12 @@
 // Tests for the CPU execution engine: the packed-panel GEMM against a naive
-// triple-loop oracle, the fused Tucker pipeline against the staged one, and
-// determinism of both across thread counts.
+// triple-loop oracle, its 6×32 pair tile against one-sliver-at-a-time
+// products, the fused Tucker pipeline against the staged one, and
+// determinism of both across thread counts, intra-op widths and workspaces.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "conv/tucker_conv.h"
 #include "exec/conv_plan.h"
 #include "linalg/gemm.h"
+#include "linalg/gemm_s8.h"
 #include "tucker/tucker.h"
 
 namespace tdc {
@@ -431,6 +434,73 @@ TEST_F(GemmSplitTest, DeadlineInsideSplitGemmThrowsOnCaller) {
   EXPECT_EQ(again, serial);
 }
 
+// ---------------------------------------------------------------------------
+// The 6×32 pair tile (AVX-512 builds) must write every C entry exactly as
+// the 6×16 kernel does. A product computed one 16-column sliver at a time
+// never pairs slivers, so one call over all columns must match it bitwise:
+// a pair kernel that reordered the FMA chain, mixed up the two B slivers or
+// the epilogue would show here. The sizes cover single and partial row
+// slivers, even and odd sliver counts with and without a ragged last
+// sliver, two K blocks, alpha/beta ≠ 1, a prepacked A and ldc > n.
+TEST(GemmTile, PairTileMatchesSingleSliverBitwise) {
+  Rng rng(9400);
+  constexpr std::int64_t kNr = 16;
+  constexpr std::int64_t k = 300;
+  constexpr float kAlpha = 0.75f;
+  constexpr float kBeta = -1.25f;
+  constexpr std::int32_t kZeroPoint = 37;
+  for (const std::int64_t m : {1, 5, 6, 7, 32, 64, 130}) {
+    const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
+    const PackedGemmA packed = pack_gemm_a(m, k, a.data(), k, 1);
+    std::vector<std::int8_t> a_s8(static_cast<std::size_t>(m * k));
+    for (std::size_t i = 0; i < a_s8.size(); ++i) {
+      a_s8[i] = static_cast<std::int8_t>(std::lround(a[i] * 127.0f));
+    }
+    const PackedGemmAS8 packed_s8 = pack_gemm_a_s8(m, k, a_s8.data(), k, 1);
+    for (const std::int64_t n : {16, 31, 32, 33, 48, 95, 3136}) {
+      const std::int64_t ldc = n + 7;
+      const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
+      const auto c0 = random_vec(static_cast<std::size_t>(m * ldc), rng);
+      std::vector<std::uint8_t> b_u8(b.size());
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        b_u8[i] = static_cast<std::uint8_t>(std::lround((b[i] + 1.0f) * 63.5f));
+      }
+      // fp32, packing A on the fly and prepacked.
+      for (const bool prepacked : {false, true}) {
+        const auto product = [&](std::int64_t j0, std::int64_t cols,
+                                 std::vector<float>* c) {
+          if (prepacked) {
+            gemm_prepacked(packed, cols, b.data() + j0, n, 1, c->data() + j0,
+                           ldc, kAlpha, kBeta);
+          } else {
+            gemm_strided(m, cols, k, a.data(), k, 1, b.data() + j0, n, 1,
+                         c->data() + j0, ldc, kAlpha, kBeta);
+          }
+        };
+        std::vector<float> whole = c0;
+        product(0, n, &whole);
+        std::vector<float> slivers = c0;
+        for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
+          product(j0, std::min(kNr, n - j0), &slivers);
+        }
+        ASSERT_EQ(whole, slivers)
+            << "fp32 m=" << m << " n=" << n << " prepacked=" << prepacked;
+      }
+      // s8·u8 with a zero point: the first K block seeds the correction,
+      // the second accumulates.
+      std::vector<std::int32_t> whole(static_cast<std::size_t>(m * ldc), -7);
+      std::vector<std::int32_t> slivers = whole;
+      gemm_prepacked_s8u8(packed_s8, n, b_u8.data(), n, kZeroPoint,
+                          whole.data(), ldc);
+      for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
+        gemm_prepacked_s8u8(packed_s8, std::min(kNr, n - j0), b_u8.data() + j0,
+                            n, kZeroPoint, slivers.data() + j0, ldc);
+      }
+      ASSERT_EQ(whole, slivers) << "s8 m=" << m << " n=" << n;
+    }
+  }
+}
+
 TEST(Transpose2d, BlockedTransposeIsExact) {
   Rng rng(6789);
   const std::vector<std::pair<std::int64_t, std::int64_t>> sizes = {
@@ -506,6 +576,179 @@ TEST_P(FusedTuckerConv, RowTileChoiceDoesNotChangeResults) {
     const Tensor tiled = tucker_conv_fused(x, f, p.shape, tile);
     EXPECT_EQ(Tensor::max_abs_diff(tiled, whole), 0.0)
         << p.label << " row_tile=" << tile;
+  }
+}
+
+// Bitwise equality of two tensors (NaN payloads included).
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Workspace of `floats` floats between guard bands, poisoned with NaN: a
+// stale-scratch read propagates NaN into the output, an out-of-bounds
+// write trips a guard.
+struct GuardedWorkspace {
+  static constexpr float kGuard = 12345.678f;
+  static constexpr std::int64_t kGuardFloats = 64;
+
+  explicit GuardedWorkspace(std::int64_t floats)
+      : floats(floats),
+        buf(static_cast<std::size_t>(floats + 2 * kGuardFloats), kGuard) {
+    std::fill(buf.begin() + kGuardFloats, buf.begin() + kGuardFloats + floats,
+              std::numeric_limits<float>::quiet_NaN());
+  }
+  std::span<float> span() {
+    return std::span<float>(buf).subspan(kGuardFloats,
+                                         static_cast<std::size_t>(floats));
+  }
+  bool guards_intact() const {
+    for (std::int64_t i = 0; i < kGuardFloats; ++i) {
+      if (buf[static_cast<std::size_t>(i)] != kGuard ||
+          buf[buf.size() - 1 - static_cast<std::size_t>(i)] != kGuard) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::int64_t floats;
+  std::vector<float> buf;
+};
+
+// The fused plan hands whole row bands to the threads of one region, each
+// band slot with its own workspace, and shrinks the band height so every
+// slot gets one. Neither may move a bit: every thread count × intra-op
+// width, batched runs (whose image slots run the serial band loop), a plan
+// compiled narrower than it runs, a one-slot workspace, a deadline that
+// expires inside the region and a warm guarded run must all reproduce the
+// one-thread output.
+TEST_P(FusedTuckerConv, BandParallelIsBitwiseAcrossWidthsAndWorkspaces) {
+  const auto& p = GetParam();
+  struct RestoreRuntime {
+    int threads = num_threads();
+    ~RestoreRuntime() {
+      set_num_threads(threads);
+      set_arena_config(ArenaConfig{});
+    }
+  } restore;
+  const auto configure = [](int threads, int intra_op) {
+    set_num_threads(threads);
+    set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = intra_op});
+  };
+  Rng rng(2500);
+  constexpr std::int64_t kBatch = 3;
+  const Tensor xb = Tensor::random_uniform(
+      {kBatch, p.shape.c, p.shape.h, p.shape.w}, rng);
+  const Tensor k = Tensor::random_uniform(
+      {p.shape.c, p.shape.n, p.shape.r, p.shape.s}, rng);
+  const TuckerFactors f = tucker_decompose(k, p.ranks);
+  const TuckerDescriptor desc{.shape = p.shape, .exec = TuckerExec::kFused};
+  const std::int64_t in_floats = p.shape.c * p.shape.h * p.shape.w;
+  const std::int64_t out_floats =
+      p.shape.n * p.shape.out_h() * p.shape.out_w();
+  Tensor x({p.shape.c, p.shape.h, p.shape.w});
+  std::copy(xb.raw(), xb.raw() + in_floats, x.raw());
+
+  // One image through a plan on a fresh poisoned workspace of `floats`.
+  const auto run_image = [&](const ConvPlan& plan, std::int64_t floats) {
+    GuardedWorkspace ws(floats);
+    Tensor y({p.shape.n, p.shape.out_h(), p.shape.out_w()});
+    plan.run_unchecked(x.raw(), y.raw(), ws.span());
+    EXPECT_TRUE(ws.guards_intact()) << p.label;
+    return y;
+  };
+  const auto ws_floats = [](const ConvPlan& plan) {
+    return plan.workspace_bytes() / static_cast<std::int64_t>(sizeof(float));
+  };
+
+  configure(1, 1);
+  const auto serial_plan = compile_tucker_plan(desc, f);
+  const Tensor serial = run_image(*serial_plan, ws_floats(*serial_plan));
+  ASSERT_TRUE(std::isfinite(serial[0]));
+  EXPECT_EQ(Tensor::max_abs_diff(serial, tucker_conv_fused(x, f, p.shape)),
+            0.0)
+      << p.label;
+
+  for (const int threads : {1, 2, 4}) {
+    for (const int intra_op : {1, 2, 0}) {
+      configure(threads, intra_op);
+      const auto plan = compile_tucker_plan(desc, f);
+      EXPECT_TRUE(same_bits(run_image(*plan, ws_floats(*plan)), serial))
+          << p.label << " threads=" << threads << " intra_op=" << intra_op;
+
+      GuardedWorkspace ws(plan->batched_workspace_bytes(kBatch) /
+                          static_cast<std::int64_t>(sizeof(float)));
+      Tensor yb({kBatch, p.shape.n, p.shape.out_h(), p.shape.out_w()});
+      plan->run_batched(xb, &yb, ws.span());
+      EXPECT_TRUE(ws.guards_intact()) << p.label;
+      // Image 0 is x; the others must match their own one-image runs.
+      for (std::int64_t b = 0; b < kBatch; ++b) {
+        Tensor xi({p.shape.c, p.shape.h, p.shape.w});
+        std::copy(xb.raw() + b * in_floats, xb.raw() + (b + 1) * in_floats,
+                  xi.raw());
+        const Tensor want = serial_plan->run(xi);
+        for (std::int64_t i = 0; i < out_floats; ++i) {
+          ASSERT_EQ(yb[b * out_floats + i], want[i])
+              << p.label << " image " << b << " threads=" << threads
+              << " intra_op=" << intra_op;
+        }
+      }
+    }
+  }
+
+  // Compiled at one thread (one band slot), run four wide; and a plan
+  // compiled four wide, handed only one band slot of workspace. The width
+  // is explicit: intra_op 0 defers to TDC_INTRA_OP.
+  configure(4, 4);
+  EXPECT_TRUE(
+      same_bits(run_image(*serial_plan, ws_floats(*serial_plan)), serial))
+      << p.label;
+  const auto wide_plan = compile_tucker_plan(desc, f);
+  EXPECT_TRUE(
+      same_bits(run_image(*wide_plan, ws_floats(*serial_plan)), serial))
+      << p.label;
+  // With every slot, the whole conv is one pool region.
+  const std::int64_t regions = parallel_stats().pool_regions;
+  EXPECT_TRUE(same_bits(run_image(*wide_plan, ws_floats(*wide_plan)), serial))
+      << p.label;
+  EXPECT_EQ(parallel_stats().pool_regions - regions, 1) << p.label;
+
+  // A deadline already past when the region opens throws from inside it
+  // (the first GEMM band poll); the run after it is the warm run below.
+  {
+    GuardedWorkspace ws(ws_floats(*wide_plan));
+    Tensor y({p.shape.n, p.shape.out_h(), p.shape.out_w()});
+    bool expired = false;
+    try {
+      DeadlineScope scope(Deadline::after(0.0));
+      wide_plan->run_unchecked(x.raw(), y.raw(), ws.span());
+    } catch (const Error& e) {
+      expired = e.code() == ErrorCode::kDeadlineExceeded;
+    }
+    EXPECT_TRUE(expired) << p.label;
+    EXPECT_TRUE(ws.guards_intact()) << p.label;
+  }
+
+  // A warm run allocates nothing. Which worker serves which band is not
+  // fixed, so a few rounds let every thread's GEMM pack buffers grow first.
+  {
+    GuardedWorkspace ws(ws_floats(*wide_plan));
+    Tensor y({p.shape.n, p.shape.out_h(), p.shape.out_w()});
+    for (int round = 0; round < 8; ++round) {
+      wide_plan->run_unchecked(x.raw(), y.raw(), ws.span());
+    }
+    const bool saved_guard = alloc_guard_enabled();
+    set_alloc_guard(true);
+    const std::int64_t violations = alloc_guard_violations();
+    {
+      DenyAllocGuard guard("band-parallel test");
+      EXPECT_NO_THROW(wide_plan->run_unchecked(x.raw(), y.raw(), ws.span()));
+    }
+    EXPECT_EQ(alloc_guard_violations(), violations) << p.label;
+    set_alloc_guard(saved_guard);
+    EXPECT_TRUE(same_bits(y, serial)) << p.label;
   }
 }
 

@@ -312,6 +312,47 @@ TEST(Quantize, RequantizeVectorTailsMatchScalarFormula) {
   }
 }
 
+TEST(Quantize, RequantizeSaturatesBeyondInt32Range) {
+  // acc·multiplier past the int32 range once reached cvtps_epi32's INT_MIN
+  // (AVX2 body) or an undefined cast (scalar tail) and saturated to the
+  // wrong end. Every out-of-range product, of either sign and for either
+  // output type, must land on the end its sign points to, alone (the
+  // scalar tail) and at every slot of a 24-wide row (the 8-wide body and a
+  // tail), while the in-range neighbours keep their exact values.
+  constexpr std::int64_t n = 24;
+  const float mult = 4.0f;
+  using Limits = std::numeric_limits<std::int32_t>;
+  const std::int32_t big[] = {2000000000, Limits::max(), -2000000000,
+                              Limits::min()};
+  const std::int32_t kNeighbour = 5;  // 5·4 = 20
+  for (const std::int32_t acc_value : big) {
+    const bool positive = acc_value > 0;
+    const std::int8_t want_s8 = positive ? 127 : -128;
+    const std::uint8_t want_u8 = positive ? 127 : 0;
+    std::int8_t s8 = 0;
+    std::uint8_t u8 = 99;
+    requantize_s8(&acc_value, 1, 1, 1, &mult, 0, &s8, 1);
+    requantize_u8(&acc_value, 1, 1, 1, &mult, 60, &u8, 1);
+    EXPECT_EQ(s8, want_s8) << "acc " << acc_value;
+    EXPECT_EQ(u8, want_u8) << "acc " << acc_value;
+    for (std::int64_t slot = 0; slot < n; ++slot) {
+      std::vector<std::int32_t> acc(n, kNeighbour);
+      acc[static_cast<std::size_t>(slot)] = acc_value;
+      std::vector<std::int8_t> out_s8(n, 0);
+      std::vector<std::uint8_t> out_u8(n, 99);
+      requantize_s8(acc.data(), 1, n, n, &mult, -3, out_s8.data(), n);
+      requantize_u8(acc.data(), 1, n, n, &mult, 60, out_u8.data(), n);
+      for (std::int64_t j = 0; j < n; ++j) {
+        const auto at = static_cast<std::size_t>(j);
+        ASSERT_EQ(out_s8[at], j == slot ? want_s8 : 17)
+            << "acc " << acc_value << " slot " << slot << " j " << j;
+        ASSERT_EQ(out_u8[at], j == slot ? want_u8 : 80)
+            << "acc " << acc_value << " slot " << slot << " j " << j;
+      }
+    }
+  }
+}
+
 TEST(Quantize, Int8GemmMatchesNaiveIntegerReferenceExactly) {
   const int saved = num_threads();
   Rng rng(7003);
