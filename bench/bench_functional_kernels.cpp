@@ -7,10 +7,12 @@
 // multiply reduction, FFT's plane-size sensitivity) in actual silicon time.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "conv/conv.h"
-#include "conv/tucker_conv.h"
 #include "core/tdc_kernel.h"
 #include "core/tvm_scheme.h"
+#include "exec/conv_plan.h"
 #include "tensor/layout.h"
 #include "tucker/tucker.h"
 
@@ -42,29 +44,23 @@ void BM_ConvReference(benchmark::State& state) {
                           static_cast<std::int64_t>(op.shape.flops()));
 }
 
-void BM_ConvIm2col(benchmark::State& state) {
-  const Operands op = make_operands(state.range(0), state.range(1), state.range(2));
+// Times the execute path of one compiled plan: the plan, its output and its
+// workspace are built once, outside the timing loop.
+void run_plan(benchmark::State& state, const ConvPlan& plan, const Tensor& x) {
+  Tensor y = plan.run(x);
+  std::vector<float> workspace(
+      static_cast<std::size_t>(plan.workspace_bytes()) / sizeof(float));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv2d_im2col(op.x, op.k_cnrs, op.shape));
+    plan.run(x, &y, workspace);
+    benchmark::DoNotOptimize(y.raw());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(op.shape.flops()));
 }
 
-void BM_ConvWinograd(benchmark::State& state) {
+void BM_ConvPlan(benchmark::State& state, ConvAlgo algo) {
   const Operands op = make_operands(state.range(0), state.range(1), state.range(2));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv2d_winograd(op.x, op.k_cnrs, op.shape));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(op.shape.flops()));
-}
-
-void BM_ConvFft(benchmark::State& state) {
-  const Operands op = make_operands(state.range(0), state.range(1), state.range(2));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv2d_fft(op.x, op.k_cnrs, op.shape));
-  }
+  run_plan(state,
+           *compile_conv_plan({.shape = op.shape, .algo = algo}, op.k_cnrs),
+           op.x);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(op.shape.flops()));
 }
@@ -95,9 +91,7 @@ void BM_TuckerPipeline(benchmark::State& state) {
   const TuckerFactors f =
       tucker_decompose(op.k_cnrs, {std::max<std::int64_t>(1, op.shape.c / 2),
                                    std::max<std::int64_t>(1, op.shape.n / 2)});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tucker_conv(op.x, f, op.shape));
-  }
+  run_plan(state, *compile_tucker_plan({.shape = op.shape}, f), op.x);
 }
 
 void BM_TuckerDecompose(benchmark::State& state) {
@@ -113,9 +107,12 @@ void BM_TuckerDecompose(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_ConvReference)->Args({32, 32, 28})->Args({64, 32, 14});
-BENCHMARK(BM_ConvIm2col)->Args({32, 32, 28})->Args({64, 32, 14})->Args({64, 64, 56});
-BENCHMARK(BM_ConvWinograd)->Args({32, 32, 28})->Args({64, 64, 56});
-BENCHMARK(BM_ConvFft)->Args({32, 32, 28})->Args({64, 32, 14});
+BENCHMARK_CAPTURE(BM_ConvPlan, im2col, ConvAlgo::kIm2col)
+    ->Args({32, 32, 28})->Args({64, 32, 14})->Args({64, 64, 56});
+BENCHMARK_CAPTURE(BM_ConvPlan, winograd, ConvAlgo::kWinograd)
+    ->Args({32, 32, 28})->Args({64, 64, 56});
+BENCHMARK_CAPTURE(BM_ConvPlan, fft, ConvAlgo::kFft)
+    ->Args({32, 32, 28})->Args({64, 32, 14});
 BENCHMARK(BM_TdcCoreKernel)->Args({32, 32, 28})->Args({64, 32, 14})->Args({64, 64, 56});
 BENCHMARK(BM_TvmSchemeKernel)->Args({32, 32, 28})->Args({64, 32, 14});
 BENCHMARK(BM_TuckerPipeline)->Args({32, 32, 28})->Args({64, 64, 56});

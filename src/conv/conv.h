@@ -1,16 +1,11 @@
-// Convolution algorithms (single image, CHW activations, CNRS kernels).
+// Convolution building blocks (single image, CHW activations, CNRS kernels).
 //
-// These implement the baselines the paper compares against:
-//   conv2d_im2col   — stand-in for cuDNN IMPLICIT_GEMM
-//   conv2d_winograd — stand-in for cuDNN WINOGRAD (F(2×2, 3×3))
-//   conv2d_fft      — stand-in for cuDNN FFT
-// plus the exact reference used as the correctness oracle for every other
-// kernel in the repository (including the TDC core kernel in src/core).
-//
-// Every free function here is a thin single-shot wrapper over the
-// plan/execute API in exec/conv_plan.h: it compiles a ConvPlan for the
-// problem, allocates the output and workspace, runs once, and throws the
-// plan away. Serving loops should build the plan once and replay it.
+// The exact reference convolution here is the correctness oracle for every
+// other kernel in the repository (including the TDC core kernel in
+// src/core); the im2col helpers and the weight-matrix reshape are shared by
+// the plans. The baselines the paper compares against — im2col + GEMM
+// (cuDNN IMPLICIT_GEMM), Winograd F(2×2, 3×3) and FFT — run as compiled
+// plans: compile_conv_plan in exec/conv_plan.h.
 //
 // All functions compute cross-correlation (the CNN convention):
 //   Y(n, oh, ow) = Σ_{c,r,s} X(c, oh·stride − pad + r, ow·stride − pad + s) · K(c,n,r,s)
@@ -42,29 +37,10 @@ Tensor conv2d_reference(const Tensor& x, const Tensor& kernel_cnrs,
 void conv2d_reference_into(const float* x, const Tensor& kernel_cnrs,
                            const ConvShape& shape, float* y);
 
-/// im2col + GEMM convolution.
-Tensor conv2d_im2col(const Tensor& x, const Tensor& kernel_cnrs,
-                     const ConvShape& shape);
-
 /// The [N, C·R·S] weight-matrix reshape shared by the im2col path and the
 /// fused Tucker pipeline: row n holds kernel(., n, ., .) flattened in
 /// im2col's (c, r, s) patch-row order.
 Tensor conv_weight_matrix(const Tensor& kernel_cnrs, const ConvShape& shape);
-
-/// Winograd F(2×2, 3×3). Requires r == s == 3 and stride 1 (throws otherwise).
-Tensor conv2d_winograd(const Tensor& x, const Tensor& kernel_cnrs,
-                       const ConvShape& shape);
-
-/// FFT convolution (frequency-domain channel accumulation). Requires
-/// stride 1 (throws otherwise); any filter size.
-Tensor conv2d_fft(const Tensor& x, const Tensor& kernel_cnrs,
-                  const ConvShape& shape);
-
-/// Dispatch by algorithm id (kAuto picks the cheapest supported algorithm on
-/// the default device). Algorithms with shape restrictions throw on
-/// unsupported shapes; use conv_algo_supports to pre-check.
-Tensor conv2d(ConvAlgo algo, const Tensor& x, const Tensor& kernel_cnrs,
-              const ConvShape& shape);
 
 /// Whether `algo` supports `shape` (Winograd: 3×3 stride-1; FFT: stride-1;
 /// reference/im2col/TDC-core/auto: any valid shape).

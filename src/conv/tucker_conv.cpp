@@ -16,7 +16,7 @@ Tensor tucker_conv_stage3(const Tensor& z2, const TuckerFactors& factors) {
 }
 
 Tensor tucker_conv(const Tensor& x, const TuckerFactors& factors,
-                   const ConvShape& shape, ConvAlgo core_algo) {
+                   const ConvShape& shape) {
   TDC_CHECK_MSG(x.rank() == 3, "tucker_conv expects [C,H,W]");
   TDC_CHECK_MSG(x.dim(0) == shape.c, "input channel mismatch");
   TDC_CHECK_MSG(factors.u1.dim(0) == shape.c, "U1 row count != C");
@@ -26,7 +26,7 @@ Tensor tucker_conv(const Tensor& x, const TuckerFactors& factors,
   const ConvShape core = core_conv_shape(shape, ranks);
 
   const Tensor z1 = tucker_conv_stage1(x, factors);
-  const Tensor z2 = conv2d(core_algo, z1, factors.core, core);
+  const Tensor z2 = conv2d_reference(z1, factors.core, core);
   return tucker_conv_stage3(z2, factors);
 }
 

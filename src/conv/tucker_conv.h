@@ -1,9 +1,11 @@
 // Tucker-format convolution pipeline (paper Eqs. 2–4, Figure 3).
 //
-// Executes the three-stage decomposed convolution: a 1×1 channel reduction
-// (C → D1), the R×S "core" convolution (D1 → D2) using a selectable
-// algorithm, and a 1×1 channel expansion (D2 → N). Mathematically equivalent
-// to convolving with the reconstructed kernel.
+// The reference form of the three-stage decomposed convolution: a 1×1
+// channel reduction (C → D1), the R×S "core" convolution (D1 → D2) and a
+// 1×1 channel expansion (D2 → N). Mathematically equivalent to convolving
+// with the reconstructed kernel. Serving runs the same pipeline as a
+// compiled plan (compile_tucker_plan in exec/conv_plan.h): fused row bands,
+// or staged with a selectable core algorithm.
 #pragma once
 
 #include "conv/conv.h"
@@ -14,36 +16,14 @@ namespace tdc {
 
 /// Runs the Tucker pipeline on x ([C, H, W]) with decomposed factors and the
 /// original problem descriptor `shape` (its pad/stride apply to the core
-/// stage). `core_algo` picks the implementation of the middle convolution.
+/// stage): stage 1, conv2d_reference on the core, stage 3.
 Tensor tucker_conv(const Tensor& x, const TuckerFactors& factors,
-                   const ConvShape& shape,
-                   ConvAlgo core_algo = ConvAlgo::kIm2col);
+                   const ConvShape& shape);
 
 /// Stage-1 output Z1 = X ×_C U1 (Eq. 2), exposed for testing/benchmarks.
 Tensor tucker_conv_stage1(const Tensor& x, const TuckerFactors& factors);
 
 /// Stage-3 output Y = Z2 ×_{D2} U2^T (Eq. 4).
 Tensor tucker_conv_stage3(const Tensor& z2, const TuckerFactors& factors);
-
-/// Fused three-stage pipeline: instead of materializing the full Z1/Z2
-/// intermediates, output rows are processed in bands — per band the stage-1
-/// pointwise runs only over the input rows the core convolution will touch,
-/// the core R×S GEMM consumes the band's patch matrix, and the stage-3
-/// pointwise commits straight to the output. All intermediates live in
-/// per-band scratch buffers sized to stay cache-resident. `row_tile` is the
-/// output-row band height (0 picks one automatically). Numerically identical
-/// to the staged pipeline with the im2col core.
-///
-/// Single-shot wrapper over a TuckerExec::kFused plan (exec/conv_plan.h);
-/// serving loops should compile the plan once and replay it.
-Tensor tucker_conv_fused(const Tensor& x, const TuckerFactors& factors,
-                         const ConvShape& shape, std::int64_t row_tile = 0);
-
-/// Batched serving entry point: x is [B, C, H, W], returns [B, N, H', W'].
-/// Images fan out across the parallel runtime; each runs the fused
-/// single-image pipeline (or the staged one when fused == false). Wrapper
-/// over ConvPlan::run_batched with an internally allocated workspace.
-Tensor tucker_conv_batched(const Tensor& x, const TuckerFactors& factors,
-                           const ConvShape& shape, bool fused = true);
 
 }  // namespace tdc

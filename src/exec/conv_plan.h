@@ -15,8 +15,7 @@
 // chosen TDC tiling or Tucker row band. run() touches only the caller's
 // output and workspace — no allocation, no hidden state — so the steady
 // state is allocation-free and bit-reproducible across calls and thread
-// counts. The free functions in conv/conv.h are single-shot wrappers over
-// these plans.
+// counts.
 #pragma once
 
 #include <cstdint>

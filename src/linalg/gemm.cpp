@@ -18,12 +18,6 @@ namespace tdc {
 
 namespace {
 
-// Cache-blocking parameters of the legacy saxpy-style kernel; modest sizes
-// that fit L1/L2 on typical x86.
-constexpr std::int64_t kBlockM = 64;
-constexpr std::int64_t kBlockN = 64;
-constexpr std::int64_t kBlockK = 256;
-
 // BLIS-style packed micro-kernel geometry: MR×NR register tile, MC×KC packed
 // A panel (L2-resident), KC×NC packed B panel (L3-resident).
 constexpr std::int64_t kMr = 6;
@@ -508,39 +502,6 @@ void gemm_prepacked(const PackedGemmA& a, std::int64_t n, const float* b,
   TDC_CHECK_MSG(!a.empty(), "gemm_prepacked on an empty PackedGemmA");
   gemm_packed(a.m_, n, a.k_, /*a=*/nullptr, 0, 0, b, b_rs, b_cs, c, ldc,
               alpha, beta, a.panels_.data());
-}
-
-void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
-                  std::span<const float> a, std::span<const float> b,
-                  std::span<float> c, float alpha, float beta) {
-  TDC_CHECK(static_cast<std::int64_t>(a.size()) >= m * k);
-  TDC_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
-  TDC_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
-
-  parallel_for(0, detail::divup(m, kBlockM), 1,
-               [&](std::int64_t blk0, std::int64_t blk1) {
-    for (std::int64_t blk = blk0; blk < blk1; ++blk) {
-      const std::int64_t i0 = blk * kBlockM;
-      const std::int64_t i_max = std::min(i0 + kBlockM, m);
-      scale_c(i_max - i0, n, c.data() + i0 * n, n, beta);
-      for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-        const std::int64_t k_max = std::min(k0 + kBlockK, k);
-        for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
-          const std::int64_t j_max = std::min(j0 + kBlockN, n);
-          for (std::int64_t i = i0; i < i_max; ++i) {
-            for (std::int64_t kk = k0; kk < k_max; ++kk) {
-              const float aik = alpha * a[static_cast<std::size_t>(i * k + kk)];
-              const float* brow = &b[static_cast<std::size_t>(kk * n)];
-              float* crow = &c[static_cast<std::size_t>(i * n)];
-              for (std::int64_t j = j0; j < j_max; ++j) {
-                crow[j] += aik * brow[j];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -130,13 +130,6 @@ void gemm_prepacked(const PackedGemmA& a, std::int64_t n, const float* b,
                     std::int64_t b_rs, std::int64_t b_cs, float* c,
                     std::int64_t ldc, float alpha = 1.0f, float beta = 0.0f);
 
-/// The pre-engine cache-blocked saxpy-style GEMM, kept as the baseline the
-/// packed kernel is benchmarked against (bench_cpu_engine) and as a second
-/// oracle in the tests.
-void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
-                  std::span<const float> a, std::span<const float> b,
-                  std::span<float> c, float alpha = 1.0f, float beta = 0.0f);
-
 /// Tensor convenience wrapper: returns A·B for rank-2 tensors.
 Tensor matmul(const Tensor& a, const Tensor& b);
 

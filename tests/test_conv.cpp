@@ -9,6 +9,7 @@
 #include "conv/conv.h"
 #include "conv/pointwise.h"
 #include "conv/tucker_conv.h"
+#include "exec/conv_plan.h"
 #include "linalg/gemm.h"
 
 namespace tdc {
@@ -194,7 +195,8 @@ TEST_P(ConvAgreement, Im2colMatchesReference) {
   const Tensor k =
       Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
   const Tensor ref = conv2d_reference(x, k, shape);
-  const Tensor fast = conv2d_im2col(x, k, shape);
+  const Tensor fast =
+      compile_conv_plan({.shape = shape, .algo = ConvAlgo::kIm2col}, k)->run(x);
   EXPECT_LT(Tensor::rel_error(fast, ref), 1e-4) << GetParam().label;
 }
 
@@ -208,7 +210,9 @@ TEST_P(ConvAgreement, WinogradMatchesReferenceWhenSupported) {
   const Tensor k =
       Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
   const Tensor ref = conv2d_reference(x, k, shape);
-  const Tensor fast = conv2d_winograd(x, k, shape);
+  const Tensor fast =
+      compile_conv_plan({.shape = shape, .algo = ConvAlgo::kWinograd}, k)
+          ->run(x);
   EXPECT_LT(Tensor::rel_error(fast, ref), 1e-3) << GetParam().label;
 }
 
@@ -222,7 +226,8 @@ TEST_P(ConvAgreement, FftMatchesReferenceWhenSupported) {
   const Tensor k =
       Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
   const Tensor ref = conv2d_reference(x, k, shape);
-  const Tensor fast = conv2d_fft(x, k, shape);
+  const Tensor fast =
+      compile_conv_plan({.shape = shape, .algo = ConvAlgo::kFft}, k)->run(x);
   EXPECT_LT(Tensor::rel_error(fast, ref), 1e-4) << GetParam().label;
 }
 
@@ -294,10 +299,17 @@ TEST(TuckerConv, CoreAlgoChoicesAgree) {
   const Tensor x = Tensor::random_uniform({6, 8, 8}, rng);
   const Tensor k = Tensor::random_uniform({6, 6, 3, 3}, rng);
   const TuckerFactors f = tucker_decompose(k, {4, 4});
-  const Tensor a = tucker_conv(x, f, shape, ConvAlgo::kReference);
-  const Tensor b = tucker_conv(x, f, shape, ConvAlgo::kIm2col);
-  const Tensor c = tucker_conv(x, f, shape, ConvAlgo::kWinograd);
-  const Tensor d = tucker_conv(x, f, shape, ConvAlgo::kFft);
+  const auto staged = [&](ConvAlgo core) {
+    return compile_tucker_plan({.shape = shape,
+                                .exec = TuckerExec::kStaged,
+                                .core_algo = core},
+                               f)
+        ->run(x);
+  };
+  const Tensor a = tucker_conv(x, f, shape);
+  const Tensor b = staged(ConvAlgo::kIm2col);
+  const Tensor c = staged(ConvAlgo::kWinograd);
+  const Tensor d = staged(ConvAlgo::kFft);
   EXPECT_LT(Tensor::rel_error(b, a), 1e-4);
   EXPECT_LT(Tensor::rel_error(c, a), 1e-3);
   EXPECT_LT(Tensor::rel_error(d, a), 1e-4);
@@ -319,9 +331,14 @@ TEST(ConvDispatch, UnsupportedThrows) {
   Rng rng(117);
   const Tensor x = Tensor::random_uniform({2, 8, 8}, rng);
   const Tensor k = Tensor::random_uniform({2, 2, 5, 5}, rng);
-  EXPECT_THROW(conv2d(ConvAlgo::kWinograd, x, k, strided5), Error);
-  EXPECT_THROW(conv2d(ConvAlgo::kFft, x, k, strided5), Error);
-  EXPECT_NO_THROW(conv2d(ConvAlgo::kIm2col, x, k, strided5));
+  for (const ConvAlgo algo : {ConvAlgo::kWinograd, ConvAlgo::kFft}) {
+    EXPECT_THROW(compile_conv_plan({.shape = strided5, .algo = algo}, k),
+                 Error)
+        << conv_algo_name(algo);
+  }
+  EXPECT_NO_THROW(
+      compile_conv_plan({.shape = strided5, .algo = ConvAlgo::kIm2col}, k)
+          ->run(x));
 }
 
 TEST(ConvDispatch, AlgoNames) {

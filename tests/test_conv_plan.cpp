@@ -346,7 +346,9 @@ TEST(TuckerPlan, FusedPlanIsBitIdenticalToStagedOracle) {
   const Tensor k =
       Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
   const TuckerFactors f = tucker_decompose(k, {5, 5});
-  const Tensor staged = tucker_conv(x, f, shape, ConvAlgo::kIm2col);
+  const Tensor staged =
+      compile_tucker_plan({.shape = shape, .exec = TuckerExec::kStaged}, f)
+          ->run(x);
 
   TuckerDescriptor desc;
   desc.shape = shape;
@@ -367,7 +369,7 @@ TEST(TuckerPlan, StagedPlanComposesWithEveryCoreAlgorithm) {
   const Tensor k =
       Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
   const TuckerFactors f = tucker_decompose(k, {4, 4});
-  const Tensor oracle = tucker_conv(x, f, shape, ConvAlgo::kReference);
+  const Tensor oracle = tucker_conv(x, f, shape);
 
   for (const ConvAlgo core :
        {ConvAlgo::kReference, ConvAlgo::kIm2col, ConvAlgo::kWinograd,

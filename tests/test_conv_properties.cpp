@@ -3,11 +3,13 @@
 // sweep of shapes and algorithms.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
 #include "common/check.h"
 #include "conv/conv.h"
 #include "conv/tucker_conv.h"
+#include "exec/conv_plan.h"
 
 namespace tdc {
 namespace {
@@ -26,6 +28,9 @@ class ConvAlgebra : public ::testing::TestWithParam<AlgoShape> {
   }
   ConvAlgo algo() const { return std::get<0>(GetParam()); }
   bool supported() const { return conv_algo_supports(algo(), shape()); }
+  std::unique_ptr<ConvPlan> plan(const Tensor& k) const {
+    return compile_conv_plan({.shape = shape(), .algo = algo()}, k);
+  }
 };
 
 TEST_P(ConvAlgebra, MatchesReference) {
@@ -37,7 +42,7 @@ TEST_P(ConvAlgebra, MatchesReference) {
   const Tensor x = Tensor::random_uniform({s.c, s.h, s.w}, rng);
   const Tensor k = Tensor::random_uniform({s.c, s.n, s.r, s.s}, rng);
   const Tensor ref = conv2d_reference(x, k, s);
-  const Tensor out = conv2d(algo(), x, k, s);
+  const Tensor out = plan(k)->run(x);
   EXPECT_LT(Tensor::rel_error(out, ref), 1e-3);
 }
 
@@ -55,9 +60,10 @@ TEST_P(ConvAlgebra, LinearInInput) {
   for (std::int64_t i = 0; i < mix.numel(); ++i) {
     mix[i] = 2.0f * x1[i] - 0.5f * x2[i];
   }
-  const Tensor lhs = conv2d(algo(), mix, k, s);
-  const Tensor y1 = conv2d(algo(), x1, k, s);
-  const Tensor y2 = conv2d(algo(), x2, k, s);
+  const auto p = plan(k);
+  const Tensor lhs = p->run(mix);
+  const Tensor y1 = p->run(x1);
+  const Tensor y2 = p->run(x2);
   Tensor rhs(lhs.dims());
   for (std::int64_t i = 0; i < rhs.numel(); ++i) {
     rhs[i] = 2.0f * y1[i] - 0.5f * y2[i];
@@ -79,9 +85,9 @@ TEST_P(ConvAlgebra, AdditiveInKernel) {
   for (std::int64_t i = 0; i < ksum.numel(); ++i) {
     ksum[i] = k1[i] + k2[i];
   }
-  const Tensor lhs = conv2d(algo(), x, ksum, s);
-  const Tensor y1 = conv2d(algo(), x, k1, s);
-  const Tensor y2 = conv2d(algo(), x, k2, s);
+  const Tensor lhs = plan(ksum)->run(x);
+  const Tensor y1 = plan(k1)->run(x);
+  const Tensor y2 = plan(k2)->run(x);
   Tensor rhs(lhs.dims());
   for (std::int64_t i = 0; i < rhs.numel(); ++i) {
     rhs[i] = y1[i] + y2[i];
@@ -97,7 +103,7 @@ TEST_P(ConvAlgebra, ZeroKernelGivesZeroOutput) {
   Rng rng(607);
   const Tensor x = Tensor::random_uniform({s.c, s.h, s.w}, rng);
   const Tensor k({s.c, s.n, s.r, s.s});
-  const Tensor y = conv2d(algo(), x, k, s);
+  const Tensor y = plan(k)->run(x);
   EXPECT_LT(y.frobenius_norm(), 1e-5);
 }
 

@@ -16,7 +16,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "conv/conv.h"
-#include "conv/tucker_conv.h"
 #include "exec/conv_plan.h"
 #include "linalg/gemm.h"
 #include "linalg/gemm_s8.h"
@@ -72,6 +71,7 @@ const GemmSize kSizes[] = {
     {1, 1, 1},   {2, 3, 4},    {5, 7, 3},     {6, 16, 8},  {7, 17, 19},
     {13, 1, 31}, {1, 37, 2},   {23, 29, 31},  {64, 64, 64}, {97, 101, 103},
     {6, 16, 256}, {12, 32, 257}, {121, 17, 5}, {130, 40, 300},
+    {130, 85, 300},
 };
 
 const float kAlphaBeta[][2] = {{1.0f, 0.0f}, {2.0f, 0.0f}, {0.5f, 1.0f},
@@ -124,18 +124,6 @@ TEST(PackedGemm, TransBMatchesNaiveOracle) {
           << "m=" << sz.m << " n=" << sz.n << " k=" << sz.k;
     }
   }
-}
-
-TEST(PackedGemm, AgreesWithLegacyBlockedGemm) {
-  Rng rng(4567);
-  const std::int64_t m = 130, n = 85, k = 300;
-  const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
-  const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
-  std::vector<float> c_packed(static_cast<std::size_t>(m * n));
-  std::vector<float> c_blocked(static_cast<std::size_t>(m * n));
-  gemm(m, n, k, a, b, c_packed);
-  gemm_blocked(m, n, k, a, b, c_blocked);
-  EXPECT_LT(max_abs_diff(c_packed, c_blocked), 1e-3);
 }
 
 TEST(PackedGemm, DeterministicAcrossThreadCounts) {
@@ -518,11 +506,9 @@ TEST(Transpose2d, BlockedTransposeIsExact) {
   }
 }
 
-TEST(Im2colPlan, ReusedPlanMatchesSingleShotPath) {
-  // The deprecated Im2colPlan alias is gone; the equivalent invariant on the
-  // plan/execute API is that one compiled plan replayed over many inputs is
-  // bit-identical to the single-shot free function (which compiles a fresh
-  // plan per call).
+TEST(Im2colPlan, ReusedPlanMatchesFreshPlan) {
+  // One compiled plan replayed over many inputs is bit-identical to a fresh
+  // plan compiled for each input.
   Rng rng(7890);
   const ConvShape shape = ConvShape::same(6, 8, 11, 3, 2);
   const Tensor k =
@@ -533,8 +519,9 @@ TEST(Im2colPlan, ReusedPlanMatchesSingleShotPath) {
   const auto plan = compile_conv_plan(desc, k);
   for (int i = 0; i < 3; ++i) {
     const Tensor x = Tensor::random_uniform({shape.c, shape.h, shape.w}, rng);
-    EXPECT_EQ(
-        Tensor::max_abs_diff(plan->run(x), conv2d_im2col(x, k, shape)), 0.0)
+    EXPECT_EQ(Tensor::max_abs_diff(plan->run(x),
+                                   compile_conv_plan(desc, k)->run(x)),
+              0.0)
         << "input " << i;
   }
 }
@@ -555,8 +542,10 @@ TEST_P(FusedTuckerConv, BitLevelParityWithStagedPipeline) {
   const Tensor k = Tensor::random_uniform(
       {p.shape.c, p.shape.n, p.shape.r, p.shape.s}, rng);
   const TuckerFactors f = tucker_decompose(k, p.ranks);
-  const Tensor staged = tucker_conv(x, f, p.shape, ConvAlgo::kIm2col);
-  const Tensor fused = tucker_conv_fused(x, f, p.shape);
+  const Tensor staged =
+      compile_tucker_plan({.shape = p.shape, .exec = TuckerExec::kStaged}, f)
+          ->run(x);
+  const Tensor fused = compile_tucker_plan({.shape = p.shape}, f)->run(x);
   // The fused pipeline reorders no accumulation relative to the staged
   // im2col path, so the match is bit-level, not just within tolerance.
   EXPECT_EQ(Tensor::max_abs_diff(fused, staged), 0.0) << p.label;
@@ -570,10 +559,14 @@ TEST_P(FusedTuckerConv, RowTileChoiceDoesNotChangeResults) {
   const Tensor k = Tensor::random_uniform(
       {p.shape.c, p.shape.n, p.shape.r, p.shape.s}, rng);
   const TuckerFactors f = tucker_decompose(k, p.ranks);
-  const Tensor whole = tucker_conv_fused(x, f, p.shape, p.shape.out_h());
+  const auto fused = [&](std::int64_t row_tile) {
+    return compile_tucker_plan({.shape = p.shape, .row_tile = row_tile}, f)
+        ->run(x);
+  };
+  const Tensor whole = fused(p.shape.out_h());
   for (const std::int64_t tile : {std::int64_t{1}, std::int64_t{2},
                                   std::int64_t{3}}) {
-    const Tensor tiled = tucker_conv_fused(x, f, p.shape, tile);
+    const Tensor tiled = fused(tile);
     EXPECT_EQ(Tensor::max_abs_diff(tiled, whole), 0.0)
         << p.label << " row_tile=" << tile;
   }
@@ -667,9 +660,8 @@ TEST_P(FusedTuckerConv, BandParallelIsBitwiseAcrossWidthsAndWorkspaces) {
   const auto serial_plan = compile_tucker_plan(desc, f);
   const Tensor serial = run_image(*serial_plan, ws_floats(*serial_plan));
   ASSERT_TRUE(std::isfinite(serial[0]));
-  EXPECT_EQ(Tensor::max_abs_diff(serial, tucker_conv_fused(x, f, p.shape)),
-            0.0)
-      << p.label;
+  const Tensor fresh = compile_tucker_plan(desc, f)->run(x);
+  EXPECT_EQ(Tensor::max_abs_diff(serial, fresh), 0.0) << p.label;
 
   for (const int threads : {1, 2, 4}) {
     for (const int intra_op : {1, 2, 0}) {
@@ -763,6 +755,17 @@ INSTANTIATE_TEST_SUITE_P(
         FusedCase{ConvShape::same(12, 10, 16, 7, 2), {5, 4}, "strided7x7"}),
     [](const auto& info) { return info.param.label; });
 
+// x [B, C, H, W] through plan.run_batched with a full-fan-out workspace.
+Tensor run_batched(const ConvPlan& plan, const Tensor& x) {
+  const ConvShape& shape = plan.shape();
+  const std::int64_t batch = x.dim(0);
+  Tensor y({batch, shape.n, shape.out_h(), shape.out_w()});
+  std::vector<float> workspace(static_cast<std::size_t>(
+      plan.batched_workspace_bytes(batch) / sizeof(float)));
+  plan.run_batched(x, &y, workspace);
+  return y;
+}
+
 TEST(BatchedTuckerConv, MatchesPerImageStagedPipeline) {
   Rng rng(3000);
   const ConvShape shape = ConvShape::same(8, 8, 12, 3);
@@ -772,18 +775,22 @@ TEST(BatchedTuckerConv, MatchesPerImageStagedPipeline) {
   const Tensor k =
       Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
   const TuckerFactors f = tucker_decompose(k, {4, 4});
+  const auto fused_plan = compile_tucker_plan({.shape = shape}, f);
+  const auto staged_plan =
+      compile_tucker_plan({.shape = shape, .exec = TuckerExec::kStaged}, f);
 
-  const Tensor fused = tucker_conv_batched(x, f, shape, /*fused=*/true);
-  const Tensor staged = tucker_conv_batched(x, f, shape, /*fused=*/false);
+  const Tensor fused = run_batched(*fused_plan, x);
+  const Tensor staged = run_batched(*staged_plan, x);
   ASSERT_EQ(fused.dims(), staged.dims());
   EXPECT_EQ(Tensor::max_abs_diff(fused, staged), 0.0);
 
-  // Batched output must equal the single-image pipeline slice by slice.
+  // Batched output must equal the single-image staged pipeline slice by
+  // slice.
   const std::int64_t x_stride = shape.c * shape.h * shape.w;
   for (std::int64_t b = 0; b < batch; ++b) {
     Tensor xb({shape.c, shape.h, shape.w});
     std::copy(x.raw() + b * x_stride, x.raw() + (b + 1) * x_stride, xb.raw());
-    const Tensor yb = tucker_conv(xb, f, shape);
+    const Tensor yb = staged_plan->run(xb);
     const std::int64_t y_stride = yb.numel();
     for (std::int64_t i = 0; i < y_stride; ++i) {
       ASSERT_EQ(fused[b * y_stride + i], yb[i]) << "image " << b;
@@ -799,10 +806,11 @@ TEST(BatchedTuckerConv, DeterministicAcrossThreadCounts) {
   const Tensor k =
       Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
   const TuckerFactors f = tucker_decompose(k, {3, 3});
+  const TuckerDescriptor desc{.shape = shape};
   set_num_threads(1);
-  const Tensor serial = tucker_conv_batched(x, f, shape);
+  const Tensor serial = run_batched(*compile_tucker_plan(desc, f), x);
   set_num_threads(4);
-  const Tensor threaded = tucker_conv_batched(x, f, shape);
+  const Tensor threaded = run_batched(*compile_tucker_plan(desc, f), x);
   set_num_threads(saved);
   EXPECT_EQ(Tensor::max_abs_diff(serial, threaded), 0.0);
 }

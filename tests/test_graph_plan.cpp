@@ -15,7 +15,7 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "conv/tucker_conv.h"
+#include "exec/conv_plan.h"
 #include "exec/graph_plan.h"
 #include "exec/plan_cache.h"
 #include "nn/models.h"
@@ -201,17 +201,23 @@ TEST(InferenceSession, ConvTrunkMatchesHandStagedChainBitwise) {
   const OpShape& in = session.input_shape();
   const Tensor x = Tensor::random_uniform({in.c, in.h, in.w}, rng);
 
-  // Oracle: the same chain through the free functions. The fused Tucker
+  // Oracle: the same chain through standalone plans. The fused Tucker
   // plan is bit-identical to the staged im2col pipeline, and the dense
   // layers are im2col, so the whole chain must match bitwise.
-  const Tensor a0 = conv2d_im2col(x, net.weights[0].conv_kernel,
-                                  net.decisions[0].shape);
+  const auto dense = [&](std::size_t layer, const Tensor& input) {
+    return compile_conv_plan({.shape = net.decisions[layer].shape,
+                              .algo = ConvAlgo::kIm2col},
+                             net.weights[layer].conv_kernel)
+        ->run(input);
+  };
+  const Tensor a0 = dense(0, x);
   const TuckerFactors f = tucker_decompose(net.weights[1].conv_kernel,
                                            net.decisions[1].ranks);
-  const Tensor a1 =
-      tucker_conv(a0, f, net.decisions[1].shape, ConvAlgo::kIm2col);
-  const Tensor expected = conv2d_im2col(a1, net.weights[2].conv_kernel,
-                                        net.decisions[2].shape);
+  const Tensor a1 = compile_tucker_plan({.shape = net.decisions[1].shape,
+                                         .exec = TuckerExec::kStaged},
+                                        f)
+                        ->run(a0);
+  const Tensor expected = dense(2, a1);
 
   const Tensor y = session.run(x);
   ASSERT_EQ(y.dims(), expected.dims());

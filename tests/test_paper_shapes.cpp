@@ -8,6 +8,7 @@
 #include "core/tdc_kernel.h"
 #include "core/tdc_model.h"
 #include "core/tvm_scheme.h"
+#include "exec/conv_plan.h"
 #include "tensor/layout.h"
 
 namespace tdc {
@@ -58,9 +59,12 @@ TEST_P(PaperShapeKernels, TvmSchemeAtTunedTiling) {
 
 TEST_P(PaperShapeKernels, LibraryBaselines) {
   const ConvShape& s = GetParam();
-  EXPECT_LT(Tensor::rel_error(conv2d_im2col(x_, k_, s), reference_), 1e-4);
-  EXPECT_LT(Tensor::rel_error(conv2d_winograd(x_, k_, s), reference_), 1e-3);
-  EXPECT_LT(Tensor::rel_error(conv2d_fft(x_, k_, s), reference_), 1e-4);
+  const auto run = [&](ConvAlgo algo) {
+    return compile_conv_plan({.shape = s, .algo = algo}, k_)->run(x_);
+  };
+  EXPECT_LT(Tensor::rel_error(run(ConvAlgo::kIm2col), reference_), 1e-4);
+  EXPECT_LT(Tensor::rel_error(run(ConvAlgo::kWinograd), reference_), 1e-3);
+  EXPECT_LT(Tensor::rel_error(run(ConvAlgo::kFft), reference_), 1e-4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Figure6Small, PaperShapeKernels,

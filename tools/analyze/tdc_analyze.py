@@ -809,6 +809,11 @@ TEMPLATE_PARAM_RE = re.compile(r"\b(?:class|typename)(?:\s*\.\.\.)?\s+"
                                r"([A-Za-z_]\w*)")
 NORETURN_DECL_RE = re.compile(
     r"\[\[\s*noreturn\s*\]\][^;{(]*?\b([A-Za-z_]\w*)\s*\(")
+# Conditional-compilation lines between two declarations belong to neither:
+# a head loses them before it is classified, so `#if X` followed by
+# `void f() {` still reads as the definition of f.
+PP_CONDITIONAL_RE = re.compile(
+    r"^[ \t]*#[ \t]*(?:if|ifdef|ifndef|elif|else|endif)\b.*$", re.M)
 
 
 def _param_info(params_text):
@@ -996,7 +1001,7 @@ class FallbackFrontend:
 
     @staticmethod
     def _classify(head):
-        h = head.strip()
+        h = PP_CONDITIONAL_RE.sub("", head).strip()
         nm = NAMESPACE_HEAD_RE.search(h)
         if nm:
             return "namespace", nm.group(1) or "", None
