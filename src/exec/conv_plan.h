@@ -122,6 +122,18 @@ ConvAlgo resolve_conv_algo(const DeviceSpec& device, const ConvShape& shape);
 std::unique_ptr<ConvPlan> compile_conv_plan(const ConvDescriptor& desc,
                                             const Tensor& kernel);
 
+/// Workspace layout of a TuckerExec::kStaged plan: Z1 [D1, H·W] at float 0,
+/// Z2 [D2, OH·OW] right after it, then the nested core plan's scratch. A run
+/// leaves both intermediates whole in place, which is how calibration
+/// (exec/quantize.cpp) observes them.
+struct StagedTuckerLayout {
+  std::int64_t z1_floats = 0;
+  std::int64_t z2_floats = 0;
+  std::int64_t core_offset() const { return z1_floats + z2_floats; }
+};
+StagedTuckerLayout staged_tucker_layout(const ConvShape& shape,
+                                        TuckerRanks ranks);
+
 /// Compile a Tucker-pipeline plan from decomposed factors. plan->shape() is
 /// the full layer; the plan owns prepacked U1ᵀ/core/U2 panels.
 std::unique_ptr<ConvPlan> compile_tucker_plan(const TuckerDescriptor& desc,

@@ -31,7 +31,11 @@
 //  * kStaged — materializes Z1/Z2 in workspace and runs the middle
 //    convolution through a nested ConvPlan, so every core algorithm
 //    (reference, im2col, Winograd, FFT, TDC core, auto) composes with the
-//    decomposition.
+//    decomposition. Its workspace layout (staged_tucker_layout: Z1, then
+//    Z2, then the core plan's scratch) is a contract, not an internal
+//    detail: int8 calibration runs a staged fp32 session and reads each
+//    layer's Z1/Z2 from the workspace after the run, so the layout must
+//    keep both intermediates whole and in place.
 #include <algorithm>
 #include <memory>
 
@@ -196,6 +200,7 @@ class StagedTuckerPlanImpl final : public ConvPlan {
                        std::unique_ptr<ConvPlan> core_plan)
       : ConvPlan(shape, core_plan->algo()),
         ranks_(factors.ranks()),
+        layout_(staged_tucker_layout(shape, ranks_)),
         core_plan_(std::move(core_plan)) {
     packed_u1_ = pack_gemm_a(ranks_.d1, shape.c, factors.u1.raw(), 1,
                              ranks_.d1);
@@ -206,9 +211,7 @@ class StagedTuckerPlanImpl final : public ConvPlan {
   bool decomposed() const override { return true; }
 
   std::int64_t workspace_bytes() const override {
-    const std::int64_t z1 = ranks_.d1 * shape_.h * shape_.w;
-    const std::int64_t z2 = ranks_.d2 * shape_.out_h() * shape_.out_w();
-    return (z1 + z2) * static_cast<std::int64_t>(sizeof(float)) +
+    return layout_.core_offset() * static_cast<std::int64_t>(sizeof(float)) +
            core_plan_->workspace_bytes();
   }
 
@@ -218,9 +221,9 @@ class StagedTuckerPlanImpl final : public ConvPlan {
     const std::int64_t hw = shape_.h * shape_.w;
     const std::int64_t ohw = shape_.out_h() * shape_.out_w();
     float* z1 = workspace.data();
-    float* z2 = z1 + ranks_.d1 * hw;
-    std::span<float> core_ws = workspace.subspan(
-        static_cast<std::size_t>(ranks_.d1 * hw + ranks_.d2 * ohw));
+    float* z2 = z1 + layout_.z1_floats;
+    std::span<float> core_ws =
+        workspace.subspan(static_cast<std::size_t>(layout_.core_offset()));
 
     // Stage 1 (Eq. 2): Z1[D1, HW] = U1ᵀ · X.
     gemm_prepacked(packed_u1_, hw, x, hw, 1, z1, hw);
@@ -232,12 +235,19 @@ class StagedTuckerPlanImpl final : public ConvPlan {
 
  private:
   TuckerRanks ranks_;
+  StagedTuckerLayout layout_;
   std::unique_ptr<ConvPlan> core_plan_;
   PackedGemmA packed_u1_;
   PackedGemmA packed_u2_;
 };
 
 }  // namespace
+
+StagedTuckerLayout staged_tucker_layout(const ConvShape& shape,
+                                        TuckerRanks ranks) {
+  return {.z1_floats = ranks.d1 * shape.h * shape.w,
+          .z2_floats = ranks.d2 * shape.out_h() * shape.out_w()};
+}
 
 std::unique_ptr<ConvPlan> compile_tucker_plan(const TuckerDescriptor& desc,
                                               const TuckerFactors& factors) {

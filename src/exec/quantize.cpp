@@ -15,8 +15,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "exec/plan_cache.h"
-#include "linalg/gemm.h"
-#include "tucker/flops.h"
 #include "tucker/tucker.h"
 
 namespace tdc {
@@ -312,15 +310,6 @@ struct RangeObserver {
   PercentileObserver pct;
 };
 
-/// Per-decomposed-layer fp32 reference of the Tucker intermediates: the
-/// factors plus an im2col core plan, so calibration can observe Z1/Z2 on
-/// the same numbers the quantized pipeline will approximate.
-struct TuckerRef {
-  std::shared_ptr<const TuckerFactors> factors;
-  ConvShape core_shape;
-  std::unique_ptr<ConvPlan> core_plan;
-};
-
 // Observation slots of op i: its input, and the Z1/Z2 of a decomposed conv.
 constexpr std::size_t kSlotsPerOp = 3;
 
@@ -328,15 +317,14 @@ constexpr std::size_t kSlotsPerOp = 3;
 struct Reference {
   const ModelSpec& model;
   const InferenceSession& session;
-  const std::vector<TuckerRef>& tucker;
+  const QuantTable& table;  // factors of the decomposed layers
   CalibMethod method;
   std::vector<std::int64_t> last_use;  // last consuming op (-1: none)
-  std::int64_t ws_floats = 0;          // largest op or core-plan workspace
-  std::int64_t z_floats = 1;           // largest Z1 + Z2
+  std::int64_t ws_floats = 0;          // largest op workspace
 };
 
 /// One sample's forward through the reference: records every observation
-/// into `rec` (kSlotsPerOp per op). Owns its workspace, Z and activation
+/// into `rec` (kSlotsPerOp per op). Owns its workspace and activation
 /// buffers; an activation is freed after its last consumer has run.
 void run_sample(const Reference& ref, const Tensor& x,
                 std::vector<SampleRange>& rec) {
@@ -344,7 +332,6 @@ void run_sample(const Reference& ref, const Tensor& x,
     throw std::bad_alloc();  // a sample's buffers could not be allocated
   }
   std::vector<float> workspace(static_cast<std::size_t>(ref.ws_floats));
-  std::vector<float> z_buf(static_cast<std::size_t>(ref.z_floats));
   const std::int64_t n_ops = ref.session.num_ops();
   std::vector<std::vector<float>> act(static_cast<std::size_t>(n_ops));
   const auto produced = [&](std::int64_t j) {
@@ -362,33 +349,23 @@ void run_sample(const Reference& ref, const Tensor& x,
     for (const std::int64_t j : edges) {
       inputs.push_back(produced(j));
     }
+    act[ui].resize(static_cast<std::size_t>(
+        ref.session.op(i).output_shape().floats()));
+    ref.session.op(i).run_inputs(inputs, act[ui].data(), workspace);
     if (ref.model.layers[ui].kind == LayerKind::kConv) {
       const ConvShape& cs = ref.model.layers[ui].conv;
       const std::size_t slot = ui * kSlotsPerOp;
       rec[slot].record(ref.method, inputs[0], cs.c * cs.h * cs.w);
-      const TuckerRef& tr = ref.tucker[ui];
-      if (tr.core_plan != nullptr) {
-        const TuckerRanks ranks = tr.factors->ranks();
-        const std::int64_t hw = cs.h * cs.w;
-        const std::int64_t ohw = cs.out_h() * cs.out_w();
-        float* z1 = z_buf.data();
-        float* z2 = z1 + ranks.d1 * hw;
-        // Z1 = U1ᵀ · X (u1 is stored [C, D1]).
-        gemm_at(ranks.d1, hw, cs.c,
-                std::span<const float>(tr.factors->u1.raw(),
-                                       static_cast<std::size_t>(cs.c *
-                                                                ranks.d1)),
-                std::span<const float>(inputs[0],
-                                       static_cast<std::size_t>(cs.c * hw)),
-                std::span<float>(z1, static_cast<std::size_t>(ranks.d1 * hw)));
-        rec[slot + 1].record(ref.method, z1, ranks.d1 * hw);
-        tr.core_plan->run_unchecked(z1, z2, workspace);
-        rec[slot + 2].record(ref.method, z2, ranks.d2 * ohw);
+      const TuckerFactors* factors = ref.table.layers[ui].factors.get();
+      if (factors != nullptr) {
+        // The staged plan left Z1 and Z2 whole in its workspace.
+        const StagedTuckerLayout z =
+            staged_tucker_layout(cs, factors->ranks());
+        rec[slot + 1].record(ref.method, workspace.data(), z.z1_floats);
+        rec[slot + 2].record(ref.method, workspace.data() + z.z1_floats,
+                             z.z2_floats);
       }
     }
-    act[ui].resize(static_cast<std::size_t>(
-        ref.session.op(i).output_shape().floats()));
-    ref.session.op(i).run_inputs(inputs, act[ui].data(), workspace);
     for (const std::int64_t j : edges) {
       if (j != InferenceSession::kModelInput &&
           ref.last_use[static_cast<std::size_t>(j)] == i) {
@@ -412,24 +389,15 @@ QuantTable calibrate_impl(const DeviceSpec& device, const ModelSpec& model,
                                    : calibration_samples_default();
   TDC_CHECK_MSG(samples >= 1, "calibration needs at least one sample");
 
-  // The fp32 reference: a dense session with the deterministic im2col plan
-  // everywhere (calibration prices nothing — it only needs exact fp32
-  // activations at every conv input). It stays out of the PlanCache: its
-  // plans are freed with it when calibration returns.
-  SessionOptions ref_options;
-  ref_options.dense_algo = ConvAlgo::kIm2col;
-  ref_options.use_plan_cache = false;
-  const InferenceSession session =
-      InferenceSession::compile(device, model, weights, {}, ref_options);
-
   const std::vector<const LayerDecision*> dec_for =
       align_decisions(model, decisions);
 
-  // Tucker intermediates of decomposed layers come from the real factors at
-  // the decided ranks. This is the build's one decomposition per layer, all
-  // layers in one tucker_decompose_all: the table keeps the factors, and
-  // InferenceSession::compile hands them to the layer's Tucker compile
-  // instead of decomposing again.
+  // The build's one decomposition per Tucker layer, all layers in one
+  // tucker_decompose_all at the decided ranks. The table keeps the factors:
+  // the reference session below and the serving compile after calibration
+  // both take them instead of decomposing again.
+  QuantTable table;
+  table.layers.resize(model.layers.size());
   std::vector<std::size_t> tucker_layers;
   std::vector<const Tensor*> tucker_kernels;
   std::vector<TuckerRanks> tucker_ranks;
@@ -443,24 +411,32 @@ QuantTable calibrate_impl(const DeviceSpec& device, const ModelSpec& model,
   }
   std::vector<TuckerFactors> decomposed =
       tucker_decompose_all(tucker_kernels, tucker_ranks);
-  std::vector<TuckerRef> tucker_refs(model.layers.size());
   for (std::size_t k = 0; k < tucker_layers.size(); ++k) {
-    const std::size_t i = tucker_layers[k];
-    TuckerRef& tr = tucker_refs[i];
-    tr.factors =
+    LayerQuant& q = table.layers[tucker_layers[k]];
+    q.factors =
         std::make_shared<const TuckerFactors>(std::move(decomposed[k]));
-    tr.core_shape = core_conv_shape(model.layers[i].conv, tucker_ranks[k]);
-    ConvDescriptor core_desc;
-    core_desc.shape = tr.core_shape;
-    core_desc.algo = ConvAlgo::kIm2col;
-    core_desc.device = device;
-    tr.core_plan = compile_conv_plan(core_desc, tr.factors->core);
+    q.factors_kernel = tensor_fingerprint(*tucker_kernels[k]);
   }
+
+  // The fp32 reference is the Tucker model the int8 build approximates,
+  // compiled from the table's factors: staged Tucker layers (whose Z1/Z2
+  // stay whole in the workspace, staged_tucker_layout) and the
+  // deterministic im2col plan everywhere else. No layer is marked quantize
+  // yet, so every plan is fp32. It stays out of the PlanCache: its plans are
+  // freed with it when calibration returns.
+  SessionOptions ref_options;
+  ref_options.tucker_exec = TuckerExec::kStaged;
+  ref_options.tucker_core_algo = ConvAlgo::kIm2col;
+  ref_options.dense_algo = ConvAlgo::kIm2col;
+  ref_options.use_plan_cache = false;
+  ref_options.quant = &table;
+  const InferenceSession session = InferenceSession::compile(
+      device, model, weights, decisions, ref_options);
 
   const std::int64_t n_ops = session.num_ops();
   std::vector<RangeObserver> observers(
       static_cast<std::size_t>(n_ops) * kSlotsPerOp, RangeObserver(options));
-  Reference ref{model, session, tucker_refs, options.method,
+  Reference ref{model, session, table, options.method,
                 std::vector<std::int64_t>(static_cast<std::size_t>(n_ops), -1)};
   for (std::int64_t i = 0; i < n_ops; ++i) {
     for (const std::int64_t j : session.op_inputs(i)) {
@@ -470,16 +446,6 @@ QuantTable calibrate_impl(const DeviceSpec& device, const ModelSpec& model,
     }
     ref.ws_floats =
         std::max(ref.ws_floats, (session.op(i).workspace_bytes() + 3) / 4);
-    const TuckerRef& tr = tucker_refs[static_cast<std::size_t>(i)];
-    if (tr.core_plan != nullptr) {
-      const ConvShape& cs = model.layers[static_cast<std::size_t>(i)].conv;
-      const TuckerRanks ranks = tr.factors->ranks();
-      ref.ws_floats =
-          std::max(ref.ws_floats, (tr.core_plan->workspace_bytes() + 3) / 4);
-      ref.z_floats = std::max(ref.z_floats, ranks.d1 * cs.h * cs.w +
-                                                ranks.d2 * cs.out_h() *
-                                                    cs.out_w());
-    }
   }
 
   // Samples run in waves of job_width(), one job each; the caller draws the
@@ -510,8 +476,6 @@ QuantTable calibrate_impl(const DeviceSpec& device, const ModelSpec& model,
     }
   }
 
-  QuantTable table;
-  table.layers.resize(model.layers.size());
   for (std::size_t i = 0; i < model.layers.size(); ++i) {
     if (model.layers[i].kind != LayerKind::kConv) {
       continue;
@@ -521,10 +485,6 @@ QuantTable calibrate_impl(const DeviceSpec& device, const ModelSpec& model,
     q.input = observers[i * kSlotsPerOp].params();
     q.z1 = observers[i * kSlotsPerOp + 1].params();
     q.z2 = observers[i * kSlotsPerOp + 2].params();
-    if (tucker_refs[i].factors != nullptr) {
-      q.factors = std::move(tucker_refs[i].factors);
-      q.factors_kernel = tensor_fingerprint(weights[i].conv_kernel);
-    }
   }
   return table;
 }

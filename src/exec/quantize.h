@@ -190,13 +190,17 @@ struct CalibrationOptions {
 };
 
 /// Calibrates activation quantization for every convolution layer of
-/// `model`: compiles a dense fp32 reference session, drives `samples`
-/// synthetic inputs through it while observing each convolution's input
-/// range, and — for layers `decisions` marks decomposed — additionally
-/// decomposes the kernel at the decided ranks, observes the fp32 Z1/Z2
-/// intermediates and keeps the factors in the layer's entry. `decisions`
-/// aligns with the model as in InferenceSession::compile (align_decisions
-/// in exec/graph_plan.h) and throws the same errors. The returned table
+/// `model` on the Tucker model the int8 build approximates. It first
+/// decomposes every layer `decisions` marks decomposed at the decided ranks
+/// and keeps the factors in the layer's entry. It then compiles a private
+/// fp32 session from those factors: staged Tucker layers
+/// (TuckerExec::kStaged, im2col core) and im2col dense layers, with no
+/// second decomposition. It drives `samples` synthetic inputs through that
+/// session, observing each convolution's input range and, for decomposed
+/// layers, the Z1/Z2 intermediates the staged plan leaves in its workspace
+/// (staged_tucker_layout in exec/conv_plan.h). `decisions` aligns with the
+/// model as in InferenceSession::compile (align_decisions in
+/// exec/graph_plan.h) and throws the same errors. The returned table
 /// aligns with model.layers and marks every convolution quantize = true.
 ///
 /// The build runs across the whole pool (common/parallel.h), even when
@@ -209,11 +213,12 @@ struct CalibrationOptions {
 /// PercentileObserver::replay). The table, factors included, is therefore
 /// bitwise the same at every thread count and arena split.
 ///
-/// The reference session is private: it is compiled outside the PlanCache,
-/// so its packed fp32 weights are freed when calibration returns instead of
-/// living in the process-wide cache. Offline (allocates freely); a failed
-/// allocation surfaces as Error(kResourceExhausted), returns no table and
-/// leaves no state behind, so the next calibration is bitwise equal.
+/// The calibration session is private: it is compiled outside the
+/// PlanCache, so its packed fp32 weights are freed when calibration returns
+/// instead of living in the process-wide cache. Offline (allocates freely);
+/// a failed allocation surfaces as Error(kResourceExhausted), returns no
+/// table and leaves no state behind, so the next calibration is bitwise
+/// equal.
 QuantTable calibrate_quant(const DeviceSpec& device, const ModelSpec& model,
                            const std::vector<LayerWeights>& weights,
                            const std::vector<LayerDecision>& decisions = {},

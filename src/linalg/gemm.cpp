@@ -13,6 +13,7 @@
 #include "common/check.h"
 #include "common/deadline.h"
 #include "common/parallel.h"
+#include "linalg/tile_split.h"
 
 namespace tdc {
 
@@ -198,41 +199,6 @@ std::int64_t packed_a_rows(std::int64_t m) {
   return detail::divup(m, kMr) * kMr;
 }
 
-// Multiply-adds below which one more chunk of a GEMM region is not worth a
-// worker wake-up.
-constexpr std::int64_t kMinChunkMacs = std::int64_t{1} << 16;
-
-// Chunk grid of one GEMM region: `rows` × `cols` rectangles of C whose edges
-// sit on the MR×NR tile grid.
-struct TileSplit {
-  std::int64_t rows = 1;
-  std::int64_t cols = 1;
-};
-
-// Balanced split of C's tiles over at most `width` chunks: the grid whose
-// largest chunk holds the fewest MR×NR tiles, preferring column splits on a
-// tie (a column chunk packs only its own B slivers, while every row chunk
-// packs all of them).
-TileSplit split_tiles(std::int64_t m, std::int64_t n, std::int64_t k,
-                      int width) {
-  const std::int64_t row_slivers = detail::divup(m, kMr);
-  const std::int64_t col_slivers = detail::divup(n, kNr);
-  const std::int64_t chunks = std::clamp<std::int64_t>(
-      m * n * std::max<std::int64_t>(k, 1) / kMinChunkMacs, 1, width);
-  TileSplit best;
-  std::int64_t best_tiles = row_slivers * col_slivers;
-  for (std::int64_t cols = std::min(chunks, col_slivers); cols >= 1; --cols) {
-    const std::int64_t rows = std::min(chunks / cols, row_slivers);
-    const std::int64_t tiles = detail::divup(row_slivers, rows) *
-                               detail::divup(col_slivers, cols);
-    if (tiles < best_tiles) {
-      best = {rows, cols};
-      best_tiles = tiles;
-    }
-  }
-  return best;
-}
-
 // Operands of one GEMM call, shared by every chunk of its region. A(i,kk) =
 // a[i·a_rs + kk·a_cs], B(kk,j) = b[kk·b_rs + j·b_cs]; when `prepacked_a` is
 // non-null it holds the pack_a output for every (pc, ic) block (the
@@ -393,14 +359,15 @@ TDC_RUN_PATH void gemm_packed(std::int64_t m, std::int64_t n,
   const std::int64_t col_slivers = detail::divup(n, kNr);
   // A lower-triangle call splits by rows only, with band edges spaced like
   // sqrt(r / rows) so that every band holds an equal share of the triangle.
-  const TileSplit split =
-      lower ? TileSplit{.rows = std::clamp<std::int64_t>(
-                            m * m * std::max<std::int64_t>(k, 1) / 2 /
-                                kMinChunkMacs,
-                            1, std::min<std::int64_t>(region_width(),
-                                                      row_slivers)),
-                        .cols = 1}
-            : split_tiles(m, n, k, region_width());
+  const detail::TileSplit split =
+      lower ? detail::TileSplit{.rows = std::clamp<std::int64_t>(
+                                    m * m * std::max<std::int64_t>(k, 1) / 2 /
+                                        detail::kMinChunkMacs,
+                                    1,
+                                    std::min<std::int64_t>(region_width(),
+                                                           row_slivers)),
+                                .cols = 1}
+            : detail::split_tiles(m, n, k, kMr, kNr, region_width());
   const auto row_edge = [&](std::int64_t r) {
     return lower ? static_cast<std::int64_t>(std::llround(
                        static_cast<double>(row_slivers) *

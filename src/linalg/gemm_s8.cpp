@@ -13,6 +13,7 @@
 #include "common/check.h"
 #include "common/deadline.h"
 #include "common/parallel.h"
+#include "linalg/tile_split.h"
 
 namespace tdc {
 
@@ -322,6 +323,144 @@ PackedGemmAS8 pack_gemm_a_s8(std::int64_t m, std::int64_t k,
   return packed;
 }
 
+namespace {
+
+// Operands of one s8 GEMM call, shared by every chunk of its region. The
+// packed A sliver holding rows [i, i + MR) of K block pc starts at
+// a + pm·pc + i·pkc (pack_gemm_a_s8's layout), whichever MC panel holds it.
+struct GemmS8Args {
+  std::int64_t k;
+  std::int64_t pm;
+  const std::int8_t* a;
+  const std::int32_t* row_sums;
+  const std::uint8_t* b;
+  std::int64_t ldb;
+  std::int32_t b_zero_point;
+  std::int32_t* c;
+  std::int64_t ldc;
+};
+
+// Rows [i0, i1) of one KC×NC block of C against its packed B band: K block
+// pc (`pkc` padded depth) × columns [jc, jc + nc). The first K block
+// overwrites C seeded with the zero-point correction (−zp·Σ w_q per row,
+// exact in int32: |zp·Σw| ≤ 127·127·k); later blocks accumulate. C
+// therefore needs no zero-fill pass before the walk and no correction pass
+// after it.
+//
+// Kept out of line: inlined beside pack_b_u8 in gemm_s8_chunk, this walk
+// ran 4–10% slower at one thread on low-K GEMMs with N past one NC band
+// (M = 32–64, K = 32–288, N = 3136: the int8 layer-1 Tucker stages).
+[[gnu::noinline]] TDC_RUN_PATH void gemm_s8_block(
+    const GemmS8Args& g, const std::uint8_t* bpack, std::int64_t i0,
+    std::int64_t i1, std::int64_t jc, std::int64_t nc, std::int64_t pc,
+    std::int64_t pkc) {
+  const std::int64_t quads = pkc / kKq;
+  const bool first_block = pc == 0;
+  for (std::int64_t ic = i0; ic < i1; ic += kMc) {
+    const std::int64_t mc = std::min<std::int64_t>(kMc, i1 - ic);
+    const std::int8_t* apanel = g.a + g.pm * pc + ic * pkc;
+    // One MR×NR tile of C through the 6×16 kernel: straight into C when
+    // full, through a scratch tile when ragged, copying (first block) or
+    // accumulating (later blocks) only the live entries.
+    const auto sliver_tile = [&](std::int64_t jr, std::int64_t ir,
+                                 std::int64_t mr, const std::int8_t* ap,
+                                 const std::int32_t* row_init) {
+      const std::int64_t nr = std::min<std::int64_t>(kNr, nc - jr);
+      const std::uint8_t* bp = bpack + (jr / kNr) * pkc * kNr;
+      std::int32_t* ctile = g.c + (ic + ir) * g.ldc + jc + jr;
+      if (mr == kMr && nr == kNr) {
+        micro_kernel_s8(quads, ap, bp, ctile, g.ldc, row_init);
+        return;
+      }
+      std::int32_t tmp[kMr * kNr] = {};
+      micro_kernel_s8(quads, ap, bp, tmp, kNr, row_init);
+      for (std::int64_t i = 0; i < mr; ++i) {
+        for (std::int64_t j = 0; j < nr; ++j) {
+          if (first_block) {
+            ctile[i * g.ldc + j] = tmp[i * kNr + j];
+          } else {
+            ctile[i * g.ldc + j] += tmp[i * kNr + j];
+          }
+        }
+      }
+    };
+    for (std::int64_t jr = 0; jr < nc; jr += kNr) {
+      const bool pair = kPairTile && jr + 2 * kNr <= nc;
+      for (std::int64_t ir = 0; ir < mc; ir += kMr) {
+        const std::int64_t mr = std::min<std::int64_t>(kMr, mc - ir);
+        std::int32_t init[kMr] = {};
+        if (first_block && g.b_zero_point != 0) {
+          for (std::int64_t r = 0; r < mr; ++r) {
+            init[r] = -g.b_zero_point * g.row_sums[ic + ir + r];
+          }
+        }
+        const std::int32_t* row_init = first_block ? init : nullptr;
+        const std::int8_t* ap = apanel + (ir / kMr) * pkc * kMr;
+#if defined(__AVX512VNNI__) && defined(__AVX512F__)
+        // Two full slivers side by side take the 6×32 tile; the odd last
+        // sliver and ragged rows take the 6×16 path below.
+        if (pair && mr == kMr) {
+          const std::uint8_t* bp = bpack + (jr / kNr) * pkc * kNr;
+          micro_kernel_s8_pair(quads, ap, bp, bp + pkc * kNr,
+                               g.c + (ic + ir) * g.ldc + jc + jr, g.ldc,
+                               row_init);
+          continue;
+        }
+#endif
+        for (std::int64_t js = jr; js < jr + (pair ? 2 : 1) * kNr;
+             js += kNr) {
+          sliver_tile(js, ir, mr, ap, row_init);
+        }
+      }
+      if (pair) {
+        jr += kNr;
+      }
+    }
+  }
+}
+
+// One chunk of an s8 GEMM region: C rows [i0, i1) × columns [j0, j1), edges
+// on the MR×NR tile grid. Walks the (jc, pc, ic) blocks the whole-matrix
+// walk would, restricted to its rectangle, packing the B slivers it consumes
+// into this thread's buffer. The sums are exact int32, so every C entry is
+// bitwise the same whichever chunk owns it; one chunk over all of C is the
+// whole-matrix walk.
+TDC_RUN_PATH void gemm_s8_chunk(const GemmS8Args& g, std::int64_t i0,
+                                std::int64_t i1, std::int64_t j0,
+                                std::int64_t j1) {
+  // Thread-local pack buffer: capacity only ever grows, so after first-touch
+  // warm-up the steady state performs no heap allocation — enforced by the
+  // armed band guard below for everything inside the block walk.
+  thread_local std::vector<std::uint8_t> bbuf;
+  const std::size_t b_bytes = static_cast<std::size_t>(
+      kKc * std::min<std::int64_t>(detail::divup(j1 - j0, kNr) * kNr, kNc));
+  if (bbuf.size() < b_bytes) {
+    AllowAllocScope warmup;
+    bbuf.resize(b_bytes);
+  }
+  std::uint8_t* const bpack = bbuf.data();
+  DenyAllocGuard band_guard("gemm_s8 band");
+  for (std::int64_t jc = j0; jc < j1; jc += kNc) {
+    const std::int64_t nc = std::min<std::int64_t>(kNc, j1 - jc);
+    for (std::int64_t pc = 0; pc < g.k; pc += kKc) {
+      // Cooperative cancellation between KC×NC bands, like the fp32 engine:
+      // this chunk's C holds only whole completed band updates when this
+      // throws, and the next run rewrites C from scratch (the first K block
+      // of every column band overwrites instead of accumulating).
+      deadline_poll("gemm_s8 band");
+      const std::int64_t kc = std::min<std::int64_t>(kKc, g.k - pc);
+      pack_b_u8(kc, nc, g.b + pc * g.ldb + jc, g.ldb, bpack);
+      gemm_s8_block(g, bpack, i0, i1, jc, nc, pc, quadup(kc));
+    }
+  }
+}
+
+}  // namespace
+
+// One parallel region per call: split_tiles cuts C into at most
+// region_width() tile-aligned rectangles, as the fp32 engine does, and each
+// chunk runs gemm_s8_chunk on its own, so batch-1 GEMMs with few rows still
+// use the whole intra-op width. Width 1 runs the one chunk inline.
 TDC_RUN_PATH void gemm_prepacked_s8u8(const PackedGemmAS8& a, std::int64_t n,
                                       const std::uint8_t* b, std::int64_t ldb,
                                       std::int32_t b_zero_point,
@@ -329,111 +468,30 @@ TDC_RUN_PATH void gemm_prepacked_s8u8(const PackedGemmAS8& a, std::int64_t n,
   TDC_CHECK_MSG(!a.empty(), "gemm_prepacked_s8u8 on an empty PackedGemmAS8");
   TDC_CHECK(n >= 1 && ldb >= n && ldc >= n);
   const std::int64_t m = a.m_;
-  const std::int64_t k = a.k_;
-  const std::int64_t pm = packed_a_rows_s8(m);
-  const std::int8_t* prepacked = a.panels_.data();
-  const std::int32_t* row_sums = a.row_sums_.data();
-
-  // Thread-local pack buffer: capacity only ever grows, so after first-touch
-  // warm-up the steady state performs no heap allocation — enforced by the
-  // armed band guard below for everything inside the block walk.
-  thread_local std::vector<std::uint8_t> bbuf;
-  {
-    AllowAllocScope warmup;
-    // Grow-only warm-up of the thread-local B pack buffer.
-    bbuf.resize(static_cast<std::size_t>(
-        kKc * std::min<std::int64_t>(detail::divup(n, kNr) * kNr, kNc)));
-  }
-  // bbuf is thread-local, so workers must read the caller's packed panel
-  // through this captured pointer, not through their own thread's bbuf.
-  std::uint8_t* const bpack = bbuf.data();
-  DenyAllocGuard band_guard("gemm_s8 band");
-  for (std::int64_t jc = 0; jc < n; jc += kNc) {
-    const std::int64_t nc = std::min<std::int64_t>(kNc, n - jc);
-    for (std::int64_t pc = 0; pc < k; pc += kKc) {
-      // Cooperative cancellation between KC×NC bands, like the fp32 engine:
-      // C holds only whole completed band updates when this throws, and the
-      // next run rewrites C from scratch (the first K block of every column
-      // band overwrites instead of accumulating).
-      deadline_poll("gemm_s8 band");
-      const std::int64_t kc = std::min<std::int64_t>(kKc, k - pc);
-      const std::int64_t pkc = quadup(kc);
-      const std::int64_t quads = pkc / kKq;
-      pack_b_u8(kc, nc, b + pc * ldb + jc, ldb, bpack);
-
-      // The first K block overwrites C seeded with the zero-point
-      // correction (−zp·Σ w_q per row, exact in int32: |zp·Σw| ≤ 127·127·k);
-      // later blocks accumulate. C therefore needs no zero-fill pass before
-      // this walk and no correction pass after it.
-      const bool first_block = pc == 0;
-      const std::int64_t num_panels = detail::divup(m, kMc);
-      parallel_for(0, num_panels, 1, [&](std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t p = p0; p < p1; ++p) {
-          const std::int64_t ic = p * kMc;
-          const std::int64_t mc = std::min<std::int64_t>(kMc, m - ic);
-          const std::int8_t* apanel = prepacked + pm * pc + ic * pkc;
-          // One MR×NR tile of C through the 6×16 kernel: straight into C
-          // when full, through a scratch tile when ragged, copying (first
-          // block) or accumulating (later blocks) only the live entries.
-          const auto sliver_tile = [&](std::int64_t jr, std::int64_t ir,
-                                       std::int64_t mr, const std::int8_t* ap,
-                                       const std::int32_t* row_init) {
-            const std::int64_t nr = std::min<std::int64_t>(kNr, nc - jr);
-            const std::uint8_t* bp = bpack + (jr / kNr) * pkc * kNr;
-            std::int32_t* ctile = c + (ic + ir) * ldc + jc + jr;
-            if (mr == kMr && nr == kNr) {
-              micro_kernel_s8(quads, ap, bp, ctile, ldc, row_init);
-              return;
-            }
-            std::int32_t tmp[kMr * kNr] = {};
-            micro_kernel_s8(quads, ap, bp, tmp, kNr, row_init);
-            for (std::int64_t i = 0; i < mr; ++i) {
-              for (std::int64_t j = 0; j < nr; ++j) {
-                if (first_block) {
-                  ctile[i * ldc + j] = tmp[i * kNr + j];
-                } else {
-                  ctile[i * ldc + j] += tmp[i * kNr + j];
-                }
-              }
-            }
-          };
-          for (std::int64_t jr = 0; jr < nc; jr += kNr) {
-            const bool pair = kPairTile && jr + 2 * kNr <= nc;
-            for (std::int64_t ir = 0; ir < mc; ir += kMr) {
-              const std::int64_t mr = std::min<std::int64_t>(kMr, mc - ir);
-              std::int32_t init[kMr] = {};
-              if (first_block && b_zero_point != 0) {
-                for (std::int64_t r = 0; r < mr; ++r) {
-                  init[r] = -b_zero_point * row_sums[ic + ir + r];
-                }
-              }
-              const std::int32_t* row_init = first_block ? init : nullptr;
-              const std::int8_t* ap = apanel + (ir / kMr) * pkc * kMr;
-#if defined(__AVX512VNNI__) && defined(__AVX512F__)
-              // Two full slivers side by side take the 6×32 tile; the odd
-              // last sliver and ragged rows take the 6×16 path below.
-              if (pair && mr == kMr) {
-                const std::uint8_t* bp = bpack + (jr / kNr) * pkc * kNr;
-                micro_kernel_s8_pair(quads, ap, bp, bp + pkc * kNr,
-                                     c + (ic + ir) * ldc + jc + jr, ldc,
-                                     row_init);
-                continue;
-              }
-#endif
-              for (std::int64_t js = jr; js < jr + (pair ? 2 : 1) * kNr;
-                   js += kNr) {
-                sliver_tile(js, ir, mr, ap, row_init);
-              }
-            }
-            if (pair) {
-              jr += kNr;
-            }
-          }
-        }
-      });
+  const GemmS8Args g{.k = a.k_,
+                     .pm = packed_a_rows_s8(m),
+                     .a = a.panels_.data(),
+                     .row_sums = a.row_sums_.data(),
+                     .b = b,
+                     .ldb = ldb,
+                     .b_zero_point = b_zero_point,
+                     .c = c,
+                     .ldc = ldc};
+  const std::int64_t row_slivers = detail::divup(m, kMr);
+  const std::int64_t col_slivers = detail::divup(n, kNr);
+  const detail::TileSplit split =
+      detail::split_tiles(m, n, g.k, kMr, kNr, region_width());
+  parallel_for(0, split.rows * split.cols, 1,
+               [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t chunk = c0; chunk < c1; ++chunk) {
+      const std::int64_t r = chunk / split.cols;
+      const std::int64_t q = chunk % split.cols;
+      gemm_s8_chunk(g, r * row_slivers / split.rows * kMr,
+                    std::min(m, (r + 1) * row_slivers / split.rows * kMr),
+                    q * col_slivers / split.cols * kNr,
+                    std::min(n, (q + 1) * col_slivers / split.cols * kNr));
     }
-  }
-
+  });
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -319,6 +320,28 @@ TEST_F(FaultTest, CalibrateAllocFailureIsTypedAndRecovers) {
   }
   set_num_threads(prev_threads);
   set_arena_config(prev_arenas);
+}
+
+// Calibration decomposes each Tucker layer exactly once: its reference
+// session compiles from the factors it just produced. With the point
+// skipping as many hits as there are decomposed layers it never fires; one
+// hit earlier, the last decomposition fails typed and no table comes back.
+TEST_F(FaultTest, CalibrationDecomposesEachTuckerLayerOnce) {
+  const std::int64_t layers = static_cast<std::int64_t>(
+      half_rank_decisions(make_resnet20_cifar()).size());
+  fault_arm("tucker.decompose_alloc", FaultSpec{.skip = layers, .count = 1});
+  const QuantTable table = calibrate_resnet20();
+  EXPECT_EQ(fault_fire_count("tucker.decompose_alloc"), 0);
+  EXPECT_FALSE(table.layers.empty());
+
+  fault_disarm_all();
+  fault_arm("tucker.decompose_alloc",
+            FaultSpec{.skip = layers - 1, .count = 1});
+  std::optional<QuantTable> faulted;
+  EXPECT_EQ(run_and_code([&] { faulted = calibrate_resnet20(); }),
+            ErrorCode::kResourceExhausted);
+  EXPECT_EQ(fault_fire_count("tucker.decompose_alloc"), 1);
+  EXPECT_FALSE(faulted.has_value());
 }
 
 TEST_F(FaultTest, RunAllocFailureLeavesSessionReusable) {

@@ -366,12 +366,16 @@ TEST(Quantize, Int8GemmMatchesNaiveIntegerReferenceExactly) {
   // k mod 4 = 3 (a padded final quad after the vector-packed ones), n past
   // one 1024-column band (a second band ending in a ragged sliver), and
   // ldb > n, whose unused columns hold bytes outside the 7-bit domain so
-  // that reading one would show.
+  // that reading one would show. The last two split C across threads: by
+  // rows, at edges inside a 120-row panel and over two K blocks, and by
+  // columns with ragged rows.
   const Case cases[] = {{6, 4, 16, 0, 16},
                         {7, 9, 17, 11, 17},
                         {13, 300, 33, 127, 33},
                         {1, 1, 1, 64, 1},
-                        {5, 147, 1100, 23, 1111}};
+                        {5, 147, 1100, 23, 1111},
+                        {400, 260, 40, 9, 40},
+                        {130, 70, 2100, 5, 2100}};
   for (const Case& c : cases) {
     std::vector<std::int8_t> a(static_cast<std::size_t>(c.m * c.k));
     std::vector<std::uint8_t> b(static_cast<std::size_t>(c.k * c.ldb), 255);
@@ -405,7 +409,7 @@ TEST(Quantize, Int8GemmMatchesNaiveIntegerReferenceExactly) {
       }
     }
 
-    for (const int nt : {1, 3}) {
+    for (const int nt : {1, 3, 4}) {
       set_num_threads(nt);
       std::vector<std::int32_t> got(static_cast<std::size_t>(c.m * c.n),
                                     -777);
@@ -929,7 +933,7 @@ TEST(Quantize, CalibrationIsBitwiseAcrossThreadsWidthsAndSamples) {
   set_arena_config(saved_arenas);
 }
 
-// The dense fp32 reference calibration drives is private: it never enters
+// The fp32 session calibration drives is private: it never enters
 // the process-wide PlanCache.
 TEST(Quantize, CalibrationLeavesThePlanCacheAlone) {
   const ModelSpec model = tucker_tiny_model();
@@ -942,6 +946,108 @@ TEST(Quantize, CalibrationLeavesThePlanCacheAlone) {
   const PlanCache::Stats after = PlanCache::instance().stats();
   EXPECT_EQ(after.entries, before.entries);
   EXPECT_EQ(after.misses, before.misses);
+}
+
+// Running min/max of a tensor over every calibration sample.
+struct RangeOf {
+  void observe(const Tensor& t) { obs.observe(t.raw(), t.numel()); }
+  MinMaxObserver obs;
+};
+
+// A staged fp32 session of `model` at im2col everywhere, built from the
+// factors `table` holds (every layer served fp32), outside the PlanCache.
+InferenceSession staged_fp32_session(const ModelSpec& model,
+                                     const std::vector<LayerWeights>& weights,
+                                     const std::vector<LayerDecision>& decisions,
+                                     const QuantTable& table) {
+  QuantTable fp32 = table;
+  fp32.layers.resize(model.layers.size());
+  for (LayerQuant& q : fp32.layers) {
+    q.quantize = false;
+  }
+  SessionOptions options;
+  options.tucker_exec = TuckerExec::kStaged;
+  options.tucker_core_algo = ConvAlgo::kIm2col;
+  options.dense_algo = ConvAlgo::kIm2col;
+  options.use_plan_cache = false;
+  options.quant = &fp32;
+  return InferenceSession::compile(make_a100(), model, weights, decisions,
+                                   options);
+}
+
+// Calibration observes the Tucker model that serves, not a dense stand-in.
+// conv2's input range is exactly the one a staged fp32 session built from
+// the table's own factors produces. conv1's Z1 and Z2 ranges are those of
+// U1ᵀ·X and of the core convolution over it, recomputed here with a naive
+// double-accumulating GEMM and the reference convolution (so equal up to
+// fp32 rounding).
+TEST(Quantize, CalibrationObservesTheServedTuckerModel) {
+  const ModelSpec model = tucker_tiny_model();
+  const auto weights = random_model_weights(model, 7033);
+  const auto decisions = tucker_tiny_decisions(model, {4, 4}, {4, 3});
+  CalibrationOptions opts;
+  opts.method = CalibMethod::kMinMax;
+  opts.samples = 3;
+  const QuantTable table =
+      calibrate_quant(make_a100(), model, weights, decisions, opts);
+  ASSERT_NE(table.layers[1].factors, nullptr);
+  const TuckerFactors& f1 = *table.layers[1].factors;
+  const TuckerRanks r1 = f1.ranks();
+  const ConvShape& s1 = model.layers[1].conv;
+
+  // conv0 alone gives conv1's input; conv0, conv1 and the ReLU give
+  // conv2's. Decisions align with the decomposable convs each one keeps.
+  const auto prefix = [&](std::size_t layers, std::size_t convs) {
+    ModelSpec m = model;
+    m.layers.resize(layers);
+    std::vector<LayerDecision> d(decisions.begin(),
+                                 decisions.begin() +
+                                     static_cast<std::ptrdiff_t>(convs));
+    return staged_fp32_session(
+        m,
+        std::vector<LayerWeights>(
+            weights.begin(),
+            weights.begin() + static_cast<std::ptrdiff_t>(layers)),
+        d, table);
+  };
+  const InferenceSession conv0 = prefix(1, 1);
+  const InferenceSession through_relu = prefix(3, 2);
+
+  // The samples calibration drew: opts.seed's stream, in order.
+  Rng rng(opts.seed);
+  RangeOf conv2_in, z1_range, z2_range;
+  const std::int64_t hw = s1.h * s1.w;
+  const ConvShape core = core_conv_shape(s1, r1);
+  for (std::int64_t s = 0; s < opts.samples; ++s) {
+    const Tensor x = Tensor::random_uniform({3, 12, 12}, rng, -1.0f, 1.0f);
+    conv2_in.observe(through_relu.run(x));
+    const Tensor x1 = conv0.run(x);
+    // Z1[d, p] = Σ_c U1[c, d] · X[c, p].
+    Tensor z1({r1.d1, s1.h, s1.w});
+    for (std::int64_t d = 0; d < r1.d1; ++d) {
+      for (std::int64_t p = 0; p < hw; ++p) {
+        double acc = 0.0;
+        for (std::int64_t c = 0; c < s1.c; ++c) {
+          acc += static_cast<double>(f1.u1[c * r1.d1 + d]) *
+                 static_cast<double>(x1[c * hw + p]);
+        }
+        z1[d * hw + p] = static_cast<float>(acc);
+      }
+    }
+    z1_range.observe(z1);
+    z2_range.observe(conv2d_reference(z1, f1.core, core));
+  }
+
+  const QuantParams in2 = conv2_in.obs.params();
+  EXPECT_EQ(table.layers[3].input.scale, in2.scale);
+  EXPECT_EQ(table.layers[3].input.zero_point, in2.zero_point);
+  const auto expect_close = [](const QuantParams& got,
+                               const QuantParams& want, const char* what) {
+    EXPECT_NEAR(got.scale, want.scale, 1e-5 * want.scale) << what;
+    EXPECT_NEAR(got.zero_point, want.zero_point, 1) << what;
+  };
+  expect_close(table.layers[1].z1, z1_range.obs.params(), "z1");
+  expect_close(table.layers[1].z2, z2_range.obs.params(), "z2");
 }
 
 TEST(Quantize, MismatchedCalibrationFactorsAreIgnored) {
