@@ -136,7 +136,8 @@ int main() {
   // ---- table --------------------------------------------------------------
   bench::print_title(
       "Graph plan — ResNet-18 ModelSpec as one InferenceSession (" +
-      std::to_string(session.num_ops()) + " ops, " +
+      std::to_string(session.num_ops()) + " ops in " +
+      std::to_string(session.num_steps()) + " steps, " +
       std::to_string(decomposed) + " decomposed convs)");
   std::printf("compile   cold %8sms   cached %8sms   speedup %s   "
               "(cache: %lld entries, %lld hits after recompiles)\n",
@@ -164,7 +165,8 @@ int main() {
   std::fprintf(
       json,
       "{\n  \"bench\": \"graph_plan\",\n  \"model\": \"resnet18\",\n"
-      "  \"threads\": %d,\n  \"ops\": %lld,\n  \"decomposed_convs\": %lld,\n"
+      "  \"threads\": %d,\n  \"ops\": %lld,\n  \"steps\": %lld,\n"
+      "  \"decomposed_convs\": %lld,\n"
       "  \"arena_floats\": %lld,\n  \"private_activation_floats\": %lld,\n"
       "  \"workspace_mib\": %.2f,\n"
       "  \"compile\": {\"cold_ms\": %.3f, \"cached_ms\": %.3f, "
@@ -174,6 +176,7 @@ int main() {
       "  \"batched\": {\"batch\": %lld, \"ms\": %.3f, "
       "\"images_per_s\": %.1f}\n}\n",
       num_threads(), static_cast<long long>(session.num_ops()),
+      static_cast<long long>(session.num_steps()),
       static_cast<long long>(decomposed),
       static_cast<long long>(session.arena_floats()),
       static_cast<long long>(sum_act),

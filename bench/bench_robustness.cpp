@@ -133,7 +133,8 @@ int main() {
 
   bench::print_title(
       "Robustness guards — ResNet-18 session serving, guards disarmed vs "
-      "armed (" + std::to_string(session.num_ops()) + " ops)");
+      "armed (" + std::to_string(session.num_ops()) + " ops in " +
+      std::to_string(session.num_steps()) + " steps)");
   std::printf("disarmed   min %8sms   median %8sms   (production steady "
               "state)\n",
               bench::ms(disarmed_min).c_str(),

@@ -71,9 +71,10 @@ int main(int argc, char** argv) {
       decomposed += conv->decomposed() ? 1 : 0;
     }
   }
-  std::printf("session: %lld ops (%lld convs, %lld decomposed), arena %.1f "
-              "MiB, workspace %.1f MiB\n",
+  std::printf("session: %lld ops in %lld steps (%lld convs, %lld "
+              "decomposed), arena %.1f MiB, workspace %.1f MiB\n",
               static_cast<long long>(session.num_ops()),
+              static_cast<long long>(session.num_steps()),
               static_cast<long long>(convs),
               static_cast<long long>(decomposed),
               session.arena_floats() * 4.0 / (1024.0 * 1024.0),

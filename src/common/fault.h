@@ -28,8 +28,9 @@
 //   tucker.decompose_alloc a Tucker decomposition throws std::bad_alloc
 //   quantize.calibrate_alloc a calibration sample job throws std::bad_alloc
 //   exec.run_alloc       convenience-workspace allocation throws bad_alloc
-//   exec.op_nan          an op-plan output is NaN-poisoned after the run
-//   exec.op_delay        an op boundary sleeps `param` ms (deadline tests)
+//   exec.op_nan          a graph step's output is NaN-poisoned after the run
+//   exec.op_delay        a graph step boundary sleeps `param` ms (deadline
+//                        tests)
 //   autotune.corrupt_save the autotune cache file is written corrupted
 #pragma once
 

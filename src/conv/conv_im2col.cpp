@@ -14,11 +14,21 @@ namespace {
 // per row, so the inner loop is a plain span copy (stride 1) or a
 // branch-free strided gather, and `pad_value` fills the borders on either
 // side and the rows whose ih falls outside the image.
+//
+// Stride-1 convolutions whose output is as wide as the input ("same"
+// width: every 3×3/pad-1 core, and the fused Tucker band slabs) take a
+// shortcut: consecutive output rows read consecutive input rows, so the
+// whole patch row is the plane shifted by (r − pad_h)·W + (s − pad_w). It
+// is one flat copy over the valid output rows, after which the pad value
+// goes over the columns that wrapped around from a neighbouring row and
+// over the rows outside the image.
 template <typename T>
 void im2col_walk(const T* x, const ConvShape& shape, T* cols, T pad_value) {
   const std::int64_t oh = shape.out_h();
   const std::int64_t ow = shape.out_w();
   const std::int64_t sw = shape.stride_w;
+  const bool shifted_copy =
+      shape.stride_h == 1 && sw == 1 && ow == shape.w;
 
   // Each (c, r, s) patch row is independent; parallelize over the flattened
   // row index.
@@ -36,6 +46,31 @@ void im2col_walk(const T* x, const ConvShape& shape, T* cols, T pad_value) {
           off >= shape.w ? 0 : detail::divup(shape.w - off, sw), w0, ow);
       const T* plane = x + c * shape.h * shape.w;
       T* out_row = cols + row * oh * ow;
+      if (shifted_copy) {
+        // Valid output rows: 0 ≤ o_h − pad_h + r < H; none when no column
+        // is valid.
+        const std::int64_t h0 = std::clamp(shape.pad_h - r,
+                                           std::int64_t{0}, oh);
+        const std::int64_t h1 =
+            w0 < w1 ? std::clamp(shape.h + shape.pad_h - r, h0, oh) : h0;
+        if (h0 < h1) {
+          // From the first valid element of row h0 to the last valid one of
+          // row h1 − 1; both ends read inside the plane.
+          const std::int64_t shift = (r - shape.pad_h) * shape.w + off;
+          const std::int64_t begin = h0 * ow + w0;
+          const std::int64_t end = (h1 - 1) * ow + w1;
+          std::copy(plane + (begin + shift), plane + (end + shift),
+                    out_row + begin);
+          for (std::int64_t o_h = h0; o_h < h1; ++o_h) {
+            T* out = out_row + o_h * ow;
+            std::fill(out, out + w0, pad_value);
+            std::fill(out + w1, out + ow, pad_value);
+          }
+        }
+        std::fill(out_row, out_row + h0 * ow, pad_value);
+        std::fill(out_row + h1 * ow, out_row + oh * ow, pad_value);
+        continue;
+      }
       for (std::int64_t o_h = 0; o_h < oh; ++o_h) {
         const std::int64_t ih = o_h * shape.stride_h - shape.pad_h + r;
         T* out = out_row + o_h * ow;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/alloc_guard.h"
+#include "common/annotations.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "conv/pointwise.h"
@@ -52,6 +54,33 @@ ConvPlan::ConvPlan(const ConvShape& shape, ConvAlgo algo)
              OpShape{shape.n, shape.out_h(), shape.out_w()}),
       shape_(shape),
       algo_(algo) {}
+
+TDC_RUN_PATH void ConvPlan::run_with_epilogue(
+    const float* x, float* y, std::span<float> workspace,
+    const ConvEpilogue& epilogue) const {
+  TDC_CHECK_MSG(static_cast<std::int64_t>(workspace.size()) *
+                        static_cast<std::int64_t>(sizeof(float)) >=
+                    workspace_bytes(),
+                "conv plan workspace too small: need " +
+                    std::to_string(workspace_bytes()) + " bytes");
+  DenyAllocGuard guard("ConvPlan::run_with_epilogue");
+  run_image_epilogue(
+      x, y, workspace.first(static_cast<std::size_t>(workspace_bytes() /
+                                                     sizeof(float))),
+      epilogue);
+}
+
+void ConvPlan::run_image_epilogue(const float* x, float* y,
+                                  std::span<float> workspace,
+                                  const ConvEpilogue& epilogue) const {
+  run_image(x, y, workspace);
+  const std::int64_t plane = shape_.out_h() * shape_.out_w();
+  parallel_for(0, shape_.n, 1, [&](std::int64_t n0, std::int64_t n1) {
+    for (std::int64_t n = n0; n < n1; ++n) {
+      epilogue.apply(y, n, n * plane, plane);
+    }
+  });
+}
 
 namespace {
 

@@ -24,6 +24,7 @@
 
 #include "conv/conv.h"
 #include "core/tdc_kernel.h"
+#include "exec/epilogue.h"
 #include "exec/op_plan.h"
 #include "gpusim/device.h"
 #include "tensor/layout.h"
@@ -88,11 +89,27 @@ class ConvPlan : public OpPlan {
   /// activations at the plan boundary like every other ConvPlan.
   virtual bool quantized() const { return false; }
 
+  /// run_unchecked with `epilogue` applied to every output element — the
+  /// entry point of a fused graph step. Bitwise equal to run_unchecked
+  /// followed by the separate BN, add and ReLU plans; allocation-free, and
+  /// `workspace` needs workspace_bytes() as for any run.
+  TDC_RUN_PATH void run_with_epilogue(const float* x, float* y,
+                                      std::span<float> workspace,
+                                      const ConvEpilogue& epilogue) const;
+
  protected:
   ConvPlan(const ConvShape& shape, ConvAlgo algo);
 
   virtual void run_image(const float* x, float* y,
                          std::span<float> workspace) const = 0;
+
+  /// The epilogue body; `workspace` is exactly workspace_bytes() / 4
+  /// floats. The default runs run_image, then one pass over y. Plans with
+  /// a final output pass of their own (the int8 dequantize, the fused
+  /// Tucker band's stage 3) apply the epilogue there instead.
+  virtual void run_image_epilogue(const float* x, float* y,
+                                  std::span<float> workspace,
+                                  const ConvEpilogue& epilogue) const;
 
   void run_node(std::span<const float* const> inputs, float* y,
                 std::span<float> workspace) const final {

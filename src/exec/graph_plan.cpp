@@ -14,6 +14,7 @@
 #include "common/fault.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "exec/epilogue.h"
 #include "exec/host_cost.h"
 #include "exec/op_plans.h"
 #include "exec/plan_cache.h"
@@ -453,25 +454,130 @@ InferenceSession InferenceSession::compile_impl(
     s.nodes_.push_back(std::move(node));
   }
   s.output_shape_ = s.nodes_.back().plan->output_shape();
+  s.plan_steps(model, weights);
+  s.plan_arena();
+  return s;
+}
 
-  // Liveness-planned activation arena: node i's output occupies a block of
+void InferenceSession::plan_steps(const ModelSpec& model,
+                                  const std::vector<LayerWeights>& weights) {
+  const std::int64_t n = num_ops();
+  // Consumer edges of every op; an op feeding one consumer twice counts
+  // twice, so it never has an "only" consumer.
+  std::vector<std::int64_t> consumer_count(static_cast<std::size_t>(n), 0);
+  std::vector<std::int64_t> consumer(static_cast<std::size_t>(n), -1);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (const std::int64_t j : nodes_[static_cast<std::size_t>(i)].inputs) {
+      if (j != kModelInput) {
+        ++consumer_count[static_cast<std::size_t>(j)];
+        consumer[static_cast<std::size_t>(j)] = i;
+      }
+    }
+  }
+  const auto only_consumer = [&](std::int64_t i) {
+    return consumer_count[static_cast<std::size_t>(i)] == 1
+               ? consumer[static_cast<std::size_t>(i)]
+               : std::int64_t{-1};
+  };
+  const auto is_elt = [&](std::int64_t i, EltOp op) {
+    const LayerSpec& l = model.layers[static_cast<std::size_t>(i)];
+    return l.kind == LayerKind::kElementwise && l.elt == op;
+  };
+
+  // Steps in order of their first op. step_of[i] is the step whose output
+  // is op i's, set once that step exists (-1 for ops inside a fused step).
+  std::vector<std::int64_t> step_of(static_cast<std::size_t>(n), -1);
+  std::vector<bool> absorbed(static_cast<std::size_t>(n), false);
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (absorbed[static_cast<std::size_t>(i)]) {
+      continue;
+    }
+    Step st;
+    st.head = i;
+    st.out_op = i;
+    const auto* conv = dynamic_cast<const ConvPlan*>(
+        nodes_[static_cast<std::size_t>(i)].plan.get());
+    const std::int64_t bn = only_consumer(i);
+    if (conv != nullptr && bn >= 0 && is_elt(bn, EltOp::kBatchNorm)) {
+      st.conv = conv;
+      st.scale = weights[static_cast<std::size_t>(bn)].bn_scale;
+      st.shift = weights[static_cast<std::size_t>(bn)].bn_shift;
+      st.out_op = bn;
+      const std::int64_t next = only_consumer(bn);
+      if (next >= 0 && is_elt(next, EltOp::kRelu)) {
+        st.relu = true;
+        st.out_op = next;
+      } else if (next >= 0 &&
+                 (is_elt(next, EltOp::kAdd) || is_elt(next, EltOp::kAddRelu)) &&
+                 nodes_[static_cast<std::size_t>(next)].inputs.size() == 2) {
+        const std::span<const std::int64_t> in = op_inputs(next);
+        const std::int64_t other = in[0] == bn ? in[1] : in[0];
+        // The other operand must already be an earlier step's output.
+        if (other == kModelInput ||
+            step_of[static_cast<std::size_t>(other)] >= 0) {
+          st.residual = other == kModelInput
+                            ? kModelInput
+                            : step_of[static_cast<std::size_t>(other)];
+          st.relu = is_elt(next, EltOp::kAddRelu);
+          st.out_op = next;
+        }
+      }
+      absorbed[static_cast<std::size_t>(bn)] = true;
+      absorbed[static_cast<std::size_t>(st.out_op)] = true;
+    }
+    for (const std::int64_t j : op_inputs(i)) {
+      TDC_CHECK_INTERNAL(j == kModelInput ||
+                             step_of[static_cast<std::size_t>(j)] >= 0,
+                         "op input produced inside a fused step");
+      st.inputs.push_back(j == kModelInput
+                              ? kModelInput
+                              : step_of[static_cast<std::size_t>(j)]);
+    }
+    step_of[static_cast<std::size_t>(st.out_op)] = num_steps();
+    steps_.push_back(std::move(st));
+  }
+
+  // The step producing the model output writes the caller's y, so it runs
+  // last. Nothing consumes it, so moving it there (past steps of dead-end
+  // branches) keeps the order topological.
+  const std::int64_t f = step_of[static_cast<std::size_t>(n - 1)];
+  const std::int64_t last = num_steps() - 1;
+  if (f != last) {
+    std::rotate(steps_.begin() + f, steps_.begin() + f + 1, steps_.end());
+    const auto remap = [&](std::int64_t& id) {
+      if (id > f) {
+        --id;
+      }
+    };
+    for (Step& st : steps_) {
+      std::for_each(st.inputs.begin(), st.inputs.end(), remap);
+      remap(st.residual);
+    }
+  }
+}
+
+void InferenceSession::plan_arena() {
+  // Liveness-planned activation arena: step i's output occupies a block of
   // the arena for exactly [i, last consumer]; first-fit placement over the
   // blocks still live keeps skips and branches resident without the arena
-  // growing to the sum of all activations. The final node writes the
+  // growing to the sum of all activations. The final step writes the
   // caller's output directly. With the workspace guard on (frozen here for
   // the session's lifetime), every block is padded with leading/trailing
-  // canary bands that run_graph fills and checks around each op.
-  s.guard_bands_ = workspace_guard_enabled();
-  const std::int64_t band =
-      s.guard_bands_ ? detail::kWsGuardBandFloats : 0;
-  const std::int64_t n = s.num_ops();
+  // canary bands that run_graph fills and checks around each step.
+  guard_bands_ = workspace_guard_enabled();
+  const std::int64_t band = guard_bands_ ? detail::kWsGuardBandFloats : 0;
+  const std::int64_t n = num_steps();
   std::vector<std::int64_t> last_use(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
+    const Step& st = steps_[static_cast<std::size_t>(i)];
     last_use[static_cast<std::size_t>(i)] = i;
-    for (const std::int64_t j : s.nodes_[static_cast<std::size_t>(i)].inputs) {
+    for (const std::int64_t j : st.inputs) {
       if (j != kModelInput) {
         last_use[static_cast<std::size_t>(j)] = i;
       }
+    }
+    if (st.residual >= 0) {
+      last_use[static_cast<std::size_t>(st.residual)] = i;
     }
   }
   struct Block {
@@ -482,8 +588,11 @@ InferenceSession InferenceSession::compile_impl(
   std::vector<Block> live;  // sorted by offset
   for (std::int64_t i = 0; i + 1 < n; ++i) {
     std::erase_if(live, [&](const Block& b) { return b.last_use < i; });
+    Step& st = steps_[static_cast<std::size_t>(i)];
     const std::int64_t size =
-        s.nodes_[static_cast<std::size_t>(i)].plan->output_shape().floats() +
+        nodes_[static_cast<std::size_t>(st.out_op)]
+            .plan->output_shape()
+            .floats() +
         2 * band;
     std::int64_t offset = 0;
     for (const Block& b : live) {
@@ -498,10 +607,9 @@ InferenceSession InferenceSession::compile_impl(
                                    return a.offset < b.offset;
                                  }),
                 placed);
-    s.nodes_[static_cast<std::size_t>(i)].arena_offset = offset + band;
-    s.arena_floats_ = std::max(s.arena_floats_, offset + size);
+    st.arena_offset = offset + band;
+    arena_floats_ = std::max(arena_floats_, offset + size);
   }
-  return s;
 }
 
 std::int64_t InferenceSession::workspace_bytes() const {
@@ -533,7 +641,12 @@ TDC_RUN_PATH void InferenceSession::run_graph(const float* x, float* y,
   float* const ws_tail = arena + arena_floats_ + plan_ws_floats_;
   const std::int64_t band = guard_bands_ ? detail::kWsGuardBandFloats : 0;
   const float* ptrs[kMaxNodeInputs];
-  const std::int64_t last = num_ops() - 1;
+  const std::int64_t last = num_steps() - 1;
+  const auto block = [&](std::int64_t step) -> const float* {
+    return step == kModelInput
+               ? x
+               : arena + steps_[static_cast<std::size_t>(step)].arena_offset;
+  };
   // The whole graph walk is an allocation-free region: every plan's
   // run_node, the parallel fan-outs they open, and the GEMM bands inside
   // them must live off the preallocated workspace alone.
@@ -549,11 +662,12 @@ TDC_RUN_PATH void InferenceSession::run_graph(const float* x, float* y,
     delete[] sink.exchange(nullptr, std::memory_order_relaxed);
   }
   for (std::int64_t i = 0; i <= last; ++i) {
-    const Node& node = nodes_[static_cast<std::size_t>(i)];
-    // Cooperative cancellation between ops: an expired budget throws here
+    const Step& step = steps_[static_cast<std::size_t>(i)];
+    const Node& node = nodes_[static_cast<std::size_t>(step.head)];
+    // Cooperative cancellation between steps: an expired budget throws here
     // (and between GEMM bands inside the conv plans) rather than hanging the
-    // caller; no op is left half-run, only caller scratch holds stale data.
-    deadline_poll("session op boundary");
+    // caller; no step is left half-run, only caller scratch holds stale data.
+    deadline_poll("session step boundary");
     {
       double delay_ms = 0.0;
       if (fault_injected("exec.op_delay", &delay_ms)) {
@@ -561,29 +675,39 @@ TDC_RUN_PATH void InferenceSession::run_graph(const float* x, float* y,
             std::chrono::duration<double, std::milli>(delay_ms));
       }
     }
-    for (std::size_t k = 0; k < node.inputs.size(); ++k) {
-      const std::int64_t j = node.inputs[k];
-      ptrs[k] = j == kModelInput
-                    ? x
-                    : arena + nodes_[static_cast<std::size_t>(j)].arena_offset;
+    for (std::size_t k = 0; k < step.inputs.size(); ++k) {
+      ptrs[k] = block(step.inputs[k]);
     }
-    float* out = i == last ? y : arena + node.arena_offset;
-    const std::int64_t out_floats = node.plan->output_shape().floats();
+    float* out = i == last ? y : arena + step.arena_offset;
+    const std::int64_t out_floats =
+        nodes_[static_cast<std::size_t>(step.out_op)]
+            .plan->output_shape()
+            .floats();
     if (band > 0) {
-      // Re-fill the bands around the block this op is about to write (the
+      // Re-fill the bands around the block this step is about to write (the
       // arena reuses space, so a band may hold a dead block's old data) and
-      // the plan-workspace tail, then check them right after the op: an
-      // overrun is reported at the op that committed it, before the
-      // trampled bytes can become a later op's input.
+      // the plan-workspace tail, then check them right after the step: an
+      // overrun is reported at the step that committed it, before the
+      // trampled bytes can become a later step's input.
       if (i != last) {
         detail::ws_guard_fill(out - band, band);
         detail::ws_guard_fill(out + out_floats, band);
       }
       detail::ws_guard_fill(ws_tail, band);
     }
-    node.plan->run_inputs(
-        std::span<const float* const>(ptrs, node.inputs.size()), out,
-        plan_ws);
+    if (step.conv != nullptr) {
+      const ConvEpilogue epilogue{
+          .scale = step.scale.raw(),
+          .shift = step.shift.raw(),
+          .residual =
+              step.residual == kNoResidual ? nullptr : block(step.residual),
+          .relu = step.relu};
+      step.conv->run_with_epilogue(ptrs[0], out, plan_ws, epilogue);
+    } else {
+      node.plan->run_inputs(
+          std::span<const float* const>(ptrs, step.inputs.size()), out,
+          plan_ws);
+    }
     if (i != last && fault_injected("exec.op_overrun")) {
       // Planted one-element overrun into the trailing band (tests).
       out[out_floats] = 0.0f;

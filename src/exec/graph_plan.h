@@ -16,15 +16,31 @@
 //   Tensor y({1000, 1, 1});
 //   for (const Tensor& x : requests) session.run(x, &y, ws);
 //
-// Activations live in one arena planned by liveness analysis: every node
-// output gets an offset for exactly the interval between its production and
-// its last consumer, so residual skips and concat branches coexist without
-// the arena growing to the sum of all activations, and the steady state
-// performs no allocation at all. Convolution plans go through the
-// process-wide PlanCache (exec/plan_cache.h), so recompiling a session for
-// a repeated layer shape reuses packed weights, transforms and Tucker
-// factorizations. Runs are bit-identical across thread counts and across
-// cached vs cold compiles.
+// A session has two views of the compiled graph:
+//
+//  * The op view — num_ops(), op(i), op_inputs(i), op_name(i) — holds one
+//    OpPlan per model layer, in layer order, each runnable on its own.
+//    Tools that observe or time single layers (int8 calibration, the
+//    per-layer benchmark replay) walk it with their own buffers.
+//  * The step list — what run() and run_batched() walk. A convolution whose
+//    only consumer is an inference BN runs together with that BN, and with
+//    the BN's only consumer when that is a ReLU or a 2-input add whose
+//    other operand an earlier step has produced, as one step: the conv
+//    plan applies BN, add and ReLU as a per-output-channel epilogue on its
+//    own output pass (ConvPlan::run_with_epilogue), so those activations
+//    never make a round trip through memory. Every other op is a step of
+//    its own. ResNet-18's 60 ops run as 23 steps (num_steps()), bitwise
+//    equal to the op-by-op walk.
+//
+// Activations live in one arena planned by liveness analysis over the
+// steps: every step output gets an offset for exactly the interval between
+// its production and its last consumer, so residual skips and concat
+// branches coexist without the arena growing to the sum of all
+// activations, and the steady state performs no allocation at all.
+// Convolution plans go through the process-wide PlanCache
+// (exec/plan_cache.h), so recompiling a session for a repeated layer shape
+// reuses packed weights, transforms and Tucker factorizations. Runs are
+// bit-identical across thread counts and across cached vs cold compiles.
 #pragma once
 
 #include <cstdint>
@@ -120,6 +136,12 @@ class InferenceSession {
   /// Producer id meaning "the model input" in op_inputs().
   static constexpr std::int64_t kModelInput = -1;
 
+  /// Steps run() walks: fused convolutions plus every op not absorbed into
+  /// one (see the header comment). At most num_ops().
+  std::int64_t num_steps() const {
+    return static_cast<std::int64_t>(steps_.size());
+  }
+
   std::int64_t num_ops() const {
     return static_cast<std::int64_t>(nodes_.size());
   }
@@ -137,8 +159,9 @@ class InferenceSession {
   const OpShape& input_shape() const { return input_shape_; }
   const OpShape& output_shape() const { return output_shape_; }
 
-  /// Floats of the liveness-planned activation arena (diagnostics: compare
-  /// against the sum of all intermediate activations to see the reuse).
+  /// Floats of the liveness-planned activation arena, which holds step
+  /// outputs (diagnostics: compare against the sum of all intermediate
+  /// activations to see the reuse).
   std::int64_t arena_floats() const { return arena_floats_; }
 
   /// Exact scratch bytes one run() touches: the activation arena plus the
@@ -152,19 +175,20 @@ class InferenceSession {
 
   /// x (input_shape() floats) → y preallocated (output_shape() floats).
   /// Allocation-free; every output element written; bit-identical across
-  /// calls and thread counts.
+  /// calls and thread counts, and to the op-by-op walk of the op view.
   ///
   /// Failure contract (all entry points): a throw — invalid operands
   /// (kInvalidArgument), allocation failure (kResourceExhausted), deadline
-  /// expiry (kDeadlineExceeded), non-finite op output under TDC_CHECK_FINITE
-  /// (kDataCorruption) — leaves the session, the shared PlanCache and the
-  /// thread pool fully reusable; only caller-owned scratch (workspace, *y)
-  /// holds partial data, and the next successful run is bit-identical to a
-  /// run of a never-faulted session.
+  /// expiry (kDeadlineExceeded), non-finite step output under
+  /// TDC_CHECK_FINITE (kDataCorruption, naming the step's first op) —
+  /// leaves the session, the shared PlanCache and the thread pool fully
+  /// reusable; only caller-owned scratch (workspace, *y) holds partial
+  /// data, and the next successful run is bit-identical to a run of a
+  /// never-faulted session.
   void run(const Tensor& x, Tensor* y, std::span<float> workspace) const;
 
   /// run() under a per-run latency budget: the graph walk polls the deadline
-  /// at every op boundary (and the packed GEMM between cache-block bands)
+  /// at every step boundary (and the packed GEMM between cache-block bands)
   /// and throws Error(kDeadlineExceeded) when it expires. Equivalent to
   /// arming a DeadlineScope around run().
   void run(const Tensor& x, Tensor* y, std::span<float> workspace,
@@ -189,6 +213,22 @@ class InferenceSession {
     std::shared_ptr<const OpPlan> plan;
     std::string name;
     std::vector<std::int64_t> inputs;  ///< producer node ids or kModelInput
+  };
+
+  static constexpr std::int64_t kNoResidual = -2;
+
+  /// One unit of the run schedule: op `head` alone, or — when `conv` is
+  /// set — the convolution `head` with its BN (and ReLU or add) applied as
+  /// an epilogue. Producers are step ids or kModelInput.
+  struct Step {
+    std::int64_t head = 0;             ///< first op: its plan and its name
+    std::int64_t out_op = 0;           ///< the op whose output this is
+    std::vector<std::int64_t> inputs;  ///< producers of head's inputs
+    const ConvPlan* conv = nullptr;    ///< set for a fused convolution
+    Tensor scale;                      ///< [N] BN scale (fused)
+    Tensor shift;                      ///< [N] BN shift (fused)
+    std::int64_t residual = kNoResidual;  ///< producer of the added operand
+    bool relu = false;
     std::int64_t arena_offset = 0;     ///< output placement, in floats
   };
 
@@ -198,10 +238,14 @@ class InferenceSession {
       const std::vector<LayerDecision>& decisions,
       const SessionOptions& options);
 
+  void plan_steps(const ModelSpec& model,
+                  const std::vector<LayerWeights>& weights);
+  void plan_arena();
   void run_graph(const float* x, float* y, std::span<float> workspace) const;
   std::int64_t batch_slots(std::int64_t batch) const;
 
   std::vector<Node> nodes_;
+  std::vector<Step> steps_;
   OpShape input_shape_;
   OpShape output_shape_;
   std::int64_t arena_floats_ = 0;

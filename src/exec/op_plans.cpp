@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "conv/pointwise.h"
+#include "exec/epilogue.h"
 #include "linalg/gemm.h"
 
 namespace tdc {
@@ -143,9 +144,10 @@ class PoolPlanImpl final : public OpPlan {
 };
 
 // ---------------------------------------------------------------------------
-// Elementwise family: ReLU / bias / folded BN / N-ary add, with an optional
-// fused ReLU on the affine and add variants.
-enum class EltKind { kRelu, kBias, kBatchNorm, kAdd };
+// Elementwise family: ReLU / folded BN / N-ary add, with an optional fused
+// ReLU on the BN and add variants. Every pass is detail::eltwise_row, the
+// arithmetic fused graph steps apply as conv epilogues (exec/epilogue.h).
+enum class EltKind { kRelu, kBatchNorm, kAdd };
 
 class EltwisePlanImpl final : public OpPlan {
  public:
@@ -169,54 +171,26 @@ class EltwisePlanImpl final : public OpPlan {
     parallel_for(0, s.c, 1, [&](std::int64_t c0, std::int64_t c1) {
       for (std::int64_t c = c0; c < c1; ++c) {
         float* out = y + c * plane;
+        const float* x = inputs[0] + c * plane;
         switch (kind_) {
-          case EltKind::kRelu: {
-            const float* x = inputs[0] + c * plane;
-            for (std::int64_t i = 0; i < plane; ++i) {
-              out[i] = x[i] > 0.0f ? x[i] : 0.0f;
-            }
+          case EltKind::kRelu:
+            detail::eltwise_row(x, out, plane, false, 0.0f, 0.0f, nullptr,
+                                true);
             break;
-          }
-          case EltKind::kBias: {
-            const float* x = inputs[0] + c * plane;
-            const float b = shift_[c];
-            for (std::int64_t i = 0; i < plane; ++i) {
-              out[i] = x[i] + b;
-            }
+          case EltKind::kBatchNorm:
+            detail::eltwise_row(x, out, plane, true, scale_[c], shift_[c],
+                                nullptr, fuse_relu_);
             break;
-          }
-          case EltKind::kBatchNorm: {
-            const float* x = inputs[0] + c * plane;
-            const float a = scale_[c];
-            const float b = shift_[c];
-            if (fuse_relu_) {
-              for (std::int64_t i = 0; i < plane; ++i) {
-                const float v = a * x[i] + b;
-                out[i] = v > 0.0f ? v : 0.0f;
-              }
-            } else {
-              for (std::int64_t i = 0; i < plane; ++i) {
-                out[i] = a * x[i] + b;
-              }
-            }
-            break;
-          }
           case EltKind::kAdd: {
-            const float* x0 = inputs[0] + c * plane;
-            const float* x1 = inputs[1] + c * plane;
-            for (std::int64_t i = 0; i < plane; ++i) {
-              out[i] = x0[i] + x1[i];
-            }
-            for (std::size_t k = 2; k < inputs.size(); ++k) {
-              const float* xk = inputs[k] + c * plane;
-              for (std::int64_t i = 0; i < plane; ++i) {
-                out[i] += xk[i];
-              }
-            }
-            if (fuse_relu_) {
-              for (std::int64_t i = 0; i < plane; ++i) {
-                out[i] = out[i] > 0.0f ? out[i] : 0.0f;
-              }
+            // x0 + x1, then each further input in order; the ReLU rides on
+            // the last sum.
+            const std::size_t n = inputs.size();
+            detail::eltwise_row(x, out, plane, false, 0.0f, 0.0f,
+                                inputs[1] + c * plane, fuse_relu_ && n == 2);
+            for (std::size_t k = 2; k < n; ++k) {
+              detail::eltwise_row(out, out, plane, false, 0.0f, 0.0f,
+                                  inputs[k] + c * plane,
+                                  fuse_relu_ && k + 1 == n);
             }
             break;
           }
@@ -228,7 +202,7 @@ class EltwisePlanImpl final : public OpPlan {
  private:
   EltKind kind_;
   Tensor scale_;  ///< [C] (kBatchNorm)
-  Tensor shift_;  ///< [C] (kBias, kBatchNorm)
+  Tensor shift_;  ///< [C] (kBatchNorm)
   bool fuse_relu_;
 };
 
@@ -325,13 +299,6 @@ std::unique_ptr<OpPlan> compile_global_pool_plan(const OpShape& in,
 std::unique_ptr<OpPlan> compile_relu_plan(const OpShape& shape) {
   return std::make_unique<EltwisePlanImpl>(shape, 1, EltKind::kRelu, Tensor(),
                                            Tensor(), false);
-}
-
-std::unique_ptr<OpPlan> compile_bias_plan(const OpShape& shape,
-                                          const Tensor& bias) {
-  check_channel_vector(bias, shape.c, "bias");
-  return std::make_unique<EltwisePlanImpl>(shape, 1, EltKind::kBias, Tensor(),
-                                           bias, false);
 }
 
 std::unique_ptr<OpPlan> compile_batchnorm_plan(const OpShape& shape,

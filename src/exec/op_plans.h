@@ -62,10 +62,6 @@ std::unique_ptr<OpPlan> compile_global_pool_plan(const OpShape& in,
 /// y = max(x, 0), elementwise.
 std::unique_ptr<OpPlan> compile_relu_plan(const OpShape& shape);
 
-/// y(c, h, w) = x(c, h, w) + bias(c); `bias` is [C].
-std::unique_ptr<OpPlan> compile_bias_plan(const OpShape& shape,
-                                          const Tensor& bias);
-
 /// Inference batch normalization folded to one affine map per channel:
 /// y(c, ·) = scale(c) · x(c, ·) + shift(c), optionally clamped at zero when
 /// `fuse_relu` (the BN+ReLU pair every conv in the inventories carries).

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "exec/quantize.h"
 #include "tucker/flops.h"
 
@@ -31,6 +32,26 @@ std::vector<float> stage_multipliers(const std::vector<float>& w_scales,
                               out_scale);
   }
   return m;
+}
+
+/// The final fp32 dequantize of an int8 plan, y = acc · multiplier per row,
+/// with the fused step's epilogue applied to each row right after it, while
+/// the row is still in cache: one sweep from the int32 accumulator to y.
+/// Null `epilogue` is plain dequantize_f32.
+void dequantize_out(const std::int32_t* acc, std::int64_t m, std::int64_t n,
+                    const float* multiplier, float* y,
+                    const ConvEpilogue* epilogue) {
+  if (epilogue == nullptr) {
+    dequantize_f32(acc, m, n, n, multiplier, y, n);
+    return;
+  }
+  parallel_for(0, m, 8, [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t i = r0; i < r1; ++i) {
+      // One row; inside this region the call runs inline.
+      dequantize_f32(acc + i * n, 1, n, n, multiplier + i, y + i * n, n);
+      epilogue->apply(y, i, i * n, n);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -69,6 +90,18 @@ class QuantizedConvPlanImpl final : public ConvPlan {
  protected:
   void run_image(const float* x, float* y,
                  std::span<float> workspace) const override {
+    run(x, y, workspace, nullptr);
+  }
+
+  void run_image_epilogue(const float* x, float* y,
+                          std::span<float> workspace,
+                          const ConvEpilogue& epilogue) const override {
+    run(x, y, workspace, &epilogue);
+  }
+
+ private:
+  void run(const float* x, float* y, std::span<float> workspace,
+           const ConvEpilogue* epilogue) const {
     const std::int64_t ohw = shape_.out_h() * shape_.out_w();
     const std::int64_t chw = shape_.c * shape_.h * shape_.w;
     auto* acc = reinterpret_cast<std::int32_t*>(workspace.data());
@@ -84,10 +117,9 @@ class QuantizedConvPlanImpl final : public ConvPlan {
     }
     gemm_prepacked_s8u8(packed_weights_, ohw, b, ohw, input_.zero_point, acc,
                         ohw);
-    dequantize_f32(acc, shape_.n, ohw, ohw, multipliers_.data(), y, ohw);
+    dequantize_out(acc, shape_.n, ohw, multipliers_.data(), y, epilogue);
   }
 
- private:
   PackedGemmAS8 packed_weights_;
   std::vector<float> multipliers_;
   QuantParams input_;
@@ -146,6 +178,18 @@ class QuantizedTuckerPlanImpl final : public ConvPlan {
  protected:
   void run_image(const float* x, float* y,
                  std::span<float> workspace) const override {
+    run(x, y, workspace, nullptr);
+  }
+
+  void run_image_epilogue(const float* x, float* y,
+                          std::span<float> workspace,
+                          const ConvEpilogue& epilogue) const override {
+    run(x, y, workspace, &epilogue);
+  }
+
+ private:
+  void run(const float* x, float* y, std::span<float> workspace,
+           const ConvEpilogue* epilogue) const {
     const std::int64_t d1 = core_.c;
     const std::int64_t d2 = core_.n;
     const std::int64_t hw = shape_.h * shape_.w;
@@ -172,10 +216,9 @@ class QuantizedTuckerPlanImpl final : public ConvPlan {
     requantize_u8(acc, d2, ohw, ohw, m2_.data(), z2_.zero_point, z2q, ohw);
 
     gemm_prepacked_s8u8(packed_u2_, ohw, z2q, ohw, z2_.zero_point, acc, ohw);
-    dequantize_f32(acc, shape_.n, ohw, ohw, m3_.data(), y, ohw);
+    dequantize_out(acc, shape_.n, ohw, m3_.data(), y, epilogue);
   }
 
- private:
   std::int64_t acc_floats() const {
     const std::int64_t ohw = shape_.out_h() * shape_.out_w();
     return std::max({core_.c * shape_.h * shape_.w, core_.n * ohw,

@@ -93,12 +93,26 @@ class FusedTuckerPlanImpl final : public ConvPlan {
  protected:
   void run_image(const float* x, float* y,
                  std::span<float> workspace) const override {
+    run(x, y, workspace, nullptr);
+  }
+
+  // The epilogue runs on each band right after its stage 3, while the band
+  // is still in cache.
+  void run_image_epilogue(const float* x, float* y,
+                          std::span<float> workspace,
+                          const ConvEpilogue& epilogue) const override {
+    run(x, y, workspace, &epilogue);
+  }
+
+ private:
+  void run(const float* x, float* y, std::span<float> workspace,
+           const ConvEpilogue* epilogue) const {
     const std::int64_t oh = shape_.out_h();
     const std::int64_t slots = std::min<std::int64_t>(
         {region_width(),
          static_cast<std::int64_t>(workspace.size()) / band_floats_, oh});
     if (slots <= 1) {
-      run_bands(x, y, 0, oh, row_tile_, workspace.data());
+      run_bands(x, y, 0, oh, row_tile_, workspace.data(), epilogue);
       return;
     }
     // Whole bands per thread: each chunk streams a contiguous run of row
@@ -113,20 +127,21 @@ class FusedTuckerPlanImpl final : public ConvPlan {
       const std::int64_t b0 = chunk * bands / chunks;
       const std::int64_t b1 = (chunk + 1) * bands / chunks;
       run_bands(x, y, b0 * tile, std::min(oh, b1 * tile), tile,
-                workspace.data() + chunk * band_floats_);
+                workspace.data() + chunk * band_floats_, epilogue);
     });
   }
 
- private:
   // Input rows the core convolution reads for `band_oh` output rows.
   std::int64_t slab_rows(std::int64_t band_oh) const {
     return (band_oh - 1) * core_.stride_h + core_.r;
   }
 
   // Output rows [oh_begin, oh_end) in bands of `tile` rows, all three
-  // stages per band, through one band workspace.
+  // stages per band (and the epilogue, when set), through one band
+  // workspace.
   void run_bands(const float* x, float* y, std::int64_t oh_begin,
-                 std::int64_t oh_end, std::int64_t tile, float* ws) const {
+                 std::int64_t oh_end, std::int64_t tile, float* ws,
+                 const ConvEpilogue* epilogue) const {
     const std::int64_t oh = shape_.out_h();
     const std::int64_t ow = shape_.out_w();
     const std::int64_t w = shape_.w;
@@ -179,6 +194,11 @@ class FusedTuckerPlanImpl final : public ConvPlan {
       // output's row band through the plane stride OH·OW.
       gemm_prepacked(packed_u2_, hw_band, z2_band, hw_band, 1,
                      /*c=*/y + oh0 * ow, /*ldc=*/oh * ow);
+      if (epilogue != nullptr) {
+        for (std::int64_t n = 0; n < shape_.n; ++n) {
+          epilogue->apply(y, n, n * oh * ow + oh0 * ow, hw_band);
+        }
+      }
     }
   }
 

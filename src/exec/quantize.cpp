@@ -132,29 +132,6 @@ QuantizedRows quantize_rows_s8(std::int64_t m, std::int64_t k, const float* a,
   return out;
 }
 
-Tensor fold_batchnorm_into_kernel(const Tensor& kernel_cnrs,
-                                  const FoldedBatchNorm& bn) {
-  TDC_CHECK_MSG(kernel_cnrs.rank() == 4,
-                "fold_batchnorm_into_kernel expects a CNRS kernel");
-  const std::int64_t n = kernel_cnrs.dim(1);
-  TDC_CHECK_MSG(bn.scale.rank() == 1 && bn.scale.dim(0) == n,
-                "bn scale must be [N] matching the kernel's output channels");
-  Tensor folded = kernel_cnrs;
-  const std::int64_t c = kernel_cnrs.dim(0);
-  const std::int64_t rs = kernel_cnrs.dim(2) * kernel_cnrs.dim(3);
-  float* w = folded.raw();
-  for (std::int64_t cc = 0; cc < c; ++cc) {
-    for (std::int64_t nn = 0; nn < n; ++nn) {
-      const float g = bn.scale[nn];
-      float* plane = w + (cc * n + nn) * rs;
-      for (std::int64_t i = 0; i < rs; ++i) {
-        plane[i] *= g;
-      }
-    }
-  }
-  return folded;
-}
-
 void MinMaxObserver::observe(const float* x, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) {
     if (!seen_) {

@@ -26,7 +26,6 @@
 
 #include "exec/conv_plan.h"
 #include "exec/graph_plan.h"
-#include "exec/op_plans.h"
 #include "linalg/gemm_s8.h"
 
 namespace tdc {
@@ -72,14 +71,6 @@ struct QuantizedRows {
 };
 QuantizedRows quantize_rows_s8(std::int64_t m, std::int64_t k, const float* a,
                                std::int64_t a_rs, std::int64_t a_cs);
-
-/// Folds an inference BatchNorm's per-channel scale into a CNRS kernel:
-/// W'(c, n, r, s) = W(c, n, r, s) · bn.scale(n). Weight quantization of a
-/// BN-carrying layer happens on the folded kernel, so the per-channel int8
-/// scales absorb the BN gain instead of leaving it to a lossy second
-/// multiply; the BN shift stays in the (fp32) elementwise op.
-Tensor fold_batchnorm_into_kernel(const Tensor& kernel_cnrs,
-                                  const FoldedBatchNorm& bn);
 
 // ---------------------------------------------------------------------------
 // Calibration: range observers over synthetic activations.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "conv/conv.h"
 #include "conv/pointwise.h"
 #include "conv/tucker_conv.h"
@@ -179,6 +180,52 @@ TEST(Im2col, BothTypesMatchPerElementOracle) {
     }
   }
   EXPECT_EQ(checked, 93);  // 108 combinations less 15 invalid shapes
+}
+
+// Every small shape — every pad below the kernel, strides 1 and 2 — at 1
+// and 3 threads. Tiny images under tall kernels leave a patch row only a
+// few valid elements, or none, which is where the stride-1 same-width
+// shifted copy has to clamp both of its row ranges.
+TEST(Im2col, SmallShapeSweepMatchesOracleAtOneAndThreeThreads) {
+  const int saved = num_threads();
+  for (const int nt : {1, 3}) {
+    set_num_threads(nt);
+    int checked = 0;
+    for (const std::int64_t c : {1, 3}) {
+      for (const std::int64_t h : {1, 2, 5, 7, 8}) {
+        for (const std::int64_t w : {1, 3, 7, 16}) {
+          for (const std::int64_t r : {1, 2, 3, 5}) {
+            for (const std::int64_t s : {1, 3, 4}) {
+              for (std::int64_t pad_h = 0; pad_h < r; ++pad_h) {
+                for (std::int64_t pad_w = 0; pad_w < s; ++pad_w) {
+                  for (const std::int64_t stride : {1, 2}) {
+                    ConvShape shape;
+                    shape.c = c;
+                    shape.h = h;
+                    shape.w = w;
+                    shape.r = r;
+                    shape.s = s;
+                    shape.pad_h = pad_h;
+                    shape.pad_w = pad_w;
+                    shape.stride_h = stride;
+                    shape.stride_w = stride;
+                    if (!shape.valid()) {
+                      continue;
+                    }
+                    expect_im2col_matches_oracle<float>(shape, 0.0f);
+                    expect_im2col_matches_oracle<std::uint8_t>(shape, 127);
+                    ++checked;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(checked, 5376) << "threads=" << nt;
+  }
+  set_num_threads(saved);
 }
 
 struct ConvCase {

@@ -9,6 +9,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "exec/conv_plan.h"
 #include "exec/graph_plan.h"
 #include "exec/plan_cache.h"
+#include "exec/quantize.h"
 #include "nn/models.h"
 #include "tucker/tucker.h"
 
@@ -560,6 +563,220 @@ TEST(InferenceSession, FullResnet18EndToEndAtFullWidth) {
   Tensor y2({1000, 1, 1});
   cached.run(x, &y2, ws.span());
   EXPECT_EQ(Tensor::max_abs_diff(y, y2), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Fused steps. run() and run_batched() walk the step list, where a
+// convolution runs with the BN, ReLU and 2-input add that only it feeds;
+// the op view keeps one plan per layer. The two walks must agree bitwise.
+
+bool same_bits(const float* a, const float* b, std::int64_t n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+// run() and run_batched() over `images` random inputs at 1, 2 and 4 threads,
+// each image bitwise equal to the op-by-op walk of the op view.
+void expect_steps_match_op_walk(const InferenceSession& session,
+                                std::int64_t images, std::uint64_t seed) {
+  const OpShape in = session.input_shape();
+  const OpShape out = session.output_shape();
+  Rng rng(seed);
+  const Tensor xb =
+      Tensor::random_uniform({images, in.c, in.h, in.w}, rng);
+  std::vector<Tensor> xs;
+  std::vector<Tensor> oracle;
+  for (std::int64_t b = 0; b < images; ++b) {
+    Tensor x({in.c, in.h, in.w});
+    std::copy(xb.raw() + b * in.floats(), xb.raw() + (b + 1) * in.floats(),
+              x.raw());
+    oracle.push_back(run_per_op_oracle(session, x));
+    xs.push_back(std::move(x));
+  }
+  const int saved = num_threads();
+  for (const int nt : {1, 2, 4}) {
+    set_num_threads(nt);
+    PoisonedWorkspace ws(session.workspace_bytes());
+    for (std::int64_t b = 0; b < images; ++b) {
+      Tensor y({out.c, out.h, out.w});
+      session.run(xs[static_cast<std::size_t>(b)], &y, ws.span());
+      EXPECT_TRUE(same_bits(y.raw(), oracle[static_cast<std::size_t>(b)].raw(),
+                            out.floats()))
+          << "run, image " << b << ", threads=" << nt;
+    }
+    EXPECT_TRUE(ws.guards_intact());
+    PoisonedWorkspace bws(session.batched_workspace_bytes(images));
+    Tensor yb({images, out.c, out.h, out.w});
+    session.run_batched(xb, &yb, bws.span());
+    EXPECT_TRUE(bws.guards_intact());
+    for (std::int64_t b = 0; b < images; ++b) {
+      EXPECT_TRUE(same_bits(yb.raw() + b * out.floats(),
+                            oracle[static_cast<std::size_t>(b)].raw(),
+                            out.floats()))
+          << "run_batched, image " << b << ", threads=" << nt;
+    }
+  }
+  set_num_threads(saved);
+}
+
+// A lower bound on the arena of any op-by-op walk: every op but the last
+// holds its arena inputs and its output at once (the model input and the
+// final output live outside the arena).
+std::int64_t op_walk_arena_floor(const InferenceSession& session) {
+  std::int64_t floor = 0;
+  for (std::int64_t i = 0; i + 1 < session.num_ops(); ++i) {
+    std::int64_t live = session.op(i).output_shape().floats();
+    for (const std::int64_t j : session.op_inputs(i)) {
+      if (j != InferenceSession::kModelInput) {
+        live += session.op(j).output_shape().floats();
+      }
+    }
+    floor = std::max(floor, live);
+  }
+  return floor;
+}
+
+struct Resnet18Build {
+  DeviceSpec device = make_a100();
+  ModelSpec model = make_resnet18();
+  std::vector<LayerWeights> weights = random_model_weights(model, 821);
+  std::vector<LayerDecision> decisions;
+
+  Resnet18Build() {
+    CodesignOptions opts;
+    opts.budget = 0.65;
+    decisions =
+        run_codesign(device, model.decomposable_conv_shapes(), opts).layers;
+  }
+
+  InferenceSession compile(const SessionOptions& options) const {
+    return InferenceSession::compile(device, model, weights, decisions,
+                                     options);
+  }
+};
+
+// ResNet-18's 60 ops run as 23 steps: 20 fused convolutions, the two pools
+// and the FC head.
+void expect_resnet18_schedule(const InferenceSession& session) {
+  EXPECT_EQ(session.num_ops(), 60);
+  EXPECT_EQ(session.num_steps(), 23);
+  EXPECT_LT(session.arena_floats(), op_walk_arena_floor(session));
+}
+
+TEST(FusedSteps, Resnet18FusedAndStagedTuckerEqualTheOpWalk) {
+  const Resnet18Build net;
+  for (const TuckerExec exec : {TuckerExec::kFused, TuckerExec::kStaged}) {
+    SCOPED_TRACE(exec == TuckerExec::kFused ? "fused" : "staged");
+    SessionOptions options;
+    options.dense_algo = ConvAlgo::kIm2col;
+    options.tucker_exec = exec;
+    options.use_plan_cache = false;
+    const InferenceSession session = net.compile(options);
+    expect_resnet18_schedule(session);
+    expect_steps_match_op_walk(session, 2, 822);
+  }
+}
+
+TEST(FusedSteps, Resnet18CalibratedInt8EqualsTheOpWalk) {
+  const Resnet18Build net;
+  const QuantTable table =
+      calibrate_quant(net.device, net.model, net.weights, net.decisions);
+  ::setenv("TDC_INT8", "2", 1);
+  SessionOptions options;
+  options.dense_algo = ConvAlgo::kIm2col;
+  options.use_plan_cache = false;
+  options.quant = &table;
+  const InferenceSession session = net.compile(options);
+  ::unsetenv("TDC_INT8");
+  // Both int8 plans carry the epilogue: dense and Tucker.
+  std::int64_t dense_s8 = 0;
+  std::int64_t tucker_s8 = 0;
+  for (std::int64_t i = 0; i < session.num_ops(); ++i) {
+    const auto* conv = dynamic_cast<const ConvPlan*>(&session.op(i));
+    if (conv != nullptr && conv->quantized()) {
+      ++(conv->decomposed() ? tucker_s8 : dense_s8);
+    }
+  }
+  EXPECT_GT(dense_s8, 0);
+  EXPECT_GT(tucker_s8, 0);
+  expect_resnet18_schedule(session);
+  expect_steps_match_op_walk(session, 2, 823);
+}
+
+TEST(FusedSteps, Resnet20DenseIm2colEqualsTheOpWalk) {
+  const ModelSpec model = make_resnet20_cifar();
+  const auto weights = random_model_weights(model, 824);
+  SessionOptions options;
+  options.dense_algo = ConvAlgo::kIm2col;
+  const InferenceSession session = InferenceSession::compile(
+      make_a100(), model, weights, {}, options);
+  EXPECT_LT(session.num_steps(), session.num_ops());
+  expect_steps_match_op_walk(session, 3, 825);
+}
+
+// Nothing here fuses beyond conv + BN: a BN with two consumers, a 3-input
+// add, a concat and a BN whose producer is not a convolution.
+TEST(FusedSteps, OnlySingleConsumerChainsFuse) {
+  ModelSpec model;
+  model.name = "no-fuse-dag";
+  const auto conv = [&](const char* name, const ConvShape& shape,
+                        std::int64_t input) {
+    LayerSpec l = LayerSpec::make_conv(name, shape);
+    if (input >= 0) {
+      l.inputs = {input};  // the first layer reads the model input
+    }
+    model.layers.push_back(l);
+  };
+  const auto elt = [&](const char* name, EltOp op,
+                       std::vector<std::int64_t> inputs) {
+    model.layers.push_back(
+        LayerSpec::make_elementwise(name, 0.0, op, std::move(inputs)));
+  };
+  conv("conv_a", ConvShape::same(3, 4, 8, 3), -1);     // 0
+  elt("bn_a", EltOp::kBatchNorm, {0});                 // 1: two consumers
+  elt("relu_a", EltOp::kRelu, {1});                    // 2
+  conv("conv_b", ConvShape::same(4, 4, 8, 3), 1);      // 3
+  elt("bn_b", EltOp::kBatchNorm, {3});                 // 4
+  conv("conv_c", ConvShape::same(4, 4, 8, 1), 2);      // 5
+  elt("add3", EltOp::kAdd, {4, 2, 5});                 // 6: three inputs
+  elt("concat", EltOp::kConcat, {6, 1});               // 7
+  elt("bn_c", EltOp::kBatchNorm, {7});                 // 8: non-conv producer
+  conv("conv_d", ConvShape::same(8, 4, 8, 3), 8);      // 9
+  const auto weights = random_model_weights(model, 826);
+  SessionOptions options;
+  options.dense_algo = ConvAlgo::kIm2col;
+  const InferenceSession session = InferenceSession::compile(
+      make_a100(), model, weights, {}, options);
+  EXPECT_EQ(session.num_ops(), 10);
+  // conv_a + bn_a and conv_b + bn_b fuse; the other six ops run alone.
+  EXPECT_EQ(session.num_steps(), 8);
+  expect_steps_match_op_walk(session, 3, 827);
+}
+
+// The step that writes the model output runs last even when a dead-end
+// branch (an op nothing consumes) sits after its first op.
+TEST(FusedSteps, OutputStepRunsAfterDeadEndBranches) {
+  ModelSpec model;
+  model.name = "dead-end";
+  model.layers.push_back(
+      LayerSpec::make_conv("conv_a", ConvShape::same(3, 4, 8, 3)));  // 0
+  LayerSpec conv_b =
+      LayerSpec::make_conv("conv_b", ConvShape::same(4, 4, 8, 3));
+  conv_b.inputs = {0};
+  model.layers.push_back(conv_b);  // 1
+  model.layers.push_back(
+      LayerSpec::make_elementwise("bn_b", 0.0, EltOp::kBatchNorm, {1}));  // 2
+  LayerSpec dead = LayerSpec::make_conv("dead", ConvShape::same(4, 2, 8, 1));
+  dead.inputs = {0};
+  model.layers.push_back(dead);  // 3: nothing reads it
+  model.layers.push_back(
+      LayerSpec::make_elementwise("relu_b", 0.0, EltOp::kRelu, {2}));  // 4
+  const auto weights = random_model_weights(model, 828);
+  SessionOptions options;
+  options.dense_algo = ConvAlgo::kIm2col;
+  const InferenceSession session = InferenceSession::compile(
+      make_a100(), model, weights, {}, options);
+  EXPECT_EQ(session.num_steps(), 3);  // conv_a, dead, conv_b + bn + relu
+  expect_steps_match_op_walk(session, 2, 829);
 }
 
 }  // namespace

@@ -336,21 +336,6 @@ TEST(EltwisePlan, BatchNormFusedReluMatchesSeparatePlansBitwise) {
             0.0);
 }
 
-TEST(EltwisePlan, BiasAddsPerChannel) {
-  Rng rng(708);
-  const OpShape shape{3, 4, 5};
-  const Tensor x = Tensor::random_uniform({shape.c, shape.h, shape.w}, rng);
-  const Tensor bias = Tensor::random_uniform({shape.c}, rng);
-  const auto plan = compile_bias_plan(shape, bias);
-  const Tensor y = run_guarded(*plan, x);
-  for (std::int64_t c = 0; c < shape.c; ++c) {
-    for (std::int64_t i = 0; i < shape.h * shape.w; ++i) {
-      ASSERT_EQ(y[c * shape.h * shape.w + i],
-                x[c * shape.h * shape.w + i] + bias[c]);
-    }
-  }
-}
-
 TEST(EltwisePlan, ResidualAddAndAddReluJoinInputs) {
   Rng rng(709);
   const OpShape shape{4, 5, 5};
@@ -453,8 +438,9 @@ TEST(OpPlan, GeometryValidationThrows) {
   bad.in = OpShape{2, 4, 4};
   bad.window_h = 5;  // taller than the padded input
   EXPECT_THROW(compile_pool_plan(bad), Error);
-  EXPECT_THROW(compile_bias_plan(OpShape{3, 2, 2},
-                                 Tensor::random_uniform({4}, rng)),
+  EXPECT_THROW(compile_batchnorm_plan(OpShape{3, 2, 2},
+                                      Tensor::random_uniform({4}, rng),
+                                      Tensor::random_uniform({3}, rng)),
                Error);
   EXPECT_THROW(compile_add_plan(OpShape{2, 2, 2}, 1), Error);
   const auto plan = compile_relu_plan(OpShape{2, 3, 3});

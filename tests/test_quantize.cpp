@@ -27,7 +27,6 @@
 #include "conv/conv.h"
 #include "core/codesign.h"
 #include "exec/graph_plan.h"
-#include "exec/op_plans.h"
 #include "exec/plan_cache.h"
 #include "exec/quantize.h"
 #include "exec/workspace_guard.h"
@@ -444,40 +443,6 @@ TEST(Quantize, QuantizeRowsUsesPerChannelSymmetricScales) {
           q.scales[static_cast<std::size_t>(i)];
       EXPECT_LE(std::fabs(back - a[i][kk]),
                 q.scales[static_cast<std::size_t>(i)] * 0.5f + 1e-9f);
-    }
-  }
-}
-
-TEST(Quantize, FoldBatchnormIntoKernelMatchesChannelwiseScale) {
-  Rng rng(7004);
-  const ConvShape shape = ConvShape::same(3, 5, 8, 3);
-  const Tensor kernel =
-      Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng);
-  const Tensor gamma = Tensor::random_uniform({shape.n}, rng, 0.5f, 1.5f);
-  const Tensor beta = Tensor::random_uniform({shape.n}, rng, -0.2f, 0.2f);
-  const Tensor mean = Tensor::random_uniform({shape.n}, rng, -0.3f, 0.3f);
-  const Tensor var = Tensor::random_uniform({shape.n}, rng, 0.5f, 2.0f);
-  const FoldedBatchNorm bn = fold_batchnorm(gamma, beta, mean, var);
-  const Tensor folded = fold_batchnorm_into_kernel(kernel, bn);
-
-  for (std::int64_t c = 0; c < shape.c; ++c) {
-    for (std::int64_t n = 0; n < shape.n; ++n) {
-      for (std::int64_t r = 0; r < shape.r; ++r) {
-        for (std::int64_t s = 0; s < shape.s; ++s) {
-          EXPECT_EQ(folded(c, n, r, s), kernel(c, n, r, s) * bn.scale[n]);
-        }
-      }
-    }
-  }
-  // Semantics: conv with the folded kernel equals BN-scale applied to the
-  // conv output (the shift stays in the elementwise op).
-  const Tensor x = Tensor::random_uniform({shape.c, shape.h, shape.w}, rng);
-  const Tensor y = conv2d_reference(x, kernel, shape);
-  const Tensor yf = conv2d_reference(x, folded, shape);
-  const std::int64_t ohw = shape.out_h() * shape.out_w();
-  for (std::int64_t n = 0; n < shape.n; ++n) {
-    for (std::int64_t i = 0; i < ohw; ++i) {
-      EXPECT_NEAR(yf[n * ohw + i], y[n * ohw + i] * bn.scale[n], 2e-4f);
     }
   }
 }
