@@ -63,6 +63,13 @@ Tensor im2col(const Tensor& x, const ConvShape& shape);
 /// bounds-checked select.
 void im2col_into(const float* x, const ConvShape& shape, float* cols);
 
+/// The columns of output rows [oh_begin, oh_end) of im2col_into's matrix,
+/// as a [C·R·S, (oh_end − oh_begin)·W'] buffer: the patch matrix of one
+/// output-row band, bitwise those columns of the full one.
+void im2col_rows_into(const float* x, const ConvShape& shape,
+                      std::int64_t oh_begin, std::int64_t oh_end,
+                      float* cols);
+
 /// Quantized-domain im2col for the int8 serving path: same patch-row
 /// flattening as im2col_into over a uint8 [C, H, W] image, except border
 /// taps are filled with `pad_value` — the activation zero point, i.e. the
@@ -70,5 +77,11 @@ void im2col_into(const float* x, const ConvShape& shape, float* cols);
 /// dequantizes to exactly the zeros of the fp32 plan.
 void im2col_u8_into(const std::uint8_t* x, const ConvShape& shape,
                     std::uint8_t* cols, std::uint8_t pad_value);
+
+/// im2col_u8_into over output rows [oh_begin, oh_end), like
+/// im2col_rows_into.
+void im2col_u8_rows_into(const std::uint8_t* x, const ConvShape& shape,
+                         std::int64_t oh_begin, std::int64_t oh_end,
+                         std::uint8_t* cols, std::uint8_t pad_value);
 
 }  // namespace tdc

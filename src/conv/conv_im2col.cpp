@@ -22,9 +22,13 @@ namespace {
 // is one flat copy over the valid output rows, after which the pad value
 // goes over the columns that wrapped around from a neighbouring row and
 // over the rows outside the image.
+//
+// The walk covers output rows [ob, oe) only: each patch row then holds
+// (oe − ob)·OW columns, the columns of those rows in the full matrix.
 template <typename T>
-void im2col_walk(const T* x, const ConvShape& shape, T* cols, T pad_value) {
-  const std::int64_t oh = shape.out_h();
+void im2col_walk(const T* x, const ConvShape& shape, std::int64_t ob,
+                 std::int64_t oe, T* cols, T pad_value) {
+  const std::int64_t oh = oe - ob;
   const std::int64_t ow = shape.out_w();
   const std::int64_t sw = shape.stride_w;
   const bool shifted_copy =
@@ -48,15 +52,15 @@ void im2col_walk(const T* x, const ConvShape& shape, T* cols, T pad_value) {
       T* out_row = cols + row * oh * ow;
       if (shifted_copy) {
         // Valid output rows: 0 ≤ o_h − pad_h + r < H; none when no column
-        // is valid.
-        const std::int64_t h0 = std::clamp(shape.pad_h - r,
+        // is valid. Counted from ob, the walk's first row.
+        const std::int64_t h0 = std::clamp(shape.pad_h - r - ob,
                                            std::int64_t{0}, oh);
         const std::int64_t h1 =
-            w0 < w1 ? std::clamp(shape.h + shape.pad_h - r, h0, oh) : h0;
+            w0 < w1 ? std::clamp(shape.h + shape.pad_h - r - ob, h0, oh) : h0;
         if (h0 < h1) {
           // From the first valid element of row h0 to the last valid one of
           // row h1 − 1; both ends read inside the plane.
-          const std::int64_t shift = (r - shape.pad_h) * shape.w + off;
+          const std::int64_t shift = (ob + r - shape.pad_h) * shape.w + off;
           const std::int64_t begin = h0 * ow + w0;
           const std::int64_t end = (h1 - 1) * ow + w1;
           std::copy(plane + (begin + shift), plane + (end + shift),
@@ -72,7 +76,7 @@ void im2col_walk(const T* x, const ConvShape& shape, T* cols, T pad_value) {
         continue;
       }
       for (std::int64_t o_h = 0; o_h < oh; ++o_h) {
-        const std::int64_t ih = o_h * shape.stride_h - shape.pad_h + r;
+        const std::int64_t ih = (ob + o_h) * shape.stride_h - shape.pad_h + r;
         T* out = out_row + o_h * ow;
         if (ih < 0 || ih >= shape.h) {
           std::fill(out, out + ow, pad_value);
@@ -102,12 +106,24 @@ void im2col_walk(const T* x, const ConvShape& shape, T* cols, T pad_value) {
 }  // namespace
 
 void im2col_into(const float* x, const ConvShape& shape, float* cols) {
-  im2col_walk(x, shape, cols, 0.0f);
+  im2col_walk(x, shape, 0, shape.out_h(), cols, 0.0f);
+}
+
+void im2col_rows_into(const float* x, const ConvShape& shape,
+                      std::int64_t oh_begin, std::int64_t oh_end,
+                      float* cols) {
+  im2col_walk(x, shape, oh_begin, oh_end, cols, 0.0f);
 }
 
 void im2col_u8_into(const std::uint8_t* x, const ConvShape& shape,
                     std::uint8_t* cols, std::uint8_t pad_value) {
-  im2col_walk(x, shape, cols, pad_value);
+  im2col_walk(x, shape, 0, shape.out_h(), cols, pad_value);
+}
+
+void im2col_u8_rows_into(const std::uint8_t* x, const ConvShape& shape,
+                         std::int64_t oh_begin, std::int64_t oh_end,
+                         std::uint8_t* cols, std::uint8_t pad_value) {
+  im2col_walk(x, shape, oh_begin, oh_end, cols, pad_value);
 }
 
 Tensor im2col(const Tensor& x, const ConvShape& shape) {

@@ -55,19 +55,129 @@ ConvPlan::ConvPlan(const ConvShape& shape, ConvAlgo algo)
       shape_(shape),
       algo_(algo) {}
 
+std::int64_t ConvPlan::epilogue_workspace_bytes(
+    const ConvEpilogue& epilogue) const {
+  return epilogue.pool != nullptr ? pooled_workspace_bytes(*epilogue.pool)
+                                  : workspace_bytes();
+}
+
+std::int64_t ConvPlan::pooled_workspace_bytes(
+    const PoolDescriptor& /*pool*/) const {
+  TDC_CHECK_MSG(false, std::string(algo_name()) +
+                           " plan cannot run a pooled epilogue");
+}
+
 TDC_RUN_PATH void ConvPlan::run_with_epilogue(
     const float* x, float* y, std::span<float> workspace,
     const ConvEpilogue& epilogue) const {
+  if (epilogue.pool != nullptr) {
+    const PoolDescriptor& pool = *epilogue.pool;
+    TDC_CHECK_MSG(pools() && pool.kind == PoolKind::kMax &&
+                      epilogue.residual == nullptr &&
+                      pool.in == output_shape(),
+                  "a pooled epilogue needs a pooling plan, a max-pool over "
+                  "its output and no residual");
+  }
+  const std::int64_t bytes = epilogue_workspace_bytes(epilogue);
   TDC_CHECK_MSG(static_cast<std::int64_t>(workspace.size()) *
                         static_cast<std::int64_t>(sizeof(float)) >=
-                    workspace_bytes(),
+                    bytes,
                 "conv plan workspace too small: need " +
-                    std::to_string(workspace_bytes()) + " bytes");
+                    std::to_string(bytes) + " bytes");
   DenyAllocGuard guard("ConvPlan::run_with_epilogue");
   run_image_epilogue(
-      x, y, workspace.first(static_cast<std::size_t>(workspace_bytes() /
-                                                     sizeof(float))),
+      x, y, workspace.first(static_cast<std::size_t>(bytes / sizeof(float))),
       epilogue);
+}
+
+std::int64_t ConvPlan::pooled_tile(const PoolDescriptor& pool,
+                                   std::int64_t row_bytes) const {
+  // A band's convolution rows with their scratch stay within about
+  // 1.5 MiB, so the patch rows the GEMM reads and the rows the pool reads
+  // are still in L2 when they are read.
+  constexpr std::int64_t kBandBytes = std::int64_t{3} << 19;
+  const std::int64_t rows = kBandBytes / std::max<std::int64_t>(row_bytes, 1);
+  return std::clamp<std::int64_t>((rows - pool.window_h) / pool.stride_h + 1,
+                                  1, pool.out_h());
+}
+
+std::int64_t ConvPlan::pooled_band_rows(const PoolDescriptor& pool,
+                                        std::int64_t row_bytes) const {
+  return std::min(
+      (pooled_tile(pool, row_bytes) - 1) * pool.stride_h + pool.window_h,
+      shape_.out_h());
+}
+
+void ConvPlan::run_pooled(const ConvEpilogue& epilogue, float* y,
+                          std::span<float> workspace,
+                          std::int64_t slot_floats, std::int64_t row_bytes,
+                          PooledRowsFn conv_rows) const {
+  const PoolDescriptor& pool = *epilogue.pool;
+  const std::int64_t n = shape_.n;
+  const std::int64_t oh = shape_.out_h();
+  const std::int64_t ow = shape_.out_w();
+  const std::int64_t ph = pool.out_h();
+  const std::int64_t pplane = ph * pool.out_w();
+  const std::int64_t t_rows = pooled_band_rows(pool, row_bytes);
+  const std::int64_t ld = t_rows * ow;
+  const std::int64_t tile = pooled_tile(pool, row_bytes);
+
+  // Pooled rows [p0, p1) in bands of at most `tile` rows, equal but for the
+  // last, through the slot at `slot`.
+  const auto run_bands = [&](std::int64_t p0, std::int64_t p1, float* slot) {
+    float* t = slot;
+    float* scratch = slot + n * ld;
+    const std::int64_t band =
+        detail::divup(p1 - p0, detail::divup(p1 - p0, tile));
+    std::int64_t c0 = 0;  // convolution rows [c0, c1) are in t
+    std::int64_t c1 = 0;
+    for (std::int64_t pb = p0; pb < p1; pb += band) {
+      const std::int64_t pe = std::min(pb + band, p1);
+      const std::int64_t r0 =
+          std::clamp(pb * pool.stride_h - pool.pad_h, std::int64_t{0}, oh);
+      const std::int64_t r1 = std::clamp(
+          (pe - 1) * pool.stride_h - pool.pad_h + pool.window_h, r0, oh);
+      // The rows this band shares with the last one move to the top of t.
+      const std::int64_t keep =
+          c0 <= r0 && r0 < c1 ? std::min(c1, r1) - r0 : 0;
+      if (keep > 0 && r0 > c0) {
+        for (std::int64_t c = 0; c < n; ++c) {
+          float* rows = t + c * ld;
+          std::copy(rows + (r0 - c0) * ow, rows + (r0 - c0 + keep) * ow,
+                    rows);
+        }
+      }
+      if (r0 + keep < r1) {
+        conv_rows(r0 + keep, r1, scratch, t + keep * ow, ld);
+      }
+      parallel_for(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
+        for (std::int64_t c = n0; c < n1; ++c) {
+          float* rows = t + c * ld;
+          detail::eltwise_row(rows + keep * ow, rows + keep * ow,
+                              (r1 - r0 - keep) * ow, true,
+                              epilogue.scale[c], epilogue.shift[c], nullptr,
+                              epilogue.relu);
+          detail::pool_rows(pool, rows, r0, pb, pe, y + c * pplane);
+        }
+      });
+      c0 = r0;
+      c1 = r1;
+    }
+  };
+
+  const std::int64_t slots = std::min<std::int64_t>(
+      {region_width(),
+       static_cast<std::int64_t>(workspace.size()) / slot_floats, ph});
+  if (slots <= 1) {
+    run_bands(0, ph, workspace.data());
+    return;
+  }
+  // Contiguous runs of pooled rows, one per thread and slot; each keeps
+  // its rows between its own bands and recomputes one halo at its start.
+  detail::run_chunked(slots, [&](std::int64_t chunk) {
+    run_bands(chunk * ph / slots, (chunk + 1) * ph / slots,
+              workspace.data() + chunk * slot_floats);
+  });
 }
 
 void ConvPlan::run_image_epilogue(const float* x, float* y,
@@ -144,6 +254,8 @@ class Im2colPlanImpl final : public ConvPlan {
            static_cast<std::int64_t>(sizeof(float));
   }
 
+  bool pools() const override { return !pointwise_; }
+
  protected:
   void run_image(const float* x, float* y,
                  std::span<float> workspace) const override {
@@ -156,7 +268,45 @@ class Im2colPlanImpl final : public ConvPlan {
     gemm_prepacked(packed_weights_, ohw, workspace.data(), ohw, 1, y, ohw);
   }
 
+  // Pooled: per band, the patch matrix of its convolution rows and one
+  // GEMM into the slot's row buffer. One slot per thread at compile, like
+  // the fused Tucker bands.
+  std::int64_t pooled_workspace_bytes(
+      const PoolDescriptor& pool) const override {
+    return compile_batch_slots(pool.out_h()) * slot_floats(pool) *
+           static_cast<std::int64_t>(sizeof(float));
+  }
+
+  void run_image_epilogue(const float* x, float* y,
+                          std::span<float> workspace,
+                          const ConvEpilogue& epilogue) const override {
+    if (epilogue.pool == nullptr) {
+      ConvPlan::run_image_epilogue(x, y, workspace, epilogue);
+      return;
+    }
+    run_pooled(epilogue, y, workspace, slot_floats(*epilogue.pool),
+               row_bytes(),
+               [&](std::int64_t r0, std::int64_t r1, float* cols, float* dst,
+                   std::int64_t ld) {
+                 const std::int64_t cols_n = (r1 - r0) * shape_.out_w();
+                 im2col_rows_into(x, shape_, r0, r1, cols);
+                 gemm_prepacked(packed_weights_, cols_n, cols, cols_n, 1, dst,
+                                ld);
+               });
+  }
+
  private:
+  // Pooled-band scratch per convolution row: the row of every output
+  // channel plus its patch-matrix columns.
+  std::int64_t row_bytes() const {
+    return (shape_.n + shape_.c * shape_.r * shape_.s) * shape_.out_w() *
+           static_cast<std::int64_t>(sizeof(float));
+  }
+  std::int64_t slot_floats(const PoolDescriptor& pool) const {
+    return pooled_band_rows(pool, row_bytes()) * row_bytes() /
+           static_cast<std::int64_t>(sizeof(float));
+  }
+
   PackedGemmA packed_weights_;
   bool pointwise_;
 };

@@ -22,6 +22,7 @@
 #include <memory>
 #include <span>
 
+#include "common/function_ref.h"
 #include "conv/conv.h"
 #include "core/tdc_kernel.h"
 #include "exec/epilogue.h"
@@ -91,11 +92,23 @@ class ConvPlan : public OpPlan {
 
   /// run_unchecked with `epilogue` applied to every output element — the
   /// entry point of a fused graph step. Bitwise equal to run_unchecked
-  /// followed by the separate BN, add and ReLU plans; allocation-free, and
-  /// `workspace` needs workspace_bytes() as for any run.
+  /// followed by the separate BN, add, ReLU and max-pool plans;
+  /// allocation-free, and `workspace` needs
+  /// epilogue_workspace_bytes(epilogue).
   TDC_RUN_PATH void run_with_epilogue(const float* x, float* y,
                                       std::span<float> workspace,
                                       const ConvEpilogue& epilogue) const;
+
+  /// True when run_with_epilogue accepts an epilogue that ends in a
+  /// max-pool (ConvEpilogue::pool): the plan computes its output in bands
+  /// of pooled rows. The dense fp32 and int8 im2col plans do, except
+  /// pointwise ones.
+  virtual bool pools() const { return false; }
+
+  /// Exact scratch of run_with_epilogue under `epilogue`: workspace_bytes(),
+  /// or, when the epilogue pools, the plan's band workspace — for the
+  /// ResNet-18 stem a fraction of the full patch matrix.
+  std::int64_t epilogue_workspace_bytes(const ConvEpilogue& epilogue) const;
 
  protected:
   ConvPlan(const ConvShape& shape, ConvAlgo algo);
@@ -103,13 +116,51 @@ class ConvPlan : public OpPlan {
   virtual void run_image(const float* x, float* y,
                          std::span<float> workspace) const = 0;
 
-  /// The epilogue body; `workspace` is exactly workspace_bytes() / 4
-  /// floats. The default runs run_image, then one pass over y. Plans with
-  /// a final output pass of their own (the int8 dequantize, the fused
-  /// Tucker band's stage 3) apply the epilogue there instead.
+  /// The epilogue body; `workspace` is exactly
+  /// epilogue_workspace_bytes(epilogue) / 4 floats. The default runs
+  /// run_image, then one pass over y. Plans with a final output pass of
+  /// their own (the int8 dequantize, the fused Tucker band's stage 3)
+  /// apply the epilogue there instead, and plans that pool run the pooled
+  /// band walk below.
   virtual void run_image_epilogue(const float* x, float* y,
                                   std::span<float> workspace,
                                   const ConvEpilogue& epilogue) const;
+
+  /// Workspace of a pooled epilogue (plans whose pools() is true).
+  virtual std::int64_t pooled_workspace_bytes(
+      const PoolDescriptor& pool) const;
+
+  /// Writes convolution rows [r0, r1) of every output channel, no epilogue,
+  /// to dst[n·ld + (r − r0)·OW + ow], using `scratch` (one band slot's
+  /// plan-specific part).
+  using PooledRowsFn = FunctionRef<void(std::int64_t r0, std::int64_t r1,
+                                        float* scratch, float* dst,
+                                        std::int64_t ld)>;
+
+  /// The pooled band walk the pooling plans share. Pooled rows of y go in
+  /// bands of at most pooled_tile(pool, row_bytes) rows. A band computes
+  /// the convolution rows its windows read (conv_rows), keeping the rows it
+  /// shares with the band before it instead of recomputing them, applies
+  /// BN and ReLU to them, and max-pools them into y; no full-size output
+  /// is ever written. `workspace` holds band slots of `slot_floats` each: a
+  /// [N, pooled_band_rows] row buffer, then the plan's scratch. With more
+  /// than one slot and region width, one region streams contiguous runs of
+  /// bands, one slot per thread, every GEMM inline; otherwise the bands run
+  /// serially and each pass splits over the region itself. Each element
+  /// keeps its GEMM chain and max is exact, so y is bitwise the unpooled
+  /// run followed by the pool plan, at any width and slot count.
+  void run_pooled(const ConvEpilogue& epilogue, float* y,
+                  std::span<float> workspace, std::int64_t slot_floats,
+                  std::int64_t row_bytes, PooledRowsFn conv_rows) const;
+
+  /// Pooled rows per band: as many as keep the band's convolution rows,
+  /// at `row_bytes` of scratch each, near the band budget.
+  std::int64_t pooled_tile(const PoolDescriptor& pool,
+                           std::int64_t row_bytes) const;
+  /// Convolution rows a band of pooled_tile(pool, row_bytes) pooled rows
+  /// reads: the height of a slot's row buffer.
+  std::int64_t pooled_band_rows(const PoolDescriptor& pool,
+                                std::int64_t row_bytes) const;
 
   void run_node(std::span<const float* const> inputs, float* y,
                 std::span<float> workspace) const final {

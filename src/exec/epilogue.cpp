@@ -1,10 +1,14 @@
 #include "exec/epilogue.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
+
+#include "common/parallel.h"
 
 namespace tdc {
 
@@ -109,7 +113,106 @@ void row_relu(const float* t, float* y, std::int64_t count, float a, float b,
   }
 }
 
+// One pooled output: the window clipped to the image, so padding taps are
+// skipped (max) and excluded from the divisor (avg).
+float pool_window(const PoolDescriptor& d, const float* rows,
+                  std::int64_t row0, std::int64_t o_h, std::int64_t o_w) {
+  const std::int64_t h0 = o_h * d.stride_h - d.pad_h;
+  const std::int64_t w0 = o_w * d.stride_w - d.pad_w;
+  const std::int64_t hb = std::max<std::int64_t>(h0, 0);
+  const std::int64_t he = std::min(h0 + d.window_h, d.in.h);
+  const std::int64_t wb = std::max<std::int64_t>(w0, 0);
+  const std::int64_t we = std::min(w0 + d.window_w, d.in.w);
+  if (d.kind == PoolKind::kMax) {
+    float best = -std::numeric_limits<float>::infinity();
+    for (std::int64_t ih = hb; ih < he; ++ih) {
+      for (std::int64_t iw = wb; iw < we; ++iw) {
+        best = std::max(best, rows[(ih - row0) * d.in.w + iw]);
+      }
+    }
+    return best;
+  }
+  double acc = 0.0;
+  for (std::int64_t ih = hb; ih < he; ++ih) {
+    for (std::int64_t iw = wb; iw < we; ++iw) {
+      acc += rows[(ih - row0) * d.in.w + iw];
+    }
+  }
+  return static_cast<float>(acc /
+                            static_cast<double>((he - hb) * (we - wb)));
+}
+
+#if defined(__AVX2__)
+// p[0], p[2], ..., p[14].
+__m256 even_lanes(const float* p) {
+  const __m256 e = _mm256_shuffle_ps(_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8),
+                                     _MM_SHUFFLE(2, 0, 2, 0));
+  // e = [p0 p2 p8 p10 | p4 p6 p12 p14]; swap the middle 64-bit pairs.
+  return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(e),
+                                                _MM_SHUFFLE(3, 1, 2, 0)));
+}
+#endif
+
+// Max-pool fast path over the windows of pooled row o_h that lie wholly
+// inside the image, from column vb on: no clipping, 8 output columns per
+// AVX vector, for column strides 1 and 2. Writes [vb, returned end);
+// returns vb when the row does not qualify (and always on generic builds).
+// Each lane takes _mm256_max_ps(v, best) — v > best ? v : best — over the
+// window in pool_window's order, which is std::max(best, v) bit for bit:
+// NaN taps are skipped, and of equal values (±0) the first is kept.
+std::int64_t max_interior_row([[maybe_unused]] const PoolDescriptor& d,
+                              [[maybe_unused]] const float* rows,
+                              [[maybe_unused]] std::int64_t row0,
+                              [[maybe_unused]] std::int64_t o_h,
+                              std::int64_t vb,
+                              [[maybe_unused]] float* orow) {
+  std::int64_t o_w = vb;
+#if defined(__AVX2__)
+  const std::int64_t sw = d.stride_w;
+  const std::int64_t h0 = o_h * d.stride_h - d.pad_h;
+  if (d.kind != PoolKind::kMax || (sw != 1 && sw != 2) || h0 < 0 ||
+      h0 + d.window_h > d.in.h) {
+    return vb;
+  }
+  // A block of 8 outputs at o_w reads input columns from o_w·sw − pad_w
+  // through (window_w − 1) + 8·sw − 1 further (stride 2 loads 16 floats
+  // and keeps the even ones), all of which must lie in the row.
+  for (; o_w + 8 <= d.out_w() &&
+         o_w * sw - d.pad_w + d.window_w - 1 + 8 * sw <= d.in.w;
+       o_w += 8) {
+    __m256 best = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+    for (std::int64_t ih = h0; ih < h0 + d.window_h; ++ih) {
+      const float* in = rows + (ih - row0) * d.in.w + o_w * sw - d.pad_w;
+      for (std::int64_t s = 0; s < d.window_w; ++s) {
+        best = _mm256_max_ps(
+            sw == 1 ? _mm256_loadu_ps(in + s) : even_lanes(in + s), best);
+      }
+    }
+    _mm256_storeu_ps(orow + o_w, best);
+  }
+#endif
+  return o_w;
+}
+
 }  // namespace
+
+void pool_rows(const PoolDescriptor& d, const float* rows, std::int64_t row0,
+               std::int64_t o_h0, std::int64_t o_h1, float* out) {
+  const std::int64_t ow = d.out_w();
+  // First output column whose window starts inside the image. Per row, the
+  // fast path writes [vb, ve) and the generic loop the rest.
+  const std::int64_t vb = std::min(divup(d.pad_w, d.stride_w), ow);
+  for (std::int64_t o_h = o_h0; o_h < o_h1; ++o_h) {
+    float* orow = out + o_h * ow;
+    const std::int64_t ve = max_interior_row(d, rows, row0, o_h, vb, orow);
+    for (std::int64_t o_w = 0; o_w < vb; ++o_w) {
+      orow[o_w] = pool_window(d, rows, row0, o_h, o_w);
+    }
+    for (std::int64_t o_w = ve; o_w < ow; ++o_w) {
+      orow[o_w] = pool_window(d, rows, row0, o_h, o_w);
+    }
+  }
+}
 
 void eltwise_row(const float* t, float* y, std::int64_t count, bool affine,
                  float a, float b, const float* residual, bool relu) {

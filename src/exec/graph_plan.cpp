@@ -447,15 +447,22 @@ InferenceSession InferenceSession::compile_impl(
     TDC_CHECK_MSG(node.plan->output_shape() == shapes[i],
                   "layer '" + layer.name +
                       "' plan geometry diverged from shape propagation");
-    s.plan_ws_floats_ = std::max(
-        s.plan_ws_floats_,
-        node.plan->workspace_bytes() /
-            static_cast<std::int64_t>(sizeof(float)));
     s.nodes_.push_back(std::move(node));
   }
   s.output_shape_ = s.nodes_.back().plan->output_shape();
   s.plan_steps(model, weights);
   s.plan_arena();
+  // One plan workspace serves every step in turn: the largest a step's run
+  // touches, a pooled step's band slots rather than its op's full scratch.
+  for (const Step& st : s.steps_) {
+    const std::int64_t bytes =
+        st.conv != nullptr
+            ? st.conv->epilogue_workspace_bytes(s.epilogue(st, nullptr))
+            : s.nodes_[static_cast<std::size_t>(st.head)]
+                  .plan->workspace_bytes();
+    s.plan_ws_floats_ = std::max(
+        s.plan_ws_floats_, bytes / static_cast<std::int64_t>(sizeof(float)));
+  }
   return s;
 }
 
@@ -499,14 +506,20 @@ void InferenceSession::plan_steps(const ModelSpec& model,
         nodes_[static_cast<std::size_t>(i)].plan.get());
     const std::int64_t bn = only_consumer(i);
     if (conv != nullptr && bn >= 0 && is_elt(bn, EltOp::kBatchNorm)) {
+      // Each op the step takes is absorbed, and the last one's output is
+      // the step's.
+      const auto take = [&](std::int64_t op) {
+        absorbed[static_cast<std::size_t>(op)] = true;
+        st.out_op = op;
+      };
       st.conv = conv;
       st.scale = weights[static_cast<std::size_t>(bn)].bn_scale;
       st.shift = weights[static_cast<std::size_t>(bn)].bn_shift;
-      st.out_op = bn;
+      take(bn);
       const std::int64_t next = only_consumer(bn);
       if (next >= 0 && is_elt(next, EltOp::kRelu)) {
         st.relu = true;
-        st.out_op = next;
+        take(next);
       } else if (next >= 0 &&
                  (is_elt(next, EltOp::kAdd) || is_elt(next, EltOp::kAddRelu)) &&
                  nodes_[static_cast<std::size_t>(next)].inputs.size() == 2) {
@@ -519,11 +532,19 @@ void InferenceSession::plan_steps(const ModelSpec& model,
                             ? kModelInput
                             : step_of[static_cast<std::size_t>(other)];
           st.relu = is_elt(next, EltOp::kAddRelu);
-          st.out_op = next;
+          take(next);
         }
       }
-      absorbed[static_cast<std::size_t>(bn)] = true;
-      absorbed[static_cast<std::size_t>(st.out_op)] = true;
+      // A max-pool that only the BN (or its ReLU) feeds runs in the same
+      // step when the plan computes pooled row bands.
+      const std::int64_t pool = only_consumer(st.out_op);
+      if (st.residual == kNoResidual && pool >= 0 && conv->pools()) {
+        const LayerSpec& l = model.layers[static_cast<std::size_t>(pool)];
+        if (l.kind == LayerKind::kPool && l.pool.max_pool) {
+          st.pool = pool_descriptor(l, conv->output_shape());
+          take(pool);
+        }
+      }
     }
     for (const std::int64_t j : op_inputs(i)) {
       TDC_CHECK_INTERNAL(j == kModelInput ||
@@ -612,6 +633,15 @@ void InferenceSession::plan_arena() {
   }
 }
 
+ConvEpilogue InferenceSession::epilogue(const Step& step,
+                                        const float* residual) {
+  return ConvEpilogue{.scale = step.scale.raw(),
+                      .shift = step.shift.raw(),
+                      .residual = residual,
+                      .relu = step.relu,
+                      .pool = step.pool ? &*step.pool : nullptr};
+}
+
 std::int64_t InferenceSession::workspace_bytes() const {
   const std::int64_t band =
       guard_bands_ ? detail::kWsGuardBandFloats : 0;
@@ -696,13 +726,10 @@ TDC_RUN_PATH void InferenceSession::run_graph(const float* x, float* y,
       detail::ws_guard_fill(ws_tail, band);
     }
     if (step.conv != nullptr) {
-      const ConvEpilogue epilogue{
-          .scale = step.scale.raw(),
-          .shift = step.shift.raw(),
-          .residual =
-              step.residual == kNoResidual ? nullptr : block(step.residual),
-          .relu = step.relu};
-      step.conv->run_with_epilogue(ptrs[0], out, plan_ws, epilogue);
+      step.conv->run_with_epilogue(
+          ptrs[0], out, plan_ws,
+          epilogue(step, step.residual == kNoResidual ? nullptr
+                                                      : block(step.residual)));
     } else {
       node.plan->run_inputs(
           std::span<const float* const>(ptrs, step.inputs.size()), out,

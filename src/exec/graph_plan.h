@@ -28,15 +28,22 @@
 //    other operand an earlier step has produced, as one step: the conv
 //    plan applies BN, add and ReLU as a per-output-channel epilogue on its
 //    own output pass (ConvPlan::run_with_epilogue), so those activations
-//    never make a round trip through memory. Every other op is a step of
-//    its own. ResNet-18's 60 ops run as 23 steps (num_steps()), bitwise
-//    equal to the op-by-op walk.
+//    never make a round trip through memory. A max-pool that only the BN
+//    (or its ReLU) feeds joins the step too when the plan pools
+//    (ConvPlan::pools()): the step then computes pooled row bands and never
+//    writes the convolution's full output. Every other op is a step of its
+//    own. ResNet-18's 60 ops run as 22 steps (num_steps()), bitwise equal
+//    to the op-by-op walk.
 //
 // Activations live in one arena planned by liveness analysis over the
 // steps: every step output gets an offset for exactly the interval between
 // its production and its last consumer, so residual skips and concat
 // branches coexist without the arena growing to the sum of all
-// activations, and the steady state performs no allocation at all.
+// activations, and the steady state performs no allocation at all. One
+// plan workspace after the arena serves every step in turn, sized for the
+// largest step — for a pooled step its band slots, not its conv's full
+// scratch. Tools that run the op view size their own buffers from
+// op(i).workspace_bytes().
 // Convolution plans go through the process-wide PlanCache
 // (exec/plan_cache.h), so recompiling a session for a repeated layer shape
 // reuses packed weights, transforms and Tucker factorizations. Runs are
@@ -45,6 +52,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,6 +61,7 @@
 #include "core/codesign.h"
 #include "exec/conv_plan.h"
 #include "exec/op_plan.h"
+#include "exec/op_plans.h"
 #include "core/model_spec.h"
 
 namespace tdc {
@@ -165,7 +174,8 @@ class InferenceSession {
   std::int64_t arena_floats() const { return arena_floats_; }
 
   /// Exact scratch bytes one run() touches: the activation arena plus the
-  /// largest per-op plan workspace.
+  /// largest workspace a step runs with (ConvPlan::epilogue_workspace_bytes
+  /// for fused steps). An op-view walk can need more: op(i) sizes its own.
   std::int64_t workspace_bytes() const;
   /// Scratch for run_batched over `batch` images: one workspace_bytes()
   /// slot per fan-out lane, sized from the runtime's thread count at call
@@ -218,8 +228,9 @@ class InferenceSession {
   static constexpr std::int64_t kNoResidual = -2;
 
   /// One unit of the run schedule: op `head` alone, or — when `conv` is
-  /// set — the convolution `head` with its BN (and ReLU or add) applied as
-  /// an epilogue. Producers are step ids or kModelInput.
+  /// set — the convolution `head` with its BN (and ReLU or add, and then
+  /// max-pool) applied as an epilogue. Producers are step ids or
+  /// kModelInput.
   struct Step {
     std::int64_t head = 0;             ///< first op: its plan and its name
     std::int64_t out_op = 0;           ///< the op whose output this is
@@ -229,6 +240,7 @@ class InferenceSession {
     Tensor shift;                      ///< [N] BN shift (fused)
     std::int64_t residual = kNoResidual;  ///< producer of the added operand
     bool relu = false;
+    std::optional<PoolDescriptor> pool;  ///< the max-pool it ends in
     std::int64_t arena_offset = 0;     ///< output placement, in floats
   };
 
@@ -241,6 +253,8 @@ class InferenceSession {
   void plan_steps(const ModelSpec& model,
                   const std::vector<LayerWeights>& weights);
   void plan_arena();
+  /// The epilogue a fused step runs its convolution with.
+  static ConvEpilogue epilogue(const Step& step, const float* residual);
   void run_graph(const float* x, float* y, std::span<float> workspace) const;
   std::int64_t batch_slots(std::int64_t batch) const;
 

@@ -64,10 +64,17 @@ double measure_gemm_gflops() {
 }
 
 double measure_stream_gbs() {
-  // Out-of-cache streaming copy, the traffic pattern of im2col packing and
-  // the transform scatter/gather stages. 32 MiB source + 32 MiB destination
-  // defeats any L2/L3 this class of host has.
-  constexpr std::int64_t kFloats = 8ll << 20;
+  // Streaming copy, the traffic pattern of im2col packing and the
+  // transform scatter/gather stages. 4 MiB source + 4 MiB destination
+  // covers the largest operand a batch-1 plan streams (the ResNet-18 stem
+  // pools in bands of at most 1.5 MiB), and keeps the probe's footprint
+  // off the serving process's peak memory: it runs on every cold build.
+  // No size defeats the cache of every host (a 4-vCPU Xeon with 2 MiB of
+  // L2 per core has a 300 MiB L3). There, copies of 2×2 through 2×16 MiB
+  // read a flat 21–26 GB/s and 2×32 MiB 12–18 GB/s, three runs each at 2
+  // and 4 threads, and ResNet-18's per-layer selection is the same at
+  // any rate from 6 to 96 GB/s.
+  constexpr std::int64_t kFloats = 1ll << 20;
   std::vector<float> src(static_cast<std::size_t>(kFloats), 1.0f);
   std::vector<float> dst(static_cast<std::size_t>(kFloats), 0.0f);
   const double bytes = 2.0 * static_cast<double>(kFloats) * sizeof(float);

@@ -43,8 +43,10 @@ void reset_host_calibration();
 /// Best-of-3 packed GEMM on L2-resident operands → achieved GFLOP/s.
 double measure_gemm_gflops();
 
-/// Best-of-3 out-of-cache streaming copy through the parallel runtime →
-/// achieved GB/s (read + write traffic).
+/// Best-of-3 streaming copy of 4 MiB into 4 MiB through the parallel
+/// runtime → achieved GB/s (read + write traffic). The size covers the
+/// largest operand a batch-1 plan streams while keeping the probe small:
+/// it runs on every cold build, inside the serving process.
 double measure_stream_gbs();
 
 /// Best-of-3 prepacked int8 GEMM (linalg/gemm_s8.h) on L2-resident operands

@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -23,7 +18,8 @@ namespace {
 // count and the loops stay trivially race-free.
 
 // ---------------------------------------------------------------------------
-// Window pooling.
+// Window pooling, through detail::pool_rows — the code a fused step's pooled
+// epilogue runs (exec/epilogue.h).
 class PoolPlanImpl final : public OpPlan {
  public:
   explicit PoolPlanImpl(const PoolDescriptor& d)
@@ -37,109 +33,15 @@ class PoolPlanImpl final : public OpPlan {
     const float* x = inputs[0];
     const std::int64_t oh = output_shape().h;
     const std::int64_t ow = output_shape().w;
-    // First output column whose window starts inside the image. Per row,
-    // the fast path writes [vb, ve) and the generic loop the rest.
-    const std::int64_t vb = std::min(detail::divup(d_.pad_w, d_.stride_w), ow);
     parallel_for(0, d_.in.c, 1, [&](std::int64_t c0, std::int64_t c1) {
       for (std::int64_t c = c0; c < c1; ++c) {
-        const float* plane = x + c * d_.in.h * d_.in.w;
-        float* out = y + c * oh * ow;
-        for (std::int64_t o_h = 0; o_h < oh; ++o_h) {
-          float* orow = out + o_h * ow;
-          const std::int64_t ve = max_interior_row(plane, o_h, vb, orow);
-          for (std::int64_t o_w = 0; o_w < vb; ++o_w) {
-            orow[o_w] = window(plane, o_h, o_w);
-          }
-          for (std::int64_t o_w = ve; o_w < ow; ++o_w) {
-            orow[o_w] = window(plane, o_h, o_w);
-          }
-        }
+        detail::pool_rows(d_, x + c * d_.in.h * d_.in.w, 0, 0, oh,
+                          y + c * oh * ow);
       }
     });
   }
 
  private:
-  // One output of the generic loop: the window clipped to the image, so
-  // padding taps are skipped (max) and excluded from the divisor (avg).
-  float window(const float* plane, std::int64_t o_h, std::int64_t o_w) const {
-    const std::int64_t h0 = o_h * d_.stride_h - d_.pad_h;
-    const std::int64_t w0 = o_w * d_.stride_w - d_.pad_w;
-    const std::int64_t hb = std::max<std::int64_t>(h0, 0);
-    const std::int64_t he = std::min(h0 + d_.window_h, d_.in.h);
-    const std::int64_t wb = std::max<std::int64_t>(w0, 0);
-    const std::int64_t we = std::min(w0 + d_.window_w, d_.in.w);
-    if (d_.kind == PoolKind::kMax) {
-      float best = -std::numeric_limits<float>::infinity();
-      for (std::int64_t ih = hb; ih < he; ++ih) {
-        for (std::int64_t iw = wb; iw < we; ++iw) {
-          best = std::max(best, plane[ih * d_.in.w + iw]);
-        }
-      }
-      return best;
-    }
-    double acc = 0.0;
-    for (std::int64_t ih = hb; ih < he; ++ih) {
-      for (std::int64_t iw = wb; iw < we; ++iw) {
-        acc += plane[ih * d_.in.w + iw];
-      }
-    }
-    return static_cast<float>(acc / static_cast<double>((he - hb) *
-                                                        (we - wb)));
-  }
-
-  // Max-pool fast path over the windows of output row o_h that lie wholly
-  // inside the image, from column vb on: no clipping, 8 output columns per
-  // AVX vector, for column strides 1 and 2. Writes [vb, returned end);
-  // returns vb when the row does not qualify (and always on generic
-  // builds). Each lane takes _mm256_max_ps(v, best) — v > best ? v : best
-  // — over the window in the generic loop's order, which is
-  // std::max(best, v) bit for bit: NaN taps are skipped, and of equal
-  // values (±0) the first is kept.
-  std::int64_t max_interior_row([[maybe_unused]] const float* plane,
-                                [[maybe_unused]] std::int64_t o_h,
-                                std::int64_t vb,
-                                [[maybe_unused]] float* orow) const {
-    std::int64_t o_w = vb;
-#if defined(__AVX2__)
-    const std::int64_t sw = d_.stride_w;
-    const std::int64_t h0 = o_h * d_.stride_h - d_.pad_h;
-    if (d_.kind != PoolKind::kMax || (sw != 1 && sw != 2) || h0 < 0 ||
-        h0 + d_.window_h > d_.in.h) {
-      return vb;
-    }
-    // A block of 8 outputs at o_w reads input columns from o_w·sw − pad_w
-    // through (window_w − 1) + 8·sw − 1 further (stride 2 loads 16 floats
-    // and keeps the even ones), all of which must lie in the row.
-    for (; o_w + 8 <= output_shape().w &&
-           o_w * sw - d_.pad_w + d_.window_w - 1 + 8 * sw <= d_.in.w;
-         o_w += 8) {
-      __m256 best = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
-      for (std::int64_t ih = h0; ih < h0 + d_.window_h; ++ih) {
-        const float* in = plane + ih * d_.in.w + o_w * sw - d_.pad_w;
-        for (std::int64_t s = 0; s < d_.window_w; ++s) {
-          best = _mm256_max_ps(sw == 1 ? _mm256_loadu_ps(in + s)
-                                       : even_lanes(in + s),
-                               best);
-        }
-      }
-      _mm256_storeu_ps(orow + o_w, best);
-    }
-#endif
-    return o_w;
-  }
-
-#if defined(__AVX2__)
-  // p[0], p[2], ..., p[14].
-  static __m256 even_lanes(const float* p) {
-    const __m256 e = _mm256_shuffle_ps(_mm256_loadu_ps(p),
-                                       _mm256_loadu_ps(p + 8),
-                                       _MM_SHUFFLE(2, 0, 2, 0));
-    // e = [p0 p2 p8 p10 | p4 p6 p12 p14]; swap the middle 64-bit pairs.
-    return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(e),
-                                                  _MM_SHUFFLE(3, 1, 2, 0)));
-  }
-#endif
-
   PoolDescriptor d_;
 };
 

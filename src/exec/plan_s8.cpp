@@ -87,6 +87,8 @@ class QuantizedConvPlanImpl final : public ConvPlan {
     return floats * static_cast<std::int64_t>(sizeof(float));
   }
 
+  bool pools() const override { return !pointwise_; }
+
  protected:
   void run_image(const float* x, float* y,
                  std::span<float> workspace) const override {
@@ -96,10 +98,64 @@ class QuantizedConvPlanImpl final : public ConvPlan {
   void run_image_epilogue(const float* x, float* y,
                           std::span<float> workspace,
                           const ConvEpilogue& epilogue) const override {
+    if (epilogue.pool != nullptr) {
+      run_pooled_s8(x, y, workspace, epilogue);
+      return;
+    }
     run(x, y, workspace, &epilogue);
   }
 
+  // Pooled: the quantized image, then one band slot — the slot's row
+  // buffer, the band's int32 accumulator and its u8 patch matrix. The bands
+  // run serially and each pass splits over the region (int8 lanes serve at
+  // width 1).
+  std::int64_t pooled_workspace_bytes(
+      const PoolDescriptor& pool) const override {
+    return (xq_floats() + slot_floats(pool)) *
+           static_cast<std::int64_t>(sizeof(float));
+  }
+
  private:
+  void run_pooled_s8(const float* x, float* y, std::span<float> workspace,
+                     const ConvEpilogue& epilogue) const {
+    const PoolDescriptor& pool = *epilogue.pool;
+    auto* xq = reinterpret_cast<std::uint8_t*>(workspace.data());
+    quantize_u8(x, shape_.c * shape_.h * shape_.w, input_, xq);
+    const std::int64_t acc_floats =
+        shape_.n * pooled_band_rows(pool, row_bytes()) * shape_.out_w();
+    run_pooled(
+        epilogue, y, workspace.subspan(static_cast<std::size_t>(xq_floats())),
+        slot_floats(pool), row_bytes(),
+        [&](std::int64_t r0, std::int64_t r1, float* scratch, float* dst,
+            std::int64_t ld) {
+          const std::int64_t cols_n = (r1 - r0) * shape_.out_w();
+          auto* acc = reinterpret_cast<std::int32_t*>(scratch);
+          auto* cols = reinterpret_cast<std::uint8_t*>(scratch + acc_floats);
+          im2col_u8_rows_into(xq, shape_, r0, r1, cols,
+                              static_cast<std::uint8_t>(input_.zero_point));
+          gemm_prepacked_s8u8(packed_weights_, cols_n, cols, cols_n,
+                              input_.zero_point, acc, cols_n);
+          dequantize_f32(acc, shape_.n, cols_n, cols_n, multipliers_.data(),
+                         dst, ld);
+        });
+  }
+
+  std::int64_t xq_floats() const {
+    return u8_floats(shape_.c * shape_.h * shape_.w);
+  }
+  // Pooled-band scratch per convolution row: the fp32 row and the int32
+  // accumulator row of every output channel, and the u8 patch columns.
+  std::int64_t row_bytes() const {
+    return (2 * shape_.n * 4 + shape_.c * shape_.r * shape_.s) *
+           shape_.out_w();
+  }
+  std::int64_t slot_floats(const PoolDescriptor& pool) const {
+    const std::int64_t rows = pooled_band_rows(pool, row_bytes());
+    const std::int64_t ow = shape_.out_w();
+    return 2 * shape_.n * rows * ow +
+           u8_floats(shape_.c * shape_.r * shape_.s * rows * ow);
+  }
+
   void run(const float* x, float* y, std::span<float> workspace,
            const ConvEpilogue* epilogue) const {
     const std::int64_t ohw = shape_.out_h() * shape_.out_w();

@@ -100,15 +100,6 @@ void quantize_u8(const float* x, std::int64_t count, const QuantParams& qp,
   });
 }
 
-void dequantize_u8(const std::uint8_t* q, std::int64_t count,
-                   const QuantParams& qp, float* out) {
-  for (std::int64_t i = 0; i < count; ++i) {
-    out[i] = static_cast<float>(static_cast<std::int32_t>(q[i]) -
-                                qp.zero_point) *
-             qp.scale;
-  }
-}
-
 QuantizedRows quantize_rows_s8(std::int64_t m, std::int64_t k, const float* a,
                                std::int64_t a_rs, std::int64_t a_cs) {
   TDC_CHECK(m >= 1 && k >= 1);

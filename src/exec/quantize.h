@@ -57,10 +57,6 @@ QuantParams choose_quant_params(float lo, float hi);
 void quantize_u8(const float* x, std::int64_t count, const QuantParams& qp,
                  std::uint8_t* out);
 
-/// Inverse map (tests, diagnostics): x̂ = (q − zp) · scale.
-void dequantize_u8(const std::uint8_t* q, std::int64_t count,
-                   const QuantParams& qp, float* out);
-
 /// Per-row symmetric int8 weight quantization: row i of the [m, k] matrix
 /// A(i,kk) = a[i·a_rs + kk·a_cs] maps to q = rne(w / scales[i]) in
 /// [-127, 127] with scales[i] = max_k|A(i,·)| / 127 (1.0 for all-zero

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -13,6 +12,7 @@
 #include "common/check.h"
 #include "common/deadline.h"
 #include "common/parallel.h"
+#include "linalg/pack_buffer.h"
 #include "linalg/tile_split.h"
 
 namespace tdc {
@@ -180,18 +180,6 @@ void scale_c(std::int64_t rows, std::int64_t cols, float* c, std::int64_t ldc,
   }
 }
 
-// Grows a thread-local pack buffer to at least `floats`. Capacity only ever
-// grows, so after first-touch warm-up the steady state performs no heap
-// allocation; the growth itself is the one allocation allowed inside a
-// guarded run.
-float* pack_buffer(std::vector<float>& buf, std::int64_t floats) {
-  if (static_cast<std::int64_t>(buf.size()) < floats) {
-    AllowAllocScope warmup;
-    buf.resize(static_cast<std::size_t>(floats));
-  }
-  return buf.data();
-}
-
 // Padded row count of the packed-A format: every MR sliver is zero-filled to
 // MR rows, and MC panel boundaries are MR-aligned, so the total is one
 // round-up regardless of how panels split.
@@ -238,13 +226,14 @@ TDC_RUN_PATH void gemm_chunk(const GemmArgs& g, std::int64_t i0,
   if (g.k == 0 || g.alpha == 0.0f || i1 <= i0 || j1 <= j0) {
     return;
   }
-  thread_local std::vector<float> bbuf;
-  thread_local std::vector<float> abuf;
-  float* const bpack = pack_buffer(
-      bbuf, kKc * std::min<std::int64_t>(
-                      detail::divup(j1 - j0, kNr) * kNr, kNc));
+  // Thread-local pack buffers (linalg/pack_buffer.h): grow-only, so a warm
+  // run allocates nothing.
+  thread_local detail::PackBuffer<float> bbuf;
+  thread_local detail::PackBuffer<float> abuf;
+  float* const bpack = bbuf.get(
+      kKc * std::min<std::int64_t>(detail::divup(j1 - j0, kNr) * kNr, kNc));
   float* const apack =
-      g.prepacked_a != nullptr ? nullptr : pack_buffer(abuf, kMc * kKc);
+      g.prepacked_a != nullptr ? nullptr : abuf.get(kMc * kKc);
   DenyAllocGuard band_guard("gemm band");
   for (std::int64_t jc = j0; jc < j1; jc += kNc) {
     const std::int64_t nc = std::min<std::int64_t>(kNc, j1 - jc);

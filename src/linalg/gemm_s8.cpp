@@ -13,6 +13,7 @@
 #include "common/check.h"
 #include "common/deadline.h"
 #include "common/parallel.h"
+#include "linalg/pack_buffer.h"
 #include "linalg/tile_split.h"
 
 namespace tdc {
@@ -428,17 +429,13 @@ struct GemmS8Args {
 TDC_RUN_PATH void gemm_s8_chunk(const GemmS8Args& g, std::int64_t i0,
                                 std::int64_t i1, std::int64_t j0,
                                 std::int64_t j1) {
-  // Thread-local pack buffer: capacity only ever grows, so after first-touch
-  // warm-up the steady state performs no heap allocation — enforced by the
-  // armed band guard below for everything inside the block walk.
-  thread_local std::vector<std::uint8_t> bbuf;
-  const std::size_t b_bytes = static_cast<std::size_t>(
+  // Thread-local pack buffer (linalg/pack_buffer.h): capacity only ever
+  // grows, so after first-touch warm-up the steady state performs no heap
+  // allocation — enforced by the armed band guard below for everything
+  // inside the block walk.
+  thread_local detail::PackBuffer<std::uint8_t> bbuf;
+  std::uint8_t* const bpack = bbuf.get(
       kKc * std::min<std::int64_t>(detail::divup(j1 - j0, kNr) * kNr, kNc));
-  if (bbuf.size() < b_bytes) {
-    AllowAllocScope warmup;
-    bbuf.resize(b_bytes);
-  }
-  std::uint8_t* const bpack = bbuf.data();
   DenyAllocGuard band_guard("gemm_s8 band");
   for (std::int64_t jc = j0; jc < j1; jc += kNc) {
     const std::int64_t nc = std::min<std::int64_t>(kNc, j1 - jc);

@@ -106,10 +106,15 @@ TEST(Im2col, PatchLayout) {
 // walk's per-row valid-column range must reproduce the bounds-checked
 // select for every stride, pad (including pads at least as wide as the
 // image, which leave whole rows of padding), filter and width. A guard
-// tail behind the patch matrix catches writes past its end.
+// tail behind the patch matrix catches writes past its end. With a row
+// range [ob, oe) the row-band walk (im2col_rows_into) must give exactly
+// those output rows' columns.
 template <typename T>
-void expect_im2col_matches_oracle(const ConvShape& shape, T pad_value) {
-  const std::int64_t oh = shape.out_h();
+void expect_im2col_matches_oracle(const ConvShape& shape, T pad_value,
+                                  std::int64_t ob = 0, std::int64_t oe = -1) {
+  const bool band = oe >= 0;
+  oe = band ? oe : shape.out_h();
+  const std::int64_t oh = oe - ob;
   const std::int64_t ow = shape.out_w();
   const std::int64_t rows = shape.c * shape.r * shape.s;
   std::vector<T> x(static_cast<std::size_t>(shape.c * shape.h * shape.w));
@@ -121,7 +126,13 @@ void expect_im2col_matches_oracle(const ConvShape& shape, T pad_value) {
   std::vector<T> cols(static_cast<std::size_t>(rows * oh * ow + kTail),
                       guard);
   if constexpr (std::is_same_v<T, float>) {
-    im2col_into(x.data(), shape, cols.data());
+    if (band) {
+      im2col_rows_into(x.data(), shape, ob, oe, cols.data());
+    } else {
+      im2col_into(x.data(), shape, cols.data());
+    }
+  } else if (band) {
+    im2col_u8_rows_into(x.data(), shape, ob, oe, cols.data(), pad_value);
   } else {
     im2col_u8_into(x.data(), shape, cols.data(), pad_value);
   }
@@ -131,7 +142,7 @@ void expect_im2col_matches_oracle(const ConvShape& shape, T pad_value) {
     const std::int64_t s = row % shape.s;
     for (std::int64_t o_h = 0; o_h < oh; ++o_h) {
       for (std::int64_t o_w = 0; o_w < ow; ++o_w) {
-        const std::int64_t ih = o_h * shape.stride_h - shape.pad_h + r;
+        const std::int64_t ih = (ob + o_h) * shape.stride_h - shape.pad_h + r;
         const std::int64_t iw = o_w * shape.stride_w - shape.pad_w + s;
         const T want =
             ih >= 0 && ih < shape.h && iw >= 0 && iw < shape.w
@@ -141,7 +152,7 @@ void expect_im2col_matches_oracle(const ConvShape& shape, T pad_value) {
         ASSERT_EQ(cols[static_cast<std::size_t>((row * oh + o_h) * ow +
                                                 o_w)],
                   want)
-            << shape.to_string() << " row=" << row << " o_h=" << o_h
+            << shape.to_string() << " row=" << row << " o_h=" << ob + o_h
             << " o_w=" << o_w;
       }
     }
@@ -185,7 +196,9 @@ TEST(Im2col, BothTypesMatchPerElementOracle) {
 // Every small shape — every pad below the kernel, strides 1 and 2 — at 1
 // and 3 threads. Tiny images under tall kernels leave a patch row only a
 // few valid elements, or none, which is where the stride-1 same-width
-// shifted copy has to clamp both of its row ranges.
+// shifted copy has to clamp both of its row ranges. Each shape also runs
+// three output-row bands: all but the first row, the top half, and one
+// middle row.
 TEST(Im2col, SmallShapeSweepMatchesOracleAtOneAndThreeThreads) {
   const int saved = num_threads();
   for (const int nt : {1, 3}) {
@@ -214,6 +227,17 @@ TEST(Im2col, SmallShapeSweepMatchesOracleAtOneAndThreeThreads) {
                     }
                     expect_im2col_matches_oracle<float>(shape, 0.0f);
                     expect_im2col_matches_oracle<std::uint8_t>(shape, 127);
+                    const std::int64_t oh = shape.out_h();
+                    const std::int64_t bands[3][2] = {
+                        {std::min<std::int64_t>(1, oh - 1), oh},
+                        {0, (oh + 1) / 2},
+                        {oh / 2, oh / 2 + 1}};
+                    for (const auto& b : bands) {
+                      expect_im2col_matches_oracle<float>(shape, 0.0f, b[0],
+                                                          b[1]);
+                      expect_im2col_matches_oracle<std::uint8_t>(
+                          shape, 127, b[0], b[1]);
+                    }
                     ++checked;
                   }
                 }

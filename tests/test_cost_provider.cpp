@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -397,6 +398,61 @@ TEST(SessionDefaults, ResnetKAutoNeverDeploysEmulator) {
     EXPECT_NE(conv->algo(), ConvAlgo::kReference) << session.op_name(i);
   }
   EXPECT_EQ(convs, 20);  // every ResNet-18 convolution stayed dense
+}
+
+// The stream probe measures one constant of the host provider's price.
+// ResNet-18's selection must not hinge on it: with the compute rates
+// pinned, every layer compiles the same algorithm, precision and
+// decomposition at 12, 24 and 48 GB/s — the fused fp32 Tucker session and
+// the calibrated int8 session under the default TDC_INT8=1 alike.
+TEST(HostCalibration, Resnet18SelectionDoesNotHingeOnStreamBandwidth) {
+  const DeviceSpec device = make_a100();
+  const ModelSpec model = make_resnet18();
+  const auto weights = random_model_weights(model, 604);
+  CodesignOptions cd;
+  cd.budget = 0.65;
+  const std::vector<LayerDecision> decisions =
+      run_codesign(device, model.decomposable_conv_shapes(), cd).layers;
+
+  const auto selection = [&](const SessionOptions& options) {
+    const InferenceSession session = InferenceSession::compile(
+        device, model, weights, decisions, options);
+    std::vector<std::string> layers;
+    for (std::int64_t i = 0; i < session.num_ops(); ++i) {
+      if (const auto* conv = dynamic_cast<const ConvPlan*>(&session.op(i))) {
+        layers.push_back(session.op_name(i) + ":" + conv->algo_name() +
+                         (conv->quantized() ? ":s8" : ":f32") +
+                         (conv->decomposed() ? ":tucker" : ":dense"));
+      }
+    }
+    return layers;
+  };
+
+  ::unsetenv("TDC_INT8");
+  ::setenv("TDC_HOST_S8_GOPS", "300", 1);
+  std::vector<std::string> fp32_at_24;
+  std::vector<std::string> int8_at_24;
+  for (const char* gbs : {"24", "12", "48"}) {
+    SCOPED_TRACE(std::string("TDC_HOST_GBS=") + gbs);
+    PinnedCalibration pin("100", gbs);
+    SessionOptions options;
+    options.use_plan_cache = false;
+    const std::vector<std::string> fp32 = selection(options);
+    const QuantTable table =
+        calibrate_quant(device, model, weights, decisions);
+    options.quant = &table;
+    const std::vector<std::string> int8 = selection(options);
+    if (fp32_at_24.empty()) {
+      fp32_at_24 = fp32;
+      int8_at_24 = int8;
+      EXPECT_EQ(fp32.size(), 20u);
+      EXPECT_NE(fp32, int8);  // the int8 session does pick s8 plans
+    }
+    EXPECT_EQ(fp32, fp32_at_24);
+    EXPECT_EQ(int8, int8_at_24);
+  }
+  ::unsetenv("TDC_HOST_S8_GOPS");
+  reset_host_calibration();
 }
 
 }  // namespace

@@ -14,11 +14,15 @@
 #include <limits>
 #include <vector>
 
+#include "common/alloc_guard.h"
 #include "common/check.h"
+#include "common/deadline.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "exec/conv_plan.h"
+#include "exec/epilogue.h"
 #include "exec/graph_plan.h"
+#include "exec/op_plans.h"
 #include "exec/plan_cache.h"
 #include "exec/quantize.h"
 #include "nn/models.h"
@@ -654,11 +658,11 @@ struct Resnet18Build {
   }
 };
 
-// ResNet-18's 60 ops run as 23 steps: 20 fused convolutions, the two pools
-// and the FC head.
+// ResNet-18's 60 ops run as 22 steps: 20 fused convolutions, the stem's
+// among them with its max-pool, the global pool and the FC head.
 void expect_resnet18_schedule(const InferenceSession& session) {
   EXPECT_EQ(session.num_ops(), 60);
-  EXPECT_EQ(session.num_steps(), 23);
+  EXPECT_EQ(session.num_steps(), 22);
   EXPECT_LT(session.arena_floats(), op_walk_arena_floor(session));
 }
 
@@ -777,6 +781,262 @@ TEST(FusedSteps, OutputStepRunsAfterDeadEndBranches) {
       make_a100(), model, weights, {}, options);
   EXPECT_EQ(session.num_steps(), 3);  // conv_a, dead, conv_b + bn + relu
   expect_steps_match_op_walk(session, 2, 829);
+}
+
+// ---------------------------------------------------------------------------
+// Pooled steps. A max-pool that only a conv → BN (→ ReLU) chain feeds runs in
+// that chain's step, in bands of pooled rows, when the conv plan pools
+// (fp32 and int8 im2col).
+
+// The ResNet-18 stem at 221×221 with 16 filters: odd convolution rows
+// (111), 56 pooled rows, several bands per thread.
+struct PooledStem {
+  ConvShape shape = ConvShape::same(3, 16, 221, 7, 2);
+  PoolDescriptor pool;
+  Tensor kernel;
+  Tensor scale;
+  Tensor shift;
+  Tensor x;
+
+  PooledStem() {
+    Rng rng(830);
+    pool.in = OpShape{shape.n, shape.out_h(), shape.out_w()};
+    pool.window_h = pool.window_w = 3;
+    pool.stride_h = pool.stride_w = 2;
+    pool.pad_h = pool.pad_w = 1;
+    kernel = Tensor::random_uniform({shape.c, shape.n, shape.r, shape.s}, rng,
+                                    -0.2f, 0.2f);
+    scale = Tensor::random_uniform({shape.n}, rng, 0.7f, 1.3f);
+    shift = Tensor::random_uniform({shape.n}, rng, -0.1f, 0.1f);
+    x = Tensor::random_uniform({shape.c, shape.h, shape.w}, rng);
+  }
+
+  ConvEpilogue epilogue(bool relu, bool pooled) const {
+    return ConvEpilogue{.scale = scale.raw(),
+                        .shift = shift.raw(),
+                        .relu = relu,
+                        .pool = pooled ? &pool : nullptr};
+  }
+
+  std::unique_ptr<ConvPlan> compile(bool int8) const {
+    if (!int8) {
+      return compile_conv_plan(
+          ConvDescriptor{.shape = shape, .algo = ConvAlgo::kIm2col}, kernel);
+    }
+    LayerQuant quant;
+    quant.quantize = true;
+    quant.input = choose_quant_params(0.0f, 1.0f);
+    return compile_quantized_conv_plan(shape, kernel, quant);
+  }
+
+  // The separate passes: the unpooled step, then the pool plan.
+  Tensor reference(const ConvPlan& plan, bool relu) const {
+    Tensor t({shape.n, shape.out_h(), shape.out_w()});
+    std::vector<float> ws(
+        static_cast<std::size_t>(plan.workspace_bytes() / sizeof(float)));
+    plan.run_with_epilogue(x.raw(), t.raw(), ws, epilogue(relu, false));
+    Tensor y({shape.n, pool.out_h(), pool.out_w()});
+    const float* in = t.raw();
+    compile_pool_plan(pool)->run_inputs(
+        std::span<const float* const>(&in, 1), y.raw(), {});
+    return y;
+  }
+
+  // The pooled step on an exact-size poisoned workspace.
+  Tensor pooled(const ConvPlan& plan, bool relu) const {
+    const ConvEpilogue e = epilogue(relu, true);
+    PoisonedWorkspace ws(plan.epilogue_workspace_bytes(e));
+    Tensor y({shape.n, pool.out_h(), pool.out_w()});
+    plan.run_with_epilogue(x.raw(), y.raw(), ws.span(), e);
+    EXPECT_TRUE(ws.guards_intact());
+    return y;
+  }
+};
+
+struct RestoreRuntime {
+  int threads = num_threads();
+  ~RestoreRuntime() {
+    set_num_threads(threads);
+    set_arena_config(ArenaConfig{});
+  }
+};
+
+TEST(FusedSteps, PooledStemBandsEqualTheUnpooledStepAndPool) {
+  const PooledStem stem;
+  const RestoreRuntime restore;
+  for (const bool int8 : {false, true}) {
+    for (const int threads : {1, 2, 4}) {
+      set_num_threads(threads);
+      const auto plan = stem.compile(int8);
+      ASSERT_TRUE(plan->pools());
+      // The band workspace is a fraction of the full patch matrix.
+      EXPECT_LT(plan->epilogue_workspace_bytes(stem.epilogue(true, true)),
+                plan->workspace_bytes());
+      for (const bool relu : {true, false}) {
+        const Tensor want = stem.reference(*plan, relu);
+        const Tensor got = stem.pooled(*plan, relu);
+        EXPECT_TRUE(same_bits(got.raw(), want.raw(), want.numel()))
+            << (int8 ? "int8" : "fp32") << " threads=" << threads
+            << " relu=" << relu;
+      }
+    }
+  }
+}
+
+// The fp32 pooled step is one band-parallel region when its workspace holds
+// a slot per thread; a plan compiled at one thread (one slot) runs its
+// bands serially at any width. Both stay bitwise; an expired deadline
+// throws from inside the region; a warm run allocates nothing.
+TEST(FusedSteps, PooledStemRegionFollowsSlotsDeadlinesAndGuards) {
+  const PooledStem stem;
+  const RestoreRuntime restore;
+  set_num_threads(1);
+  const auto one_slot = stem.compile(false);
+  const Tensor want = stem.reference(*one_slot, true);
+  // The width is explicit: intra_op 0 would defer to TDC_INTRA_OP.
+  set_num_threads(4);
+  set_arena_config(ArenaConfig{.inter_op = 0, .intra_op = 4});
+  const auto wide = stem.compile(false);
+  EXPECT_EQ(wide->epilogue_workspace_bytes(stem.epilogue(true, true)),
+            4 * one_slot->epilogue_workspace_bytes(stem.epilogue(true, true)));
+
+  std::int64_t regions = parallel_stats().pool_regions;
+  EXPECT_TRUE(same_bits(stem.pooled(*wide, true).raw(), want.raw(),
+                        want.numel()));
+  EXPECT_EQ(parallel_stats().pool_regions - regions, 1);
+  regions = parallel_stats().pool_regions;
+  EXPECT_TRUE(same_bits(stem.pooled(*one_slot, true).raw(), want.raw(),
+                        want.numel()));
+  EXPECT_GT(parallel_stats().pool_regions - regions, 1);
+
+  const ConvEpilogue e = stem.epilogue(true, true);
+  Tensor y({stem.shape.n, stem.pool.out_h(), stem.pool.out_w()});
+  {
+    PoisonedWorkspace ws(wide->epilogue_workspace_bytes(e));
+    bool expired = false;
+    try {
+      DeadlineScope scope(Deadline::after(0.0));
+      wide->run_with_epilogue(stem.x.raw(), y.raw(), ws.span(), e);
+    } catch (const Error& err) {
+      expired = err.code() == ErrorCode::kDeadlineExceeded;
+    }
+    EXPECT_TRUE(expired);
+    EXPECT_TRUE(ws.guards_intact());
+  }
+
+  // Which worker serves which band is not fixed, so a few rounds let every
+  // thread's GEMM pack buffers grow first.
+  PoisonedWorkspace ws(wide->epilogue_workspace_bytes(e));
+  for (int round = 0; round < 8; ++round) {
+    wide->run_with_epilogue(stem.x.raw(), y.raw(), ws.span(), e);
+  }
+  const bool saved_guard = alloc_guard_enabled();
+  set_alloc_guard(true);
+  const std::int64_t violations = alloc_guard_violations();
+  {
+    DenyAllocGuard guard("pooled stem test");
+    EXPECT_NO_THROW(
+        wide->run_with_epilogue(stem.x.raw(), y.raw(), ws.span(), e));
+  }
+  EXPECT_EQ(alloc_guard_violations(), violations);
+  set_alloc_guard(saved_guard);
+  EXPECT_TRUE(ws.guards_intact());
+  EXPECT_TRUE(same_bits(y.raw(), want.raw(), want.numel()));
+}
+
+LayerSpec pool_layer(const char* name, std::int64_t input,
+                     const PoolGeom& geom) {
+  LayerSpec l = LayerSpec::make_pool(name, 0.0, 0.0, geom);
+  l.inputs = {input};
+  return l;
+}
+
+// A stem-shaped model: conv → BN → ReLU → max-pool, then conv → BN →
+// max-pool (no ReLU) whose output feeds two convolutions. Both pools run
+// inside their chain's step; a pool's own consumers do not matter.
+TEST(FusedSteps, StemModelPoolsInsideItsSteps) {
+  ModelSpec model;
+  model.name = "pooled-stem";
+  model.layers.push_back(
+      LayerSpec::make_conv("conv1", ConvShape::same(3, 8, 61, 7, 2)));  // 0
+  model.layers.push_back(
+      LayerSpec::make_elementwise("bn1", 0.0, EltOp::kBatchNorm, {0}));  // 1
+  model.layers.push_back(
+      LayerSpec::make_elementwise("relu1", 0.0, EltOp::kRelu, {1}));  // 2
+  model.layers.push_back(pool_layer("pool1", 2, PoolGeom{3, 2, 1}));  // 3
+  LayerSpec conv2 = LayerSpec::make_conv("conv2", ConvShape::same(8, 8, 16, 3));
+  conv2.inputs = {3};
+  model.layers.push_back(conv2);  // 4
+  model.layers.push_back(
+      LayerSpec::make_elementwise("bn2", 0.0, EltOp::kBatchNorm, {4}));  // 5
+  model.layers.push_back(pool_layer("pool2", 5, PoolGeom{2, 2, 0}));  // 6
+  LayerSpec conv3 = LayerSpec::make_conv("conv3", ConvShape::same(8, 4, 8, 1));
+  conv3.inputs = {6};
+  model.layers.push_back(conv3);  // 7
+  LayerSpec conv4 = LayerSpec::make_conv("conv4", ConvShape::same(8, 4, 8, 3));
+  conv4.inputs = {6};
+  model.layers.push_back(conv4);  // 8
+  model.layers.push_back(
+      LayerSpec::make_elementwise("add", 0.0, EltOp::kAdd, {7, 8}));  // 9
+  const auto weights = random_model_weights(model, 831);
+  SessionOptions options;
+  options.dense_algo = ConvAlgo::kIm2col;
+  const InferenceSession session = InferenceSession::compile(
+      make_a100(), model, weights, {}, options);
+  // conv1..pool1, conv2..pool2, conv3, conv4, add.
+  EXPECT_EQ(session.num_steps(), 5);
+  expect_steps_match_op_walk(session, 3, 832);
+}
+
+// Pools that stay steps of their own: a max-pool whose input has a second
+// consumer, an avg-pool, and a max-pool after a Tucker conv (the fused
+// Tucker bands do not pool).
+TEST(FusedSteps, PoolsStaySeparateUnlessAPoolingChainAloneFeedsThem) {
+  ModelSpec model;
+  model.name = "separate-pools";
+  model.layers.push_back(
+      LayerSpec::make_conv("conv_a", ConvShape::same(3, 4, 16, 3)));  // 0
+  model.layers.push_back(
+      LayerSpec::make_elementwise("bn_a", 0.0, EltOp::kBatchNorm, {0}));  // 1
+  model.layers.push_back(
+      LayerSpec::make_elementwise("relu_a", 0.0, EltOp::kRelu, {1}));  // 2
+  model.layers.push_back(pool_layer("pool_a", 2, PoolGeom{3, 2, 1}));  // 3
+  LayerSpec conv_b =
+      LayerSpec::make_conv("conv_b", ConvShape::same(4, 4, 16, 3));
+  conv_b.inputs = {2};  // relu_a's second consumer
+  model.layers.push_back(conv_b);  // 4
+  model.layers.push_back(
+      LayerSpec::make_elementwise("bn_b", 0.0, EltOp::kBatchNorm, {4}));  // 5
+  model.layers.push_back(
+      pool_layer("avg_b", 5, PoolGeom{2, 2, 0, /*max_pool=*/false}));  // 6
+  LayerSpec conv_t =
+      LayerSpec::make_conv("conv_t", ConvShape::same(4, 4, 8, 3));
+  conv_t.inputs = {3};
+  model.layers.push_back(conv_t);  // 7
+  model.layers.push_back(
+      LayerSpec::make_elementwise("bn_t", 0.0, EltOp::kBatchNorm, {7}));  // 8
+  model.layers.push_back(
+      LayerSpec::make_elementwise("relu_t", 0.0, EltOp::kRelu, {8}));  // 9
+  model.layers.push_back(pool_layer("pool_t", 9, PoolGeom{2, 2, 0}));  // 10
+  const auto weights = random_model_weights(model, 833);
+  std::vector<LayerDecision> decisions(3);
+  decisions[0].shape = model.layers[0].conv;
+  decisions[1].shape = model.layers[4].conv;
+  decisions[2].shape = model.layers[7].conv;
+  decisions[2].decomposed = true;
+  decisions[2].ranks = {2, 2};
+  SessionOptions options;
+  options.dense_algo = ConvAlgo::kIm2col;
+  const InferenceSession session = InferenceSession::compile(
+      make_a100(), model, weights, decisions, options);
+  const auto* tucker = dynamic_cast<const ConvPlan*>(&session.op(7));
+  ASSERT_NE(tucker, nullptr);
+  EXPECT_TRUE(tucker->decomposed());
+  EXPECT_FALSE(tucker->pools());
+  // conv_a..relu_a, pool_a, conv_b..bn_b, avg_b (a dead end),
+  // conv_t..relu_t, pool_t.
+  EXPECT_EQ(session.num_steps(), 6);
+  expect_steps_match_op_walk(session, 3, 834);
 }
 
 }  // namespace
