@@ -61,20 +61,14 @@ std::int64_t ConvPlan::epilogue_workspace_bytes(
                                   : workspace_bytes();
 }
 
-std::int64_t ConvPlan::pooled_workspace_bytes(
-    const PoolDescriptor& /*pool*/) const {
-  TDC_CHECK_MSG(false, std::string(algo_name()) +
-                           " plan cannot run a pooled epilogue");
-}
-
 TDC_RUN_PATH void ConvPlan::run_with_epilogue(
     const float* x, float* y, std::span<float> workspace,
     const ConvEpilogue& epilogue) const {
   if (epilogue.pool != nullptr) {
     const PoolDescriptor& pool = *epilogue.pool;
-    TDC_CHECK_MSG(pools() && pool.kind == PoolKind::kMax &&
+    TDC_CHECK_MSG(pool.kind == PoolKind::kMax &&
                       epilogue.residual == nullptr &&
-                      pool.in == output_shape(),
+                      pool.in == output_shape() && pools(pool),
                   "a pooled epilogue needs a pooling plan, a max-pool over "
                   "its output and no residual");
   }
@@ -254,8 +248,6 @@ class Im2colPlanImpl final : public ConvPlan {
            static_cast<std::int64_t>(sizeof(float));
   }
 
-  bool pools() const override { return !pointwise_; }
-
  protected:
   void run_image(const float* x, float* y,
                  std::span<float> workspace) const override {
@@ -269,10 +261,13 @@ class Im2colPlanImpl final : public ConvPlan {
   }
 
   // Pooled: per band, the patch matrix of its convolution rows and one
-  // GEMM into the slot's row buffer. One slot per thread at compile, like
-  // the fused Tucker bands.
+  // GEMM into the slot's row buffer. One slot per region thread at
+  // compile, like the fused Tucker bands. Pointwise plans do not pool.
   std::int64_t pooled_workspace_bytes(
       const PoolDescriptor& pool) const override {
+    if (pointwise_) {
+      return 0;
+    }
     return compile_batch_slots(pool.out_h()) * slot_floats(pool) *
            static_cast<std::int64_t>(sizeof(float));
   }

@@ -99,11 +99,13 @@ class ConvPlan : public OpPlan {
                                       std::span<float> workspace,
                                       const ConvEpilogue& epilogue) const;
 
-  /// True when run_with_epilogue accepts an epilogue that ends in a
-  /// max-pool (ConvEpilogue::pool): the plan computes its output in bands
-  /// of pooled rows. The dense fp32 and int8 im2col plans do, except
+  /// True when run_with_epilogue accepts an epilogue that ends in the
+  /// max-pool `pool` (ConvEpilogue::pool): the plan computes its output in
+  /// bands of pooled rows. The dense fp32 and int8 im2col plans do, except
   /// pointwise ones.
-  virtual bool pools() const { return false; }
+  bool pools(const PoolDescriptor& pool) const {
+    return pooled_workspace_bytes(pool) > 0;
+  }
 
   /// Exact scratch of run_with_epilogue under `epilogue`: workspace_bytes(),
   /// or, when the epilogue pools, the plan's band workspace — for the
@@ -126,9 +128,12 @@ class ConvPlan : public OpPlan {
                                   std::span<float> workspace,
                                   const ConvEpilogue& epilogue) const;
 
-  /// Workspace of a pooled epilogue (plans whose pools() is true).
+  /// Workspace of an epilogue that ends in `pool`; 0 (the default) when
+  /// the plan cannot pool, which is what pools() reads.
   virtual std::int64_t pooled_workspace_bytes(
-      const PoolDescriptor& pool) const;
+      const PoolDescriptor& /*pool*/) const {
+    return 0;
+  }
 
   /// Writes convolution rows [r0, r1) of every output channel, no epilogue,
   /// to dst[n·ld + (r − r0)·OW + ow], using `scratch` (one band slot's

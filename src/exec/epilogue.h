@@ -43,7 +43,7 @@ struct ConvEpilogue {
   bool relu = false;
   /// A max-pool over the [N, OH, OW] result, or null. When set, y is the
   /// pooled [N, PH, PW] map, `residual` must be null, and only plans whose
-  /// ConvPlan::pools() is true accept the epilogue.
+  /// ConvPlan::pools(*pool) is true accept the epilogue.
   const PoolDescriptor* pool = nullptr;
 
   /// Applies the epilogue in place to the `count` elements of output

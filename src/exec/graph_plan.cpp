@@ -538,11 +538,14 @@ void InferenceSession::plan_steps(const ModelSpec& model,
       // A max-pool that only the BN (or its ReLU) feeds runs in the same
       // step when the plan computes pooled row bands.
       const std::int64_t pool = only_consumer(st.out_op);
-      if (st.residual == kNoResidual && pool >= 0 && conv->pools()) {
+      if (st.residual == kNoResidual && pool >= 0) {
         const LayerSpec& l = model.layers[static_cast<std::size_t>(pool)];
         if (l.kind == LayerKind::kPool && l.pool.max_pool) {
-          st.pool = pool_descriptor(l, conv->output_shape());
-          take(pool);
+          const PoolDescriptor desc = pool_descriptor(l, conv->output_shape());
+          if (conv->pools(desc)) {
+            st.pool = desc;
+            take(pool);
+          }
         }
       }
     }

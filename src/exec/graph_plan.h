@@ -30,7 +30,7 @@
 //    own output pass (ConvPlan::run_with_epilogue), so those activations
 //    never make a round trip through memory. A max-pool that only the BN
 //    (or its ReLU) feeds joins the step too when the plan pools
-//    (ConvPlan::pools()): the step then computes pooled row bands and never
+//    (ConvPlan::pools): the step then computes pooled row bands and never
 //    writes the convolution's full output. Every other op is a step of its
 //    own. ResNet-18's 60 ops run as 22 steps (num_steps()), bitwise equal
 //    to the op-by-op walk.

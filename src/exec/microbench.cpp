@@ -65,15 +65,15 @@ double measure_gemm_gflops() {
 
 double measure_stream_gbs() {
   // Streaming copy, the traffic pattern of im2col packing and the
-  // transform scatter/gather stages. 4 MiB source + 4 MiB destination
-  // covers the largest operand a batch-1 plan streams (the ResNet-18 stem
-  // pools in bands of at most 1.5 MiB), and keeps the probe's footprint
-  // off the serving process's peak memory: it runs on every cold build.
-  // No size defeats the cache of every host (a 4-vCPU Xeon with 2 MiB of
-  // L2 per core has a 300 MiB L3). There, copies of 2×2 through 2×16 MiB
-  // read a flat 21–26 GB/s and 2×32 MiB 12–18 GB/s, three runs each at 2
-  // and 4 threads, and ResNet-18's per-layer selection is the same at
-  // any rate from 6 to 96 GB/s.
+  // transform scatter/gather stages. The probe runs on every cold build,
+  // inside the serving process, so 4 MiB source + 4 MiB destination keeps
+  // its footprint off that process's peak memory. No size defeats the
+  // cache of every host (a 4-vCPU Xeon with 2 MiB of L2 per core has a
+  // 300 MiB L3). There, copies of 2×2 through 2×16 MiB read a flat
+  // 21–26 GB/s and 2×32 MiB 12–18 GB/s, three runs each at 2 and 4
+  // threads. The rate the probe reads does not steer ResNet-18: its
+  // fused fp32 Tucker, calibrated int8 and dense kAuto sessions pick the
+  // same per-layer plans at any rate from 6 to 96 GB/s.
   constexpr std::int64_t kFloats = 1ll << 20;
   std::vector<float> src(static_cast<std::size_t>(kFloats), 1.0f);
   std::vector<float> dst(static_cast<std::size_t>(kFloats), 0.0f);

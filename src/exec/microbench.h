@@ -44,9 +44,8 @@ void reset_host_calibration();
 double measure_gemm_gflops();
 
 /// Best-of-3 streaming copy of 4 MiB into 4 MiB through the parallel
-/// runtime → achieved GB/s (read + write traffic). The size covers the
-/// largest operand a batch-1 plan streams while keeping the probe small:
-/// it runs on every cold build, inside the serving process.
+/// runtime → achieved GB/s (read + write traffic). The copy is small
+/// because it runs on every cold build, inside the serving process.
 double measure_stream_gbs();
 
 /// Best-of-3 prepacked int8 GEMM (linalg/gemm_s8.h) on L2-resident operands

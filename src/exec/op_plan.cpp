@@ -26,7 +26,8 @@ std::string OpShape::to_string() const {
 OpPlan::OpPlan(std::vector<OpShape> input_shapes, OpShape output_shape)
     : input_shapes_(std::move(input_shapes)),
       output_shape_(output_shape),
-      compile_slots_(std::max(num_threads(), 1)) {
+      compile_slots_(std::max(std::min(num_threads(), arena_config().intra_op),
+                              1)) {
   TDC_CHECK_MSG(!input_shapes_.empty(), "an op plan needs at least one input");
 }
 

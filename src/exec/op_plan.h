@@ -120,10 +120,13 @@ class OpPlan {
   /// caller's workspace capacity).
   std::int64_t batch_slots(std::int64_t batch) const;
 
-  /// Slot count frozen from the thread count at plan construction. Plans
-  /// whose *internal* scratch layout is slot-strided (plan_fft) size with
-  /// this so workspace_bytes() never shifts under a live session when
-  /// set_num_threads changes.
+  /// Slot count frozen at plan construction from the widest region a run
+  /// can open then: the thread count capped by the intra-op width. Plans
+  /// whose *internal* scratch layout is slot-strided (plan_fft, the fused
+  /// Tucker and pooled im2col band slots) size with this so
+  /// workspace_bytes() never shifts under a live session when
+  /// set_num_threads or set_arena_config changes; a run clamps to the slots
+  /// its workspace holds.
   std::int64_t compile_batch_slots(std::int64_t batch) const;
 
   std::vector<OpShape> input_shapes_;

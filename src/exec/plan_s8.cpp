@@ -87,8 +87,6 @@ class QuantizedConvPlanImpl final : public ConvPlan {
     return floats * static_cast<std::int64_t>(sizeof(float));
   }
 
-  bool pools() const override { return !pointwise_; }
-
  protected:
   void run_image(const float* x, float* y,
                  std::span<float> workspace) const override {
@@ -108,9 +106,12 @@ class QuantizedConvPlanImpl final : public ConvPlan {
   // Pooled: the quantized image, then one band slot — the slot's row
   // buffer, the band's int32 accumulator and its u8 patch matrix. The bands
   // run serially and each pass splits over the region (int8 lanes serve at
-  // width 1).
+  // width 1). Pointwise plans do not pool.
   std::int64_t pooled_workspace_bytes(
       const PoolDescriptor& pool) const override {
+    if (pointwise_) {
+      return 0;
+    }
     return (xq_floats() + slot_floats(pool)) *
            static_cast<std::int64_t>(sizeof(float));
   }

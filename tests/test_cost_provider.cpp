@@ -8,6 +8,7 @@
 // TDC_AUTOTUNE_CACHE round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -403,8 +404,9 @@ TEST(SessionDefaults, ResnetKAutoNeverDeploysEmulator) {
 // The stream probe measures one constant of the host provider's price.
 // ResNet-18's selection must not hinge on it: with the compute rates
 // pinned, every layer compiles the same algorithm, precision and
-// decomposition at 12, 24 and 48 GB/s — the fused fp32 Tucker session and
-// the calibrated int8 session under the default TDC_INT8=1 alike.
+// decomposition at 12, 24 and 48 GB/s — the fused fp32 Tucker session, the
+// calibrated int8 session under the default TDC_INT8=1 and the dense kAuto
+// session (im2col against Winograd, both priced with a bytes term) alike.
 TEST(HostCalibration, Resnet18SelectionDoesNotHingeOnStreamBandwidth) {
   const DeviceSpec device = make_a100();
   const ModelSpec model = make_resnet18();
@@ -414,9 +416,10 @@ TEST(HostCalibration, Resnet18SelectionDoesNotHingeOnStreamBandwidth) {
   const std::vector<LayerDecision> decisions =
       run_codesign(device, model.decomposable_conv_shapes(), cd).layers;
 
-  const auto selection = [&](const SessionOptions& options) {
+  const auto selection = [&](const SessionOptions& options,
+                             const std::vector<LayerDecision>& chosen) {
     const InferenceSession session = InferenceSession::compile(
-        device, model, weights, decisions, options);
+        device, model, weights, chosen, options);
     std::vector<std::string> layers;
     for (std::int64_t i = 0; i < session.num_ops(); ++i) {
       if (const auto* conv = dynamic_cast<const ConvPlan*>(&session.op(i))) {
@@ -432,24 +435,37 @@ TEST(HostCalibration, Resnet18SelectionDoesNotHingeOnStreamBandwidth) {
   ::setenv("TDC_HOST_S8_GOPS", "300", 1);
   std::vector<std::string> fp32_at_24;
   std::vector<std::string> int8_at_24;
+  std::vector<std::string> dense_at_24;
   for (const char* gbs : {"24", "12", "48"}) {
     SCOPED_TRACE(std::string("TDC_HOST_GBS=") + gbs);
     PinnedCalibration pin("100", gbs);
     SessionOptions options;
     options.use_plan_cache = false;
-    const std::vector<std::string> fp32 = selection(options);
+    const std::vector<std::string> fp32 = selection(options, decisions);
+    const std::vector<std::string> dense = selection(options, {});
     const QuantTable table =
         calibrate_quant(device, model, weights, decisions);
     options.quant = &table;
-    const std::vector<std::string> int8 = selection(options);
+    const std::vector<std::string> int8 = selection(options, decisions);
     if (fp32_at_24.empty()) {
       fp32_at_24 = fp32;
       int8_at_24 = int8;
+      dense_at_24 = dense;
       EXPECT_EQ(fp32.size(), 20u);
+      EXPECT_EQ(dense.size(), 20u);
       EXPECT_NE(fp32, int8);  // the int8 session does pick s8 plans
+      // The dense session mixes both algorithms whose price has a bytes
+      // term, so a rate that moved the balance would show here.
+      const auto winograd = std::count_if(
+          dense.begin(), dense.end(), [](const std::string& layer) {
+            return layer.find(":winograd:") != std::string::npos;
+          });
+      EXPECT_GT(winograd, 0);
+      EXPECT_LT(winograd, 20);
     }
     EXPECT_EQ(fp32, fp32_at_24);
     EXPECT_EQ(int8, int8_at_24);
+    EXPECT_EQ(dense, dense_at_24);
   }
   ::unsetenv("TDC_HOST_S8_GOPS");
   reset_host_calibration();

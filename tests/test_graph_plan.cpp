@@ -868,7 +868,7 @@ TEST(FusedSteps, PooledStemBandsEqualTheUnpooledStepAndPool) {
     for (const int threads : {1, 2, 4}) {
       set_num_threads(threads);
       const auto plan = stem.compile(int8);
-      ASSERT_TRUE(plan->pools());
+      ASSERT_TRUE(plan->pools(stem.pool));
       // The band workspace is a fraction of the full patch matrix.
       EXPECT_LT(plan->epilogue_workspace_bytes(stem.epilogue(true, true)),
                 plan->workspace_bytes());
@@ -1032,7 +1032,7 @@ TEST(FusedSteps, PoolsStaySeparateUnlessAPoolingChainAloneFeedsThem) {
   const auto* tucker = dynamic_cast<const ConvPlan*>(&session.op(7));
   ASSERT_NE(tucker, nullptr);
   EXPECT_TRUE(tucker->decomposed());
-  EXPECT_FALSE(tucker->pools());
+  EXPECT_FALSE(tucker->pools(PoolDescriptor{.in = tucker->output_shape()}));
   // conv_a..relu_a, pool_a, conv_b..bn_b, avg_b (a dead end),
   // conv_t..relu_t, pool_t.
   EXPECT_EQ(session.num_steps(), 6);
