@@ -129,7 +129,7 @@ class ConvPlan : public OpPlan {
                                   const ConvEpilogue& epilogue) const;
 
   /// Workspace of an epilogue that ends in `pool`; 0 (the default) when
-  /// the plan cannot pool, which is what pools() reads.
+  /// the plan cannot pool, which is what pools(pool) reads.
   virtual std::int64_t pooled_workspace_bytes(
       const PoolDescriptor& /*pool*/) const {
     return 0;
